@@ -4,13 +4,12 @@ A box is a conditional distribution P(A, B | s, t) over binary inputs and
 outputs.  The module provides the isotropic one-parameter family, an
 asymmetric two-bias family, the measurement-angle family with a visibility
 knob, explicit tables, the CHSH functional, and the exact isotropizing
-twirl.  Cells are immutable and safe to share across workers; all sampling
-goes through a caller-supplied generator.
+twirl.  Cells are immutable, hold no randomness and are safe to share across
+workers; the pyramid sampler draws from their conditional tables.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -107,15 +106,6 @@ class BoxTable:
             row = self.probs[_input_index(s, t)]
             vals.append(float(row[0] - row[1] - row[2] + row[3]))
         return CorrelatorSet(*vals)
-
-    def to_json(self) -> str:
-        # 16 probabilities, row-major by (s, t, A, B)
-        return json.dumps({"probs": [float(x) for x in self.probs.ravel()]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoxTable":
-        data = json.loads(text)
-        return cls(np.array(data["probs"], dtype=float).reshape(4, 4))
 
 
 def no_signaling_check(box: BoxTable) -> tuple[bool, float]:
@@ -222,9 +212,9 @@ def twirl(box: BoxTable) -> BoxTable:
 class Cell:
     """A samplable no-signaling box used as one node of a protocol.
 
-    Subclasses provide ``conditional_tables``; sampling and table expansion
-    are derived from it, so the analytic table and the sampler can never
-    disagree.
+    Subclasses provide ``conditional_tables``; the pyramid sampler and the
+    table expansion both read it, so the analytic table and the sampler can
+    never disagree.
     """
 
     def conditional_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +235,6 @@ class Cell:
                 table[i, 2 * a + 1] = pa * pb1[i, a]
                 table[i, 2 * a + 0] = pa * (1.0 - pb1[i, a])
         return BoxTable(table)
-
-    def sample(self, s: int, t: int, rng: np.random.Generator) -> tuple[int, int]:
-        """Draw one (A, B) pair for inputs (s, t)."""
-        pa1, pb1 = self.conditional_tables()
-        i = _input_index(s, t)
-        a = int(rng.random() < pa1[i])
-        b = int(rng.random() < pb1[i, a])
-        return a, b
 
 
 def _uniform_alice_tables(wins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,11 +341,6 @@ class ExplicitCell(Cell):
 
     def as_table(self) -> BoxTable:
         return self.table
-
-
-def sample_cell(cell: Cell, s: int, t: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one (A, B) pair from ``cell`` on inputs (s, t)."""
-    return cell.sample(s, t, rng)
 
 
 def random_no_signaling_box(rng: np.random.Generator, max_pr_weight: float = 0.5) -> BoxTable:

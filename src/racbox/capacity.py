@@ -108,8 +108,12 @@ class ProbeResult:
     note: str = ""
 
 
-def _random_queries(n_bits: int, episodes: int, seed: int) -> np.ndarray:
-    return substream(seed, _PROBE_QUERY_STREAM).integers(0, n_bits, size=episodes)
+def _probe_draws(n_bits: int, episodes: int, seed: int):
+    """Database bits, uniform queries, fallback coins and queried targets."""
+    db = substream(seed, _PROBE_DB_STREAM).integers(0, 2, size=(episodes, n_bits), dtype=np.uint8)
+    queries = substream(seed, _PROBE_QUERY_STREAM).integers(0, n_bits, size=episodes)
+    coins = substream(seed, _PROBE_COIN_STREAM).integers(0, 2, size=episodes, dtype=np.uint8)
+    return db, queries, coins, db[np.arange(episodes), queries]
 
 
 def _probe_result(model, targets, outputs, queries, n_bits, corrected, note="",
@@ -128,10 +132,7 @@ def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
     """Copy the first m database bits through a hard m-bit interface."""
     if not 0 <= m <= n_bits:
         raise ValueError(f"m={m} outside [0, {n_bits}]")
-    db = substream(seed, _PROBE_DB_STREAM).integers(0, 2, size=(episodes, n_bits), dtype=np.uint8)
-    queries = _random_queries(n_bits, episodes, seed)
-    coins = substream(seed, _PROBE_COIN_STREAM).integers(0, 2, size=episodes, dtype=np.uint8)
-    targets = db[np.arange(episodes), queries]
+    _, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
     outputs = np.where(queries < m, targets, coins)
     return _probe_result(HardBits(m), targets, outputs, queries, n_bits,
                          corrected=float(m), level=level, method=method)
@@ -149,10 +150,7 @@ def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
         raise ValueError("more than 64 bits per coordinate")
     model = PackedPrecision(d, q)
     stored = min(n_bits, d * q)
-    db = substream(seed, _PROBE_DB_STREAM).integers(0, 2, size=(episodes, n_bits), dtype=np.uint8)
-    queries = _random_queries(n_bits, episodes, seed)
-    coins = substream(seed, _PROBE_COIN_STREAM).integers(0, 2, size=episodes, dtype=np.uint8)
-    targets = db[np.arange(episodes), queries]
+    db, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
     # Pack then unpack: integer codewords round-trip bits below the budget.
     packed = np.zeros((episodes, d), dtype=np.uint64)
     for i in range(stored):
@@ -182,10 +180,7 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
     if d < 1:
         raise ValueError("need at least one coordinate")
     model = AwgnBpsk(d, snr)
-    db = substream(seed, _PROBE_DB_STREAM).integers(0, 2, size=(episodes, n_bits), dtype=np.uint8)
-    queries = _random_queries(n_bits, episodes, seed)
-    coins = substream(seed, _PROBE_COIN_STREAM).integers(0, 2, size=episodes, dtype=np.uint8)
-    targets = db[np.arange(episodes), queries]
+    db, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
     amp = math.sqrt(snr)
     carried = min(d, n_bits)
     symbols = amp * (2.0 * db[:, :carried].astype(float) - 1.0)

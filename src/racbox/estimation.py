@@ -9,7 +9,6 @@ intervals and pushed through the score map by monotonicity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -51,31 +50,6 @@ class ContingencyTable:
         counts = np.zeros((2, 2), dtype=np.int64)
         np.add.at(counts, (t, o), 1)
         return cls(counts=counts, query=query)
-
-    def to_json(self) -> str:
-        # counts row-major by (target, output)
-        return json.dumps({"query": self.query,
-                           "counts": [int(c) for c in np.asarray(self.counts).ravel()]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ContingencyTable":
-        data = json.loads(text)
-        counts = np.array(data["counts"], dtype=np.int64).reshape(2, 2)
-        return cls(counts=counts, query=data.get("query"))
-
-
-def contingency_from_trials(records, query: int) -> ContingencyTable:
-    """Tally (target, output) pairs of the records with query index ``query``.
-
-    Records are (query, target, output) triples, e.g. random-query trials
-    filtered down to one branch.  An all-zero table simply has ``empty``
-    set; downstream estimators refuse it explicitly.
-    """
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for b, target, output in records:
-        if int(b) == query:
-            counts[int(target) & 1, int(output) & 1] += 1
-    return ContingencyTable(counts=counts, query=query)
 
 
 def plugin_mi(table: ContingencyTable, smoothing: float = 0.0) -> Bits:
@@ -121,16 +95,6 @@ class ConfidenceInterval:
     @property
     def half_width(self) -> float:
         return (self.hi - self.lo) / 2.0
-
-    def to_json(self) -> str:
-        return json.dumps({"lo": self.lo, "hi": self.hi,
-                           "level": self.level, "method": self.method})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfidenceInterval":
-        data = json.loads(text)
-        return cls(lo=data["lo"], hi=data["hi"], level=data["level"],
-                   method=data["method"])
 
 
 def normal_quantile(q: float) -> float:
@@ -258,7 +222,7 @@ class ScoreReport:
     """A score value together with how it was obtained."""
 
     score: Bits
-    method: str  # closed_form | lower_bound | plug_in | symmetric_estimate
+    method: str  # "symmetric_estimate", set by symmetric_score_estimate
     params: dict = field(default_factory=dict)
     interval: tuple[Bits, Bits] | None = None
 

@@ -329,32 +329,26 @@ def judge_capacity_phase(tables: Tables, config: ExperimentConfig) -> list[Verdi
 
 def _probe_task(task) -> dict:
     kind, args, level, method = task
+    # The probe functions are looked up here at call time, not kept in a
+    # table, so that rebinding the module attribute reaches every call.
     if kind == "hard":
         n_bits, m, episodes, seed = args
-        res = run_hard_copy_probe(n_bits, m, episodes, seed, level=level, method=method)
-        return {"kind": "hard", "param1": m, "param2": 0.0,
-                "counted": res.counted_capacity, "observed": res.observed_score,
-                "lo": res.interval[0], "hi": res.interval[1],
-                "corrected": res.corrected_capacity, "analytic": float(m)}
-    if kind == "packed":
+        res = run_hard_copy_probe(*args, level=level, method=method)
+        param2, analytic = 0.0, float(m)
+    elif kind == "packed":
         n_bits, d, q, episodes, seed = args
-        res = run_packed_precision_probe(n_bits, d, q, episodes, seed,
-                                         level=level, method=method)
-        return {"kind": "packed", "param1": d, "param2": float(q),
-                "counted": res.counted_capacity, "observed": res.observed_score,
-                "lo": res.interval[0], "hi": res.interval[1],
-                "corrected": res.corrected_capacity,
-                "analytic": float(min(n_bits, d * q))}
-    if kind == "awgn":
+        res = run_packed_precision_probe(*args, level=level, method=method)
+        param2, analytic = float(q), float(min(n_bits, d * q))
+    elif kind == "awgn":
         n_bits, d, snr, episodes, seed = args
-        res = run_awgn_bpsk_probe(n_bits, d, snr, episodes, seed,
-                                  level=level, method=method)
-        return {"kind": "awgn", "param1": d, "param2": float(snr),
-                "counted": res.counted_capacity, "observed": res.observed_score,
-                "lo": res.interval[0], "hi": res.interval[1],
-                "corrected": res.corrected_capacity,
-                "analytic": awgn_hard_decision_score(d, snr)}
-    raise ValueError(kind)
+        res = run_awgn_bpsk_probe(*args, level=level, method=method)
+        param2, analytic = float(snr), awgn_hard_decision_score(d, snr)
+    else:
+        raise ValueError(kind)
+    return {"kind": kind, "param1": args[1], "param2": param2,
+            "counted": res.counted_capacity, "observed": res.observed_score,
+            "lo": res.interval[0], "hi": res.interval[1],
+            "corrected": res.corrected_capacity, "analytic": analytic}
 
 
 def build_capacity_sanity(config: ExperimentConfig) -> Tables:

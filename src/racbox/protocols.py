@@ -8,14 +8,14 @@ along the path, so the output obeys
 
     output = target ^ (parity of path error bits)
 
-exactly, episode by episode.  Also here: the two-bit seed protocol the
-pyramid is built from, the optimal classical one-bit majority code, and the
-first-m-bits copy baseline.
+exactly, episode by episode.  :func:`pyramid_monte_carlo` is the only
+sampler; at depth 1 it runs the two-bit seed protocol.  Also here: the
+closed-form success probabilities and the optimal classical one-bit majority
+code.  The copy baseline is :func:`racbox.capacity.run_hard_copy_probe`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,81 +31,6 @@ _DB_STREAM = 0
 _QUERY_STREAM = 1
 _ALICE_STREAM = 2
 _BOB_STREAM = 3
-
-
-def query_path(index: int, depth: int) -> tuple[int, ...]:
-    """Path bits of a query index, most significant bit first.
-
-    The first bit routes the root cell, the last selects between the two
-    leaves of the final node, so ``index = sum(bit_k * 2^(depth-1-k))``.
-    """
-    if not 0 <= index < (1 << depth):
-        raise ValueError(f"query {index} out of range for depth {depth}")
-    return tuple((index >> (depth - 1 - r)) & 1 for r in range(depth))
-
-
-@dataclass(frozen=True)
-class Query:
-    index: int
-    depth: int
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        return query_path(self.index, self.depth)
-
-
-@dataclass(frozen=True)
-class EpisodeOutcome:
-    """Result of one protocol episode, with the per-level diagnostics."""
-
-    query: int
-    target: int
-    output: int
-    message: int
-    path_errors: tuple[int, ...]
-
-    @property
-    def success(self) -> bool:
-        return self.output == self.target
-
-
-def trace_json_line(outcome: EpisodeOutcome, seed: int | None = None) -> str:
-    """One JSON line per episode: {seed, query, target, output, errors}."""
-    record = {
-        "seed": seed,
-        "query": outcome.query,
-        "target": outcome.target,
-        "output": outcome.output,
-        "errors": list(outcome.path_errors),
-    }
-    return json.dumps(record)
-
-
-# ---------------------------------------------------------------------------
-# Seed protocol: two database bits, one message bit, one cell
-# ---------------------------------------------------------------------------
-
-
-def run_seed(cell: Cell, a0: int, a1: int, b: int, rng: np.random.Generator) -> EpisodeOutcome:
-    """One episode of the two-bit protocol.
-
-    Alice feeds s = a0^a1 into the cell and sends x = a0^A; Bob feeds t = b
-    and outputs x^B.  The output is correct exactly when the cell wins the
-    CHSH predicate on (s, t).
-    """
-    s = a0 ^ a1
-    t = b
-    a_out, b_out = cell.sample(s, t, rng)
-    x = a0 ^ a_out
-    beta = x ^ b_out
-    err = a_out ^ b_out ^ (s & t)
-    return EpisodeOutcome(query=b, target=a1 if b else a0, output=beta,
-                          message=x, path_errors=(err,))
-
-
-# ---------------------------------------------------------------------------
-# Pyramid protocol
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -134,60 +59,6 @@ class PyramidProtocol:
     @property
     def n_inputs(self) -> int:
         return 1 << self.depth
-
-    def node_index(self, level: int, offset: int) -> int:
-        return (1 << level) - 1 + offset
-
-
-def run_pyramid(protocol: PyramidProtocol, db, query: int,
-                rng: np.random.Generator) -> EpisodeOutcome:
-    """One pyramid episode on database ``db`` for ``query``.
-
-    The encoding stage consumes randomness first and never reads the query,
-    so the transmitted message for a given generator state is identical
-    across all queries.
-    """
-    n = protocol.depth
-    bits = [int(v) & 1 for v in db]
-    if len(bits) != protocol.n_inputs:
-        raise ValueError(f"database must hold {protocol.n_inputs} bits, got {len(bits)}")
-    path = query_path(query, n)
-
-    # Upward encoding.  x_levels[r] holds the 2^r intermediate messages of
-    # the nodes at depth r; level n is the database itself.
-    x_levels: list[list[int]] = [[] for _ in range(n)] + [bits]
-    s_levels: list[list[int]] = [[] for _ in range(n)]
-    a_levels: list[list[int]] = [[] for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        child = x_levels[r + 1]
-        for j in range(1 << r):
-            left, right = child[2 * j], child[2 * j + 1]
-            s = left ^ right
-            cell = protocol.cells[protocol.node_index(r, j)]
-            pa1, _ = cell.conditional_tables()
-            a_out = int(rng.random() < pa1[2 * s])  # Alice marginal, t-independent
-            s_levels[r].append(s)
-            a_levels[r].append(a_out)
-            x_levels[r].append(left ^ a_out)
-    message = x_levels[0][0]
-
-    # Downward decoding along the query path.
-    estimate = message
-    errors = []
-    j = 0
-    for r in range(n):
-        t = path[r]
-        s = s_levels[r][j]
-        a_out = a_levels[r][j]
-        cell = protocol.cells[protocol.node_index(r, j)]
-        _, pb1 = cell.conditional_tables()
-        b_out = int(rng.random() < pb1[2 * s + t, a_out])
-        errors.append(a_out ^ b_out ^ (s & t))
-        estimate ^= b_out
-        j = 2 * j + t
-
-    return EpisodeOutcome(query=query, target=bits[query], output=estimate,
-                          message=message, path_errors=tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -316,11 +187,6 @@ def majority_encode(db) -> int:
     return int(sum(bits) * 2 > len(bits))
 
 
-def majority_decode(x: int, query: int) -> int:
-    """The majority decoder answers every query with the message bit."""
-    return x
-
-
 def classical_avg_success_closed_form(n_bits: int) -> float:
     """Optimal classical one-bit average success 1/2 + 2^-N C(N-1, floor((N-1)/2)).
 
@@ -340,7 +206,7 @@ def majority_average_success(n_bits: int) -> float:
     for word in range(1 << n_bits):
         db = [(word >> i) & 1 for i in range(n_bits)]
         x = majority_encode(db)
-        total += sum(majority_decode(x, q) == db[q] for q in range(n_bits))
+        total += sum(x == db[q] for q in range(n_bits))
     return total / (n_bits << n_bits)
 
 
@@ -365,31 +231,3 @@ def brute_force_one_bit_optimum(n_bits: int) -> float:
             total += max(agree, size - agree)
         best = max(best, total / (n_bits * size))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Copy baseline: first m bits verbatim, coin flips beyond
-# ---------------------------------------------------------------------------
-
-
-def copy_encode(db, m: int) -> tuple[int, ...]:
-    bits = [int(v) & 1 for v in db]
-    if not 0 <= m <= len(bits):
-        raise ValueError(f"message length {m} outside [0, {len(bits)}]")
-    return tuple(bits[:m])
-
-
-def copy_decode(message: tuple[int, ...], query: int, rng: np.random.Generator) -> int:
-    if query < len(message):
-        return message[query]
-    return int(rng.integers(0, 2))
-
-
-def run_copy_episode(db, m: int, query: int, rng: np.random.Generator) -> EpisodeOutcome:
-    """One episode of the m-bit copy baseline (exact below m, coin above)."""
-    message = copy_encode(db, m)
-    beta = copy_decode(message, query, rng)
-    target = int(db[query]) & 1
-    packed = sum(bit << i for i, bit in enumerate(message))
-    return EpisodeOutcome(query=query, target=target, output=beta,
-                          message=packed, path_errors=())

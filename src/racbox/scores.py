@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .boxes import iso_bias_from_angle
-from .estimation import ContingencyTable, ScoreReport, plugin_mi
+from .estimation import ContingencyTable, plugin_mi
 from .info import LN2, Bits, binary_entropy, entropy_deficit
 
 __all__ = [
-    "ScoreReport", "closed_form_score", "asym_exact_score",
-    "score_lower_bound_from_accuracy", "closed_form_report",
-    "lower_bound_report", "plugin_score_report", "critical_constant",
+    "closed_form_score", "asym_exact_score",
+    "score_lower_bound_from_accuracy", "critical_constant",
     "critical_bias", "critical_bias_asymptotic", "CriticalityResult",
     "ConditionalScoreReport", "conditional_score_from_records",
     "exact_conditional_score", "regularized_angle_utility",
@@ -65,29 +64,6 @@ def score_lower_bound_from_accuracy(success_probs) -> Bits:
     """N - sum_K h(P_K): the information certified by per-query accuracies."""
     ps = list(success_probs)
     return len(ps) - sum(binary_entropy(p) for p in ps)
-
-
-def closed_form_report(depth: int, bias: float) -> ScoreReport:
-    return ScoreReport(score=closed_form_score(depth, bias), method="closed_form",
-                       params={"n": depth, "E": bias})
-
-
-def lower_bound_report(success_probs) -> ScoreReport:
-    ps = list(success_probs)
-    return ScoreReport(score=max(score_lower_bound_from_accuracy(ps), 0.0),
-                       method="lower_bound", params={"N": len(ps)})
-
-
-def plugin_score_report(tables, smoothing: float = 0.0) -> ScoreReport:
-    """Sum of per-query plug-in informations as a ScoreReport.
-
-    ``tables`` holds one contingency table per query; empty tables
-    contribute zero rather than erroring, since sparse random-query designs
-    can leave branches unsampled.
-    """
-    per_query = [0.0 if t.empty else plugin_mi(t, smoothing) for t in tables]
-    return ScoreReport(score=float(sum(per_query)), method="plug_in",
-                       params={"N": len(per_query), "smoothing": smoothing})
 
 
 def critical_constant() -> Bits:

@@ -4,13 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
+from racbox.boxes import (AsymmetricCell, BoxTable, Cell, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
                           TSIRELSON_CHSH, box_from_win_probabilities,
                           chsh_value, effective_iso_bias, iso_bias_from_angle,
                           make_isotropic, no_signaling_check, pr_box,
-                          quantum_phi_correlators, random_no_signaling_box, sample_cell,
-                          twirl)
+                          quantum_phi_correlators, random_no_signaling_box, twirl)
+from racbox.protocols import PyramidProtocol, pyramid_monte_carlo
 from racbox.rng import substream
 
 
@@ -148,12 +148,6 @@ def test_twirl_skewed_box_with_known_chsh():
         assert out.win_probability(s, t) == pytest.approx(0.8, abs=1e-12)
 
 
-def test_box_json_round_trip():
-    box = QuantumPhiCell(0.4, 0.93).as_table()
-    again = BoxTable.from_json(box.to_json())
-    assert np.allclose(box.probs, again.probs, atol=0)
-
-
 def test_correlator_constructor_round_trip():
     from racbox.boxes import box_from_correlators
     cs = quantum_phi_correlators(0.3, 0.8)
@@ -164,33 +158,28 @@ def test_correlator_constructor_round_trip():
         assert box.alice_marginal(s, t) == pytest.approx(0.5, abs=1e-15)
 
 
+def depth_one_batch(cell, episodes, seed, query=None):
+    # the depth-1 pyramid feeds (s, t) = (a0 ^ a1, query) into its one cell
+    # and records a ^ b ^ (s & t) as the error bit, so a win is a zero bit
+    return pyramid_monte_carlo(PyramidProtocol.uniform(1, cell), episodes, seed, query=query)
+
+
 def test_perfect_cell_sampling_never_misses():
-    cell = IsotropicCell(1.0)
-    rng = substream(76)
-    for s, t in product((0, 1), repeat=2):
-        for _ in range(200):
-            a, b = sample_cell(cell, s, t, rng)
-            assert a ^ b == (s & t)
+    batch = depth_one_batch(IsotropicCell(1.0), 800, seed=76)
+    assert not batch.path_errors.any()
 
 
 def test_isotropic_sampling_win_rate_single_input():
-    cell = IsotropicCell(0.5)
-    rng = substream(75)
     trials = 200_000
-    wins = sum(a ^ b == 1 for a, b in (sample_cell(cell, 1, 1, rng) for _ in range(trials)))
+    batch = depth_one_batch(IsotropicCell(0.5), trials, seed=75, query=1)
+    wins = trials - int(batch.path_errors.sum())
     assert abs(wins / trials - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / trials)
 
 
 def test_sampling_matches_table():
-    rng = substream(77)
-    cell = QuantumPhiCell(math.pi / 4, 1.0)
-    wins = 0
     trials = 200_000
-    for _ in range(trials // 4):
-        for s, t in product((0, 1), repeat=2):
-            a, b = sample_cell(cell, s, t, rng)
-            wins += int(a ^ b == (s & t))
-    p = wins / trials
+    batch = depth_one_batch(QuantumPhiCell(math.pi / 4, 1.0), trials, seed=77)
+    p = 1.0 - batch.path_errors.mean()
     target = (1.0 + TSIRELSON_BIAS) / 2.0
     sigma = math.sqrt(target * (1 - target) / trials)
     assert abs(p - target) <= 3 * sigma
@@ -200,27 +189,14 @@ def test_explicit_quantum_table_sampling_win_rate():
     # the expanded maximal-angle table, sampled as an explicit cell, wins at
     # the quantum ceiling (1 + 1/sqrt 2)/2 = 0.85355...
     cell = ExplicitCell(QuantumPhiCell(math.pi / 4, 1.0).as_table())
-    rng = substream(78)
     trials = 200_000
-    wins = 0
-    for k in range(trials):
-        s, t = (k >> 1) & 1, k & 1
-        a, b = cell.sample(s, t, rng)
-        wins += int(a ^ b == (s & t))
+    wins = trials - int(depth_one_batch(cell, trials, seed=78).path_errors.sum())
     target = (1.0 + TSIRELSON_BIAS) / 2.0
     assert abs(wins / trials - target) <= 3 * math.sqrt(target * (1 - target) / trials)
 
 
 def test_explicit_cell_sampling_matches_skewed_table():
+    # the sampler reads the conditional tables, which must rebuild the table
     raw = random_no_signaling_box(substream(8))
     cell = ExplicitCell(raw)
-    rng = substream(9)
-    counts = np.zeros(4)
-    trials = 120_000
-    for _ in range(trials):
-        a, b = cell.sample(1, 0, rng)
-        counts[2 * a + b] += 1
-    freq = counts / trials
-    for k in range(4):
-        p = raw.probs[2, k]
-        assert abs(freq[k] - p) <= 4 * math.sqrt(max(p * (1 - p), 1e-9) / trials)
+    assert np.allclose(Cell.as_table(cell).probs, raw.probs, rtol=0, atol=1e-12)

@@ -110,3 +110,35 @@ def test_workers_do_not_change_results(tmp_path):
     pooled = run_experiment(ExperimentConfig(workers=2, **base),
                             out_root=str(tmp_path / "p"))
     assert serial["outputs"] == pooled["outputs"]
+
+
+# One judged numeric column per experiment, scaled by a few percent.
+JUDGE_PERTURBATIONS = {
+    "table1": ("table1.csv", "score", 1.05),
+    "table3": ("table3.csv", "e_iso", 1.03),
+    "depth-scan": ("depth_scan.csv", "score", 1.05),
+    "bias-scan": ("bias_scan.csv", "score", 1.05),
+    "phase-boundary": ("phase_boundary.csv", "e_crit", 1.02),
+    "capacity-phase": ("capacity_phase.csv", "e_crit", 1.05),
+    "capacity-sanity": ("capacity_sanity.csv", "observed", 1.03),
+    "ablations": ("ablations.csv", "observed", 1.03),
+    "visibility": ("visibility.csv", "score", 1.05),
+    "benchmark": ("benchmark.csv", "majority_score", 1.05),
+    "angle-opt": ("angle_opt.csv", "phi_star", 1.03),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_judge_passes_then_fails_on_a_perturbed_column(name):
+    # a verdict that cannot fail checks nothing: every judge must accept the
+    # built tables and reject them once one judged column moves a few percent
+    if name == "ablations":
+        config = ExperimentConfig(name, episodes=20_000, params={"steps": 100, "seeds": 1})
+    else:
+        config = ExperimentConfig(name)
+    exp = REGISTRY[name]
+    tables = exp.build(config)
+    assert all(v.passed for v in exp.judge(tables, config))
+    fname, column, factor = JUDGE_PERTURBATIONS[name]
+    rows = [dict(row, **{column: row[column] * factor}) for row in tables[fname]]
+    assert not all(v.passed for v in exp.judge({**tables, fname: rows}, config))

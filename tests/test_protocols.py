@@ -1,64 +1,65 @@
-import json
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from racbox.boxes import AsymmetricCell, ExplicitCell, IsotropicCell, QuantumPhiCell
-from racbox.protocols import (EpisodeOutcome, PyramidProtocol, Query, asym_path_success,
+from racbox.capacity import run_hard_copy_probe
+from racbox.protocols import (PyramidProtocol, asym_path_success,
                               brute_force_one_bit_optimum,
                               classical_avg_success_closed_form, majority_average_success,
-                              majority_decode, majority_encode, pyramid_monte_carlo,
-                              pyramid_success_closed_form, query_path, run_copy_episode,
-                              run_pyramid, run_seed, trace_json_line)
-from racbox.rng import substream
+                              majority_encode, pyramid_monte_carlo,
+                              pyramid_success_closed_form)
 
-CHI2_CRIT_DF3_ALPHA01 = 11.345  # chi-square critical value, df=3, alpha=0.01
+CHI2_CRIT_DF1_ALPHA01 = 6.635  # chi-square critical value, df=1, alpha=0.01
 
 
 def binom_3sigma(p, trials):
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def test_query_path_is_msb_first():
-    assert query_path(0, 3) == (0, 0, 0)
-    assert query_path(5, 3) == (1, 0, 1)
-    assert Query(index=6, depth=3).path == (1, 1, 0)
-    with pytest.raises(ValueError):
-        query_path(8, 3)
+def per_query_rates(batch, n_queries):
+    wins, totals = batch.per_query_counts(n_queries)
+    return wins / totals, totals
+
+
+@pytest.mark.parametrize("level, offset", [(0, 0), (1, 1), (2, 1)])
+def test_nonuniform_protocol_routes_msb_first(level, offset):
+    # One coin-flip node in a tree of perfect cells: only queries whose path
+    # runs through it lose accuracy.  A uniform tree cannot catch a routing
+    # bug, because the product of path biases ignores the order of the path.
+    depth = 3
+    noisy = (1 << level) - 1 + offset
+    cells = tuple(IsotropicCell(0.0 if k == noisy else 1.0) for k in range((1 << depth) - 1))
+    proto = PyramidProtocol(depth=depth, cells=cells)
+    episodes = 4_000
+    for q in range(1 << depth):
+        batch = pyramid_monte_carlo(proto, episodes, seed=30 + q, query=q)
+        if q >> (depth - level) == offset:  # path prefix, most significant bit first
+            p = batch.success_count / episodes
+            assert abs(p - 0.5) <= binom_3sigma(0.5, episodes)
+        else:
+            assert batch.successes.all()
 
 
 # ---------------------------------------------------------------------------
-# Seed protocol
+# Seed protocol: the depth-1 pyramid
 # ---------------------------------------------------------------------------
 
 
 def test_seed_perfect_cell_never_errs():
-    cell = IsotropicCell(1.0)
-    rng = substream(1)
-    for a0, a1, b in product((0, 1), repeat=3):
-        out = run_seed(cell, a0, a1, b, rng)
-        assert out.success
-        assert out.path_errors == (0,)
+    proto = PyramidProtocol.uniform(1, IsotropicCell(1.0))
+    batch = pyramid_monte_carlo(proto, 2_000, seed=1)
+    assert batch.successes.all()
+    assert not batch.path_errors.any()
+    assert set(batch.queries.tolist()) == {0, 1}
 
 
 def test_seed_success_rate_and_chsh_aggregate():
     # empirical P0, P1 near (1+E)/2 and 2(P0+P1) near the cell's CHSH value
-    cell = IsotropicCell(0.75)
-    rng = substream(2)
-    trials = 200_000
-    wins = {0: 0, 1: 0}
-    counts = {0: 0, 1: 0}
-    dbs = substream(3).integers(0, 2, size=(trials, 2))
-    qs = substream(4).integers(0, 2, size=trials)
-    for (a0, a1), b in zip(dbs, qs):
-        out = run_seed(cell, int(a0), int(a1), int(b), rng)
-        wins[out.query] += out.success
-        counts[out.query] += 1
-    p0 = wins[0] / counts[0]
-    p1 = wins[1] / counts[1]
+    proto = PyramidProtocol.uniform(1, IsotropicCell(0.75))
+    (p0, p1), counts = per_query_rates(pyramid_monte_carlo(proto, 200_000, seed=2), 2)
     assert abs(p0 - 0.875) <= binom_3sigma(0.875, counts[0])
     assert abs(p1 - 0.875) <= binom_3sigma(0.875, counts[1])
     assert 2.0 * (p0 + p1) == pytest.approx(3.5, abs=0.02)
@@ -70,16 +71,9 @@ def test_seed_chsh_identity_beyond_isotropy():
     cell = QuantumPhiCell(math.pi / 8, 1.0)
     from racbox.boxes import chsh_value
     target_s = chsh_value(cell.as_table())
-    rng = substream(55)
-    dbs = substream(56).integers(0, 2, size=(150_000, 2))
-    qs = substream(57).integers(0, 2, size=150_000)
-    wins = {0: 0, 1: 0}
-    counts = {0: 0, 1: 0}
-    for (a0, a1), b in zip(dbs, qs):
-        out = run_seed(cell, int(a0), int(a1), int(b), rng)
-        wins[out.query] += out.success
-        counts[out.query] += 1
-    s_hat = 2.0 * (wins[0] / counts[0] + wins[1] / counts[1])
+    proto = PyramidProtocol.uniform(1, cell)
+    (p0, p1), _ = per_query_rates(pyramid_monte_carlo(proto, 150_000, seed=55), 2)
+    s_hat = 2.0 * (p0 + p1)
     assert s_hat == pytest.approx(target_s, abs=0.02)
 
 
@@ -89,16 +83,6 @@ def test_batch_size_guard():
         pyramid_monte_carlo(proto, 10_000_000, seed=1)
 
 
-def test_seed_agrees_with_depth_one_pyramid():
-    # the depth-1 pyramid is the seed protocol, message rule included
-    cell = IsotropicCell(0.5)
-    proto = PyramidProtocol.uniform(1, cell)
-    for b in (0, 1):
-        seed_out = run_seed(cell, 1, 0, b, substream(42))
-        pyr_out = run_pyramid(proto, [1, 0], b, substream(42))
-        assert seed_out == pyr_out
-
-
 # ---------------------------------------------------------------------------
 # Pyramid protocol
 # ---------------------------------------------------------------------------
@@ -106,41 +90,35 @@ def test_seed_agrees_with_depth_one_pyramid():
 
 def test_pyramid_perfect_cells_all_queries_and_dbs():
     proto = PyramidProtocol.uniform(3, IsotropicCell(1.0))
-    rng = substream(5)
-    for word in range(256):
-        db = [(word >> i) & 1 for i in range(8)]
-        for q in range(8):
-            out = run_pyramid(proto, db, q, rng)
-            assert out.success
-            assert out.path_errors == (0, 0, 0)
+    for q in range(8):
+        batch = pyramid_monte_carlo(proto, 2_000, seed=5 + q, query=q)
+        assert batch.successes.all()
+        assert not batch.path_errors.any()
 
 
 def test_pyramid_parity_identity_every_episode():
     proto = PyramidProtocol.uniform(3, IsotropicCell(0.4))
-    rng = substream(6)
-    db_rng = substream(7)
-    for k in range(2000):
-        db = db_rng.integers(0, 2, size=8)
-        q = int(db_rng.integers(0, 8))
-        out = run_pyramid(proto, db, q, rng)
-        parity = sum(out.path_errors) % 2
-        assert out.output == out.target ^ parity
+    for q in range(8):
+        batch = pyramid_monte_carlo(proto, 250, seed=6 + q, query=q)
+        parity = batch.path_errors.sum(axis=1) % 2
+        assert np.array_equal(batch.outputs, batch.targets ^ parity)
 
 
 def test_pyramid_shape_errors():
     proto = PyramidProtocol.uniform(2, IsotropicCell(0.5))
     with pytest.raises(ValueError):
-        run_pyramid(proto, [0, 1, 0], 0, substream(0))
+        pyramid_monte_carlo(proto, 10, seed=0, query=4)
     with pytest.raises(ValueError):
         PyramidProtocol(depth=2, cells=(IsotropicCell(0.5),) * 2)
 
 
 def test_message_independent_of_query():
-    # identical generator state, different queries: byte-identical message
+    # same seed, different pinned queries: byte-identical messages
     proto = PyramidProtocol.uniform(4, IsotropicCell(0.6))
-    db = substream(8).integers(0, 2, size=16)
-    messages = {run_pyramid(proto, db, q, substream(99)).message for q in range(16)}
-    assert len(messages) == 1
+    reference = pyramid_monte_carlo(proto, 1_000, seed=99, query=0).messages
+    for q in range(1, 16):
+        assert np.array_equal(pyramid_monte_carlo(proto, 1_000, seed=99, query=q).messages,
+                              reference)
 
 
 def test_monte_carlo_matches_closed_form():
@@ -183,40 +161,27 @@ def test_monte_carlo_parity_law_distribution():
 
 
 def test_monte_carlo_scalar_agreement():
-    # batch and scalar runners implement the same protocol distribution
+    # the batch sampler matches the per-path closed form of an asymmetric cell
     proto = PyramidProtocol.uniform(2, AsymmetricCell(0.9, 0.3))
     batch = pyramid_monte_carlo(proto, 150_000, seed=13, query=3)
     p_batch = batch.success_count / 150_000
-    rng = substream(14)
-    db_rng = substream(15)
-    wins = 0
-    trials = 40_000
-    for _ in range(trials):
-        db = db_rng.integers(0, 2, size=4)
-        wins += run_pyramid(proto, db, 3, rng).success
-    p_scalar = wins / trials
     target = asym_path_success(0.9, 0.3, (1, 1))
     assert abs(p_batch - target) <= binom_3sigma(target, 150_000)
-    assert abs(p_scalar - target) <= binom_3sigma(target, trials)
 
 
 def test_error_bits_independent_of_inputs():
-    # chi-square independence between the adaptively chosen cell inputs and
-    # the error bit; the seed protocol exposes (s, t) = (a0 ^ a1, b) directly
-    cell = IsotropicCell(0.5)
-    rng = substream(17)
-    dbs = substream(18).integers(0, 2, size=(80_000, 2))
-    qs = substream(19).integers(0, 2, size=80_000)
-    table = np.zeros((4, 2))
-    for (a0, a1), b in zip(dbs, qs):
-        out = run_seed(cell, int(a0), int(a1), int(b), rng)
-        table[2 * (a0 ^ a1) + b, out.path_errors[0]] += 1
+    # chi-square independence between Bob's cell input, the query bit of the
+    # depth-1 pyramid, and the recorded error bit
+    proto = PyramidProtocol.uniform(1, IsotropicCell(0.5))
+    batch = pyramid_monte_carlo(proto, 80_000, seed=17)
+    table = np.zeros((2, 2))
+    np.add.at(table, (batch.queries, batch.path_errors[:, 0]), 1)
     total = table.sum()
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
     expected = row @ col / total
     chi2 = float(((table - expected) ** 2 / expected).sum())
-    assert chi2 < CHI2_CRIT_DF3_ALPHA01
+    assert chi2 < CHI2_CRIT_DF1_ALPHA01
 
 
 def test_quantum_cell_pyramid_monte_carlo():
@@ -236,12 +201,6 @@ def test_explicit_cell_pyramid_runs():
     p = batch.success_count / 100_000
     target = pyramid_success_closed_form(2, 0.8)
     assert abs(p - target) <= binom_3sigma(target, 100_000)
-
-
-def test_trace_json_line():
-    out = EpisodeOutcome(query=3, target=1, output=0, message=1, path_errors=(1, 0))
-    record = json.loads(trace_json_line(out, seed=42))
-    assert record == {"seed": 42, "query": 3, "target": 1, "output": 0, "errors": [1, 0]}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +239,6 @@ def test_majority_encode_reference():
     assert majority_encode([1, 1, 0]) == 1
     assert majority_encode([0, 0, 1]) == 0
     assert majority_encode([1, 0]) == 0  # tie breaks to 0
-    assert majority_decode(1, 5) == 1
 
 
 def test_majority_average_success_enumeration():
@@ -313,17 +271,13 @@ def test_closed_form_overflow_guard():
 
 
 def test_copy_protocol_limits():
-    rng = substream(22)
-    db = [1, 0, 1, 1, 0, 0, 1, 0]
-    for q in range(8):
-        assert run_copy_episode(db, 8, q, rng).success
-    outs = [run_copy_episode(db, 0, q, rng).output for q in range(8) for _ in range(200)]
-    assert 0.4 < np.mean(outs) < 0.6
+    # all bits copied: every query exact; none copied: every answer a coin
+    assert run_hard_copy_probe(8, 8, 20_000, seed=22).observed_score == 8.0
+    assert run_hard_copy_probe(8, 0, 20_000, seed=22).observed_score < 0.01
 
 
 def test_copy_protocol_exact_below_m():
-    rng = substream(23)
-    db = [0, 1, 1, 0]
-    for q in (0, 1, 2):
-        out = run_copy_episode(db, 3, q, rng)
-        assert out.output == db[q]
+    # queries 0..2 are answered exactly, each worth one full bit, and the
+    # coin-answered rest adds a nonnegative remainder
+    res = run_hard_copy_probe(4, 3, 20_000, seed=23)
+    assert 3.0 <= res.observed_score < 3.01

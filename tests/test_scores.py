@@ -134,23 +134,6 @@ def test_lower_bound_tight_on_symmetric_profile():
             closed_form_score(n, e), abs=1e-9)
 
 
-def test_score_report_constructors():
-    from racbox.estimation import ContingencyTable
-    from racbox.scores import closed_form_report, lower_bound_report, plugin_score_report
-    rep = closed_form_report(10, 0.72)
-    assert rep.method == "closed_form"
-    assert rep.score == pytest.approx(closed_form_score(10, 0.72), abs=0)
-    rep = lower_bound_report([0.9, 0.5, 1.0])
-    assert rep.method == "lower_bound"
-    # 3 - h(0.9) - h(0.5) - h(1.0) = 2 - h(0.9)
-    assert rep.score == pytest.approx(2 - binary_entropy(0.9), abs=1e-12)
-    tables = [ContingencyTable([[50, 0], [0, 50]], query=0),
-              ContingencyTable([[0, 0], [0, 0]], query=1)]  # unsampled branch
-    rep = plugin_score_report(tables)
-    assert rep.method == "plug_in"
-    assert rep.score == pytest.approx(1.0, abs=0)
-
-
 # ---------------------------------------------------------------------------
 # Criticality
 # ---------------------------------------------------------------------------
