@@ -105,7 +105,6 @@ class ProbeResult:
     observed_score: Bits
     interval: tuple[Bits, Bits]
     corrected_capacity: Bits
-    note: str = ""
 
 
 def _probe_draws(n_bits: int, episodes: int, seed: int):
@@ -116,7 +115,7 @@ def _probe_draws(n_bits: int, episodes: int, seed: int):
     return db, queries, coins, db[np.arange(episodes), queries]
 
 
-def _probe_result(model, targets, outputs, queries, n_bits, corrected, note="",
+def _probe_result(model, targets, outputs, queries, n_bits, corrected,
                   level: float = 0.95, method: str = "wilson") -> ProbeResult:
     ok = (targets == outputs).astype(np.int64)
     wins = np.bincount(queries, weights=ok, minlength=n_bits).astype(int)
@@ -124,7 +123,7 @@ def _probe_result(model, targets, outputs, queries, n_bits, corrected, note="",
     score, (lo, hi) = per_query_symmetric_score(wins, totals, level=level, method=method)
     return ProbeResult(model=model, counted_capacity=capacity_certificate(model),
                        observed_score=score, interval=(lo, hi),
-                       corrected_capacity=corrected, note=note)
+                       corrected_capacity=corrected)
 
 
 def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
@@ -162,9 +161,8 @@ def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
         else:
             unpacked[:, i] = coins  # nothing survived; answer a coin
     outputs = unpacked[np.arange(episodes), queries]
-    note = f"nominally {d} real coordinate(s); quantization certifies {d * q} bits"
     return _probe_result(model, targets, outputs, queries, n_bits,
-                         corrected=float(d * q), note=note, level=level, method=method)
+                         corrected=float(d * q), level=level, method=method)
 
 
 def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
@@ -191,7 +189,6 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
                        coins)
     return _probe_result(model, targets, outputs, queries, n_bits,
                          corrected=capacity_certificate(model),
-                         note="hard-decision threshold decoder",
                          level=level, method=method)
 
 

@@ -10,7 +10,7 @@ intervals and pushed through the score map by monotonicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,7 +223,6 @@ class ScoreReport:
 
     score: Bits
     method: str  # "symmetric_estimate", set by symmetric_score_estimate
-    params: dict = field(default_factory=dict)
     interval: tuple[Bits, Bits] | None = None
 
     def __post_init__(self):
@@ -268,7 +267,6 @@ def symmetric_score_estimate(successes: int, trials: int, n_bits: int,
     phat = successes / trials
     ci = score_interval_transform(binomial_interval(successes, trials, level, method), n_bits)
     return ScoreReport(score=_score_map(phat, n_bits), method="symmetric_estimate",
-                       params={"N": n_bits, "successes": successes, "trials": trials},
                        interval=(ci.lo, ci.hi))
 
 

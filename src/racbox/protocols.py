@@ -9,7 +9,9 @@ along the path, so the output obeys
     output = target ^ (parity of path error bits)
 
 exactly, episode by episode.  :func:`pyramid_monte_carlo` is the only
-sampler; at depth 1 it runs the two-bit seed protocol.  Also here: the
+sampler; at depth 1 it runs the two-bit seed protocol.  It runs episodes in
+fixed chunks, so its working memory is fixed; only the returned batch grows
+with the episode count, at O(episodes * (depth + 11)) bytes.  Also here: the
 closed-form success probabilities and the optimal classical one-bit majority
 code.  The copy baseline is :func:`racbox.capacity.run_hard_copy_probe`.
 """
@@ -31,6 +33,12 @@ _DB_STREAM = 0
 _QUERY_STREAM = 1
 _ALICE_STREAM = 2
 _BOB_STREAM = 3
+
+# Cell draws per chunk of episodes (2^n per episode at depth n); the sampler's
+# working memory is proportional to it.
+_CHUNK_CELL_DRAWS = 1 << 20
+# Largest batch the sampler returns, at depth + 11 bytes per episode.
+_MAX_BATCH_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -97,62 +105,93 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
 
     Queries are uniform unless ``query`` pins them.  Randomness is read from
     named substreams of ``seed`` so episode i is reproducible regardless of
-    the batch size.
+    the batch size.  Episodes run in fixed chunks, so the working memory does
+    not grow with ``episodes``; the returned batch takes O(episodes *
+    (depth + 11)) bytes, and a batch above 2 GiB is refused up front.
     """
     n = protocol.depth
     big_n = protocol.n_inputs
     t_count = int(episodes)
+    # The cell-draw count bounds the run time; the batch size bounds memory.
     if t_count * big_n > 1 << 31:
-        raise ValueError("batch needs more than 2^31 cell draws; "
-                         "reduce the episode count or the depth")
+        raise ValueError("batch needs more than 2^31 cell draws, too many to run "
+                         "in reasonable time; reduce the episode count or the depth")
+    batch_bytes = t_count * (n + 11)
+    if batch_bytes > _MAX_BATCH_BYTES:
+        raise ValueError(f"batch of {t_count} episodes at depth {n} needs "
+                         f"{batch_bytes / 2**30:.2f} GiB, above the "
+                         f"{_MAX_BATCH_BYTES / 2**30:g} GiB limit; reduce the episode count")
     if query is not None and not 0 <= query < big_n:
         raise ValueError(f"query {query} out of range")
 
     # Per-node conditional tables, gathered by heap index.
-    pa1 = np.stack([c.conditional_tables()[0] for c in protocol.cells])
-    pb1 = np.stack([c.conditional_tables()[1] for c in protocol.cells])
+    tables = [c.conditional_tables() for c in protocol.cells]
+    pa1 = np.stack([pa for pa, _ in tables])
+    pb1 = np.stack([pb for _, pb in tables])
 
-    db = substream(seed, _DB_STREAM).integers(0, 2, size=(t_count, big_n), dtype=np.uint8)
-    if query is None:
-        queries = substream(seed, _QUERY_STREAM).integers(0, big_n, size=t_count)
-    else:
-        queries = np.full(t_count, int(query))
+    db_rng = substream(seed, _DB_STREAM)
+    query_rng = substream(seed, _QUERY_STREAM) if query is None else None
+    alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
+    bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
 
-    # Upward encoding.
-    x = db
-    s_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    a_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for r in range(n - 1, -1, -1):
-        left, right = x[:, 0::2], x[:, 1::2]
-        s_vals = left ^ right
-        node_ids = (1 << r) - 1 + np.arange(1 << r)
-        p_alice = pa1[node_ids[None, :], 2 * s_vals]
-        u = substream(seed, _ALICE_STREAM, r).random((t_count, 1 << r))
-        a_vals = (u < p_alice).astype(np.uint8)
-        s_levels[r] = s_vals
-        a_levels[r] = a_vals
-        x = left ^ a_vals
-    messages = x[:, 0].copy()
-
-    # Downward decoding.
-    estimate = messages.copy()
+    queries = (np.empty(t_count, dtype=np.int64) if query is None
+               else np.full(t_count, int(query)))
+    targets = np.empty(t_count, dtype=np.uint8)
+    outputs = np.empty(t_count, dtype=np.uint8)
+    messages = np.empty(t_count, dtype=np.uint8)
     errors = np.empty((t_count, n), dtype=np.uint8)
-    j = np.zeros(t_count, dtype=np.int64)
-    rows = np.arange(t_count)
-    for r in range(n):
-        t_bits = ((queries >> (n - 1 - r)) & 1).astype(np.uint8)
-        s_vals = s_levels[r][rows, j]
-        a_vals = a_levels[r][rows, j]
-        node_ids = (1 << r) - 1 + j
-        p_bob = pb1[node_ids, 2 * s_vals + t_bits, a_vals]
-        u = substream(seed, _BOB_STREAM, r).random(t_count)
-        b_vals = (u < p_bob).astype(np.uint8)
-        errors[:, r] = a_vals ^ b_vals ^ (s_vals & t_bits)
-        estimate ^= b_vals
-        j = 2 * j + t_bits
 
-    targets = db[rows, queries]
-    return PyramidBatch(queries=queries, targets=targets, outputs=estimate,
+    # Chunks read each stream in order, so the rows match one unchunked draw
+    # only if no generator call leaves draws behind at a chunk boundary.
+    # random() takes one 64-bit word per value and the uint32 half-word
+    # buffer of the bit generator carries over between calls, but a uint8
+    # integers() call takes 4 values from each uint32 and drops its byte
+    # buffer when it returns.  A multiple of 8 episodes of 2^n database bits
+    # each leaves that buffer empty at every chunk boundary.
+    chunk = max(8, _CHUNK_CELL_DRAWS // big_n // 8 * 8)
+    for lo in range(0, t_count, chunk):
+        hi = min(lo + chunk, t_count)
+        size = hi - lo
+        db = db_rng.integers(0, 2, size=(size, big_n), dtype=np.uint8)
+        if query_rng is not None:
+            queries[lo:hi] = query_rng.integers(0, big_n, size=size)
+        q = queries[lo:hi]
+
+        # Upward encoding.
+        x = db
+        s_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        a_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        for r in range(n - 1, -1, -1):
+            left, right = x[:, 0::2], x[:, 1::2]
+            s_vals = left ^ right
+            node_ids = (1 << r) - 1 + np.arange(1 << r)
+            p_alice = pa1[node_ids[None, :], 2 * s_vals]
+            u = alice_rngs[r].random((size, 1 << r))
+            a_vals = (u < p_alice).astype(np.uint8)
+            s_levels[r] = s_vals
+            a_levels[r] = a_vals
+            x = left ^ a_vals
+        messages[lo:hi] = x[:, 0]
+
+        # Downward decoding.
+        estimate = x[:, 0].copy()
+        j = np.zeros(size, dtype=np.int64)
+        rows = np.arange(size)
+        for r in range(n):
+            t_bits = ((q >> (n - 1 - r)) & 1).astype(np.uint8)
+            s_vals = s_levels[r][rows, j]
+            a_vals = a_levels[r][rows, j]
+            node_ids = (1 << r) - 1 + j
+            p_bob = pb1[node_ids, 2 * s_vals + t_bits, a_vals]
+            u = bob_rngs[r].random(size)
+            b_vals = (u < p_bob).astype(np.uint8)
+            errors[lo:hi, r] = a_vals ^ b_vals ^ (s_vals & t_bits)
+            estimate ^= b_vals
+            j = 2 * j + t_bits
+        outputs[lo:hi] = estimate
+        targets[lo:hi] = db[rows, q]
+
+    return PyramidBatch(queries=queries, targets=targets, outputs=outputs,
                         messages=messages, path_errors=errors)
 
 

@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from racbox.boxes import AsymmetricCell, ExplicitCell, IsotropicCell, QuantumPhiCell
+from racbox import protocols
+from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
+                          QuantumPhiCell, pr_box)
 from racbox.capacity import run_hard_copy_probe
 from racbox.protocols import (PyramidProtocol, asym_path_success,
                               brute_force_one_bit_optimum,
                               classical_avg_success_closed_form, majority_average_success,
                               majority_encode, pyramid_monte_carlo,
                               pyramid_success_closed_form)
+from racbox.rng import substream
 
 CHI2_CRIT_DF1_ALPHA01 = 6.635  # chi-square critical value, df=1, alpha=0.01
 
@@ -41,6 +45,50 @@ def test_nonuniform_protocol_routes_msb_first(level, offset):
             assert abs(p - 0.5) <= binom_3sigma(0.5, episodes)
         else:
             assert batch.successes.all()
+
+
+# Box tables are indexed [2s + t, 2A + B]: the identity gives A = s, B = t
+ECHO_INPUTS = np.eye(4)
+ZERO_OUTPUTS = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))  # A = B = 0
+
+
+def _heap_reference(db, special, query, depth):
+    """(message, output) of a pyramid of ZERO_OUTPUTS cells with one
+    ECHO_INPUTS cell at heap index ``special``."""
+    def message(node, lo, width):
+        if width == 1:
+            return int(db[lo])
+        left = message(2 * node + 1, lo, width // 2)
+        right = message(2 * node + 2, lo + width // 2, width // 2)
+        a = left ^ right if node == special else 0
+        return left ^ a
+
+    msg = out = message(0, 0, 1 << depth)
+    node = 0
+    for r in range(depth):
+        t = (query >> (depth - 1 - r)) & 1
+        out ^= t if node == special else 0
+        node = 2 * node + 1 + t
+    return msg, out
+
+
+@pytest.mark.parametrize("special", range(7))
+def test_alice_routing_matches_heap_recursion(special):
+    # Alice's output at a node depends on its input s, so a node that reads
+    # another node's table changes the message; uniform Alice marginals would
+    # hide this, hence the deterministic biased cells.
+    depth, episodes, seed = 3, 64, 40 + special
+    cells = tuple(ExplicitCell(BoxTable(ECHO_INPUTS if k == special else ZERO_OUTPUTS))
+                  for k in range((1 << depth) - 1))
+    proto = PyramidProtocol(depth=depth, cells=cells)
+    db = substream(seed, protocols._DB_STREAM).integers(
+        0, 2, size=(episodes, 1 << depth), dtype=np.uint8)
+    for q in range(1 << depth):
+        batch = pyramid_monte_carlo(proto, episodes, seed=seed, query=q)
+        assert np.array_equal(batch.targets, db[:, q])
+        for i in range(episodes):
+            msg, out = _heap_reference(db[i], special, q, depth)
+            assert (int(batch.messages[i]), int(batch.outputs[i])) == (msg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +129,31 @@ def test_batch_size_guard():
     proto = PyramidProtocol.uniform(20, IsotropicCell(0.5))
     with pytest.raises(ValueError):
         pyramid_monte_carlo(proto, 10_000_000, seed=1)
+
+
+def test_oversized_batch_fails_before_allocating():
+    # 2^28 depth-1 episodes pass the cell-draw guard but need 3 GiB of batch
+    proto = PyramidProtocol.uniform(1, IsotropicCell(0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            pyramid_monte_carlo(proto, 1 << 28, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_working_memory_is_bounded():
+    # the full (episodes, 2^depth) arrays would peak at about 255 MB here
+    proto = PyramidProtocol.uniform(10, IsotropicCell(0.75))
+    tracemalloc.start()
+    try:
+        pyramid_monte_carlo(proto, 20_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +204,14 @@ def test_monte_carlo_matches_closed_form():
     assert batch.parity_identity_holds()
 
 
-def test_monte_carlo_batch_is_reproducible_and_size_stable():
+def _assert_same_rows(batch, reference, rows):
+    for name in ("queries", "targets", "outputs", "messages", "path_errors"):
+        got, want = getattr(batch, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want[:rows]), name
+
+
+def test_monte_carlo_batch_is_reproducible_and_size_stable(monkeypatch):
     proto = PyramidProtocol.uniform(2, IsotropicCell(0.7))
     a = pyramid_monte_carlo(proto, 5_000, seed=77)
     b = pyramid_monte_carlo(proto, 5_000, seed=77)
@@ -140,6 +220,19 @@ def test_monte_carlo_batch_is_reproducible_and_size_stable():
     # episode i does not depend on the batch size
     c = pyramid_monte_carlo(proto, 2_500, seed=77)
     assert np.array_equal(a.outputs[:2_500], c.outputs)
+    # nor on the chunk size, for uniform and biased Alice marginals, with
+    # random and pinned queries; 1_003 episodes end in a partial chunk
+    biased = ExplicitCell(BoxTable(0.6 * pr_box().probs + 0.4 * ZERO_OUTPUTS))
+    cases = [(PyramidProtocol.uniform(depth, cell), query) for depth in (1, 2, 3, 5)
+             for cell in (IsotropicCell(0.7), biased) for query in (None, 1)]
+    reference = [pyramid_monte_carlo(proto, 1_003, seed=78, query=query)
+                 for proto, query in cases]
+    for budget in (1, 64, 1000, 4096):
+        monkeypatch.setattr(protocols, "_CHUNK_CELL_DRAWS", budget)
+        for (proto, query), ref in zip(cases, reference):
+            for episodes in (1_003, 501):
+                _assert_same_rows(pyramid_monte_carlo(proto, episodes, seed=78, query=query),
+                                  ref, episodes)
 
 
 def test_monte_carlo_query_symmetry():
