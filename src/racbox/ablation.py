@@ -33,7 +33,6 @@ class TrainConfig:
     batch: int = 256
     steps: int = 20_000
     lr: float = 0.05
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if min(self.hidden, self.batch, self.steps) <= 0 or self.lr <= 0.0:
@@ -62,10 +61,9 @@ class BottleneckNet:
     c2: np.ndarray
 
     @classmethod
-    def init(cls, n_bits: int, m: int, hidden: int, rng: np.random.Generator,
-             scale: float = 1.0) -> "BottleneckNet":
+    def init(cls, n_bits: int, m: int, hidden: int, rng: np.random.Generator) -> "BottleneckNet":
         def layer(fan_in, fan_out):
-            return rng.standard_normal((fan_in, fan_out)) * (scale / math.sqrt(fan_in))
+            return rng.standard_normal((fan_in, fan_out)) * (1.0 / math.sqrt(fan_in))
 
         return cls(
             n_bits=n_bits, m=m,
@@ -75,32 +73,18 @@ class BottleneckNet:
             v2=layer(hidden, 1), c2=np.zeros(1),
         )
 
-    def param_names(self) -> tuple[str, ...]:
-        return ("w1", "b1", "w2", "b2", "v1", "c1", "v2", "c2")
-
-    def encode_pre(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, x: np.ndarray, queries: np.ndarray, binarize: bool = True):
+        """Returns (h1, d_in, h2, logit); the encoder never reads ``queries``."""
         h1 = np.tanh(x @ self.w1 + self.b1)
-        return h1, h1 @ self.w2 + self.b2
-
-    def bottleneck_bits(self, x: np.ndarray) -> np.ndarray:
-        """Binary bottleneck values for databases ``x``; query-independent."""
-        _, z = self.encode_pre(x)
-        return (z >= 0.0).astype(np.uint8)
-
-    def decode_logit(self, h_pm: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        z = h1 @ self.w2 + self.b2
+        h_pm = (np.sign(z) + (z == 0.0)) if binarize else z
+        onehot = np.eye(self.n_bits)[queries]
         d_in = np.concatenate([h_pm, onehot], axis=1)
         h2 = np.tanh(d_in @ self.v1 + self.c1)
-        return (h2 @ self.v2 + self.c2)[:, 0]
-
-    def forward(self, x: np.ndarray, queries: np.ndarray,
-                binarize: bool = True) -> np.ndarray:
-        _, z = self.encode_pre(x)
-        h_pm = np.sign(z) + (z == 0.0) if binarize else z
-        onehot = np.eye(self.n_bits)[queries]
-        return self.decode_logit(h_pm, onehot)
+        return h1, d_in, h2, (h2 @ self.v2 + self.c2)[:, 0]
 
     def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        return (self.forward(x, queries) > 0.0).astype(np.uint8)
+        return (self._forward(x, queries)[3] > 0.0).astype(np.uint8)
 
     def loss_and_grads(self, x: np.ndarray, queries: np.ndarray, targets: np.ndarray,
                        binarize: bool = True) -> tuple[float, dict[str, np.ndarray]]:
@@ -112,13 +96,7 @@ class BottleneckNet:
         end-to-end, which is what the finite-difference check exercises.
         """
         batch = x.shape[0]
-        h1 = np.tanh(x @ self.w1 + self.b1)
-        z = h1 @ self.w2 + self.b2
-        h_pm = (np.sign(z) + (z == 0.0)) if binarize else z
-        onehot = np.eye(self.n_bits)[queries]
-        d_in = np.concatenate([h_pm, onehot], axis=1)
-        h2 = np.tanh(d_in @ self.v1 + self.c1)
-        logit = (h2 @ self.v2 + self.c2)[:, 0]
+        h1, d_in, h2, logit = self._forward(x, queries, binarize)
 
         # log(1 + exp(-|l|)) + max(0, l) - l*y is the stable cross entropy
         y = targets.astype(float)
@@ -153,29 +131,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def identity_multiplexer_net(n_bits: int, gain: float = 20.0) -> BottleneckNet:
-    """Hand-wired reference net: bottleneck = database, decoder = multiplexer.
-
-    Saturated tanh units make both stages exact, so the evaluated score hits
-    the m = N ceiling.  Useful as the known-answer check for the evaluation
-    pipeline and as the constructive ceiling the trained m = N model chases.
-    """
-    hidden = max(n_bits, 1)
-    net = BottleneckNet(
-        n_bits=n_bits, m=n_bits,
-        w1=np.zeros((n_bits, hidden)), b1=np.full(hidden, -gain),
-        w2=np.zeros((hidden, n_bits)), b2=np.zeros(n_bits),
-        v1=np.zeros((2 * n_bits, hidden)), c1=np.full(hidden, -2.0 * gain),
-        v2=np.ones((hidden, 1)), c2=np.array([float(n_bits - 1)]),
-    )
-    for i in range(n_bits):
-        net.w1[i, i] = 2.0 * gain        # h1_i = tanh(gain * (2 a_i - 1))
-        net.w2[i, i] = 1.0               # z_i keeps the sign of a_i - 1/2
-        net.v1[i, i] = gain              # selected unit copies bottleneck bit i
-        net.v1[n_bits + i, i] = 2.0 * gain  # the one-hot query gates unit i on
-    return net
-
-
 def train_strict(n_bits: int, m: int, seed: int,
                  config: TrainConfig = TrainConfig()) -> tuple[BottleneckNet, list[float]]:
     """Train the strict query-separated model; returns (net, loss curve).
@@ -184,7 +139,7 @@ def train_strict(n_bits: int, m: int, seed: int,
     memorize any particular episode; queries are sampled per example.
     """
     rng = substream(seed, _TRAIN_STREAM)
-    net = BottleneckNet.init(n_bits, m, config.hidden, rng, config.init_scale)
+    net = BottleneckNet.init(n_bits, m, config.hidden, rng)
     curve = []
     for step in range(config.steps):
         x = rng.integers(0, 2, size=(config.batch, n_bits)).astype(float)
@@ -209,11 +164,9 @@ def train_strict(n_bits: int, m: int, seed: int,
 class AblationReport:
     """Observed score against the counted and corrected interface budget."""
 
-    mode: str  # strict | query_leaky | precision_packing | episode_weights
     observed_score: Bits
     interval: tuple[Bits, Bits] | None
     counted_capacity: Bits | None
-    counted_label: str
     corrected_capacity: Bits | None
     diagnosis: str | None = None
     per_query: tuple[Bits, ...] = field(default=())
@@ -238,14 +191,13 @@ def eval_score(net: BottleneckNet, episodes: int, seed: int,
     totals = []
     for k in range(n_bits):
         mask = queries == k
-        table = ContingencyTable.from_pairs(targets[mask], outputs[mask], query=k)
+        table = ContingencyTable.from_pairs(targets[mask], outputs[mask])
         per_query.append(plugin_mi(table) if not table.empty else 0.0)
         wins.append(int((targets[mask] == outputs[mask]).sum()))
         totals.append(int(mask.sum()))
     _, (lo, hi) = per_query_symmetric_score(wins, totals, level=level, method=method)
-    return AblationReport(mode="strict", observed_score=float(sum(per_query)),
+    return AblationReport(observed_score=float(sum(per_query)),
                           interval=(lo, hi), counted_capacity=float(net.m),
-                          counted_label=f"{net.m} bottleneck bit(s)",
                           corrected_capacity=float(net.m), diagnosis=None,
                           per_query=tuple(per_query))
 
@@ -266,7 +218,7 @@ def exact_deterministic_score(n_bits: int, answer) -> tuple[Bits, ...]:
         for word in range(size):
             db = tuple((word >> i) & 1 for i in range(n_bits))
             counts[db[k], int(answer(db, k)) & 1] += 1
-        per_query.append(plugin_mi(ContingencyTable(counts=counts, query=k)))
+        per_query.append(plugin_mi(ContingencyTable(counts=counts)))
     return tuple(per_query)
 
 
@@ -278,9 +230,8 @@ def query_leaky_control(n_bits: int) -> AblationReport:
     perfectly and the score is N through a nominal one-bit interface.
     """
     per_query = exact_deterministic_score(n_bits, lambda db, k: db[k])
-    return AblationReport(mode="query_leaky", observed_score=float(sum(per_query)),
-                          interval=None,
-                          counted_capacity=1.0, counted_label="1 message bit",
+    return AblationReport(observed_score=float(sum(per_query)),
+                          interval=None, counted_capacity=1.0,
                           corrected_capacity=None,
                           diagnosis="query separation broken: encoder read the query",
                           per_query=per_query)
@@ -298,35 +249,24 @@ def precision_packing_control(n_bits: int, q: int | None = None) -> AblationRepo
     stored = min(n_bits, q)
     per_query = exact_deterministic_score(
         n_bits, lambda db, k: db[k] if k < stored else 0)
-    return AblationReport(mode="precision_packing", observed_score=float(sum(per_query)),
+    return AblationReport(observed_score=float(sum(per_query)),
                           interval=None,
-                          counted_capacity=None,
-                          counted_label="1 real coordinate (no finite certificate)",
+                          counted_capacity=None,  # one real coordinate: no finite certificate
                           corrected_capacity=float(q),
                           diagnosis=f"finite precision must be counted: {q} bits per coordinate",
                           per_query=per_query)
 
 
-def episode_weights_control(n_bits: int, frozen: bool = False) -> AblationReport:
+def episode_weights_control(n_bits: int) -> AblationReport:
     """Decoder whose weight vector is set to the episode's database.
 
     The message carries nothing; looking the query up inside the weights
     answers everything exactly, so the score is N against a counted message
-    budget of zero.  With ``frozen`` weights fixed across episodes the same
-    decoder emits a constant per query and scores exactly zero.
+    budget of zero.
     """
-    if frozen:
-        fixed = tuple(0 for _ in range(n_bits))
-        per_query = exact_deterministic_score(n_bits, lambda db, k: fixed[k])
-        return AblationReport(mode="episode_weights", observed_score=float(sum(per_query)),
-                              interval=None, counted_capacity=0.0,
-                              counted_label="0 message bits, weights fixed",
-                              corrected_capacity=0.0, diagnosis=None,
-                              per_query=per_query)
     per_query = exact_deterministic_score(n_bits, lambda db, k: db[k])
-    return AblationReport(mode="episode_weights", observed_score=float(sum(per_query)),
+    return AblationReport(observed_score=float(sum(per_query)),
                           interval=None, counted_capacity=0.0,
-                          counted_label="0 message bits",
                           corrected_capacity=None,
                           diagnosis="weights are data-dependent memory",
                           per_query=per_query)

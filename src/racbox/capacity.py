@@ -100,11 +100,9 @@ def gaussian_cdf(x: float) -> float:
 class ProbeResult:
     """Counted budget versus observed score for one probe run."""
 
-    model: InterfaceModel
     counted_capacity: Bits
     observed_score: Bits
     interval: tuple[Bits, Bits]
-    corrected_capacity: Bits
 
 
 def _probe_draws(n_bits: int, episodes: int, seed: int):
@@ -115,15 +113,14 @@ def _probe_draws(n_bits: int, episodes: int, seed: int):
     return db, queries, coins, db[np.arange(episodes), queries]
 
 
-def _probe_result(model, targets, outputs, queries, n_bits, corrected,
+def _probe_result(model, targets, outputs, queries, n_bits,
                   level: float = 0.95, method: str = "wilson") -> ProbeResult:
     ok = (targets == outputs).astype(np.int64)
     wins = np.bincount(queries, weights=ok, minlength=n_bits).astype(int)
     totals = np.bincount(queries, minlength=n_bits)
     score, (lo, hi) = per_query_symmetric_score(wins, totals, level=level, method=method)
-    return ProbeResult(model=model, counted_capacity=capacity_certificate(model),
-                       observed_score=score, interval=(lo, hi),
-                       corrected_capacity=corrected)
+    return ProbeResult(counted_capacity=capacity_certificate(model),
+                       observed_score=score, interval=(lo, hi))
 
 
 def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
@@ -134,7 +131,7 @@ def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
     _, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
     outputs = np.where(queries < m, targets, coins)
     return _probe_result(HardBits(m), targets, outputs, queries, n_bits,
-                         corrected=float(m), level=level, method=method)
+                         level=level, method=method)
 
 
 def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
@@ -162,7 +159,7 @@ def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
             unpacked[:, i] = coins  # nothing survived; answer a coin
     outputs = unpacked[np.arange(episodes), queries]
     return _probe_result(model, targets, outputs, queries, n_bits,
-                         corrected=float(d * q), level=level, method=method)
+                         level=level, method=method)
 
 
 def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
@@ -188,7 +185,6 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
                        received[np.arange(episodes), np.minimum(queries, carried - 1)],
                        coins)
     return _probe_result(model, targets, outputs, queries, n_bits,
-                         corrected=capacity_certificate(model),
                          level=level, method=method)
 
 

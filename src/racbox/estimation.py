@@ -24,7 +24,6 @@ class ContingencyTable:
     """Counts[target][output] for one query, target and output in {0, 1}."""
 
     counts: object
-    query: int | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.counts, dtype=np.int64)
@@ -44,12 +43,12 @@ class ContingencyTable:
         return self.total == 0
 
     @classmethod
-    def from_pairs(cls, targets, outputs, query: int | None = None) -> "ContingencyTable":
+    def from_pairs(cls, targets, outputs) -> "ContingencyTable":
         t = np.asarray(targets, dtype=np.int64)
         o = np.asarray(outputs, dtype=np.int64)
         counts = np.zeros((2, 2), dtype=np.int64)
         np.add.at(counts, (t, o), 1)
-        return cls(counts=counts, query=query)
+        return cls(counts=counts)
 
 
 def plugin_mi(table: ContingencyTable, smoothing: float = 0.0) -> Bits:
@@ -91,10 +90,6 @@ class ConfidenceInterval:
             raise ValueError("interval endpoints out of order")
         if self.method not in _INTERVAL_METHODS:
             raise ValueError(f"unknown interval method {self.method!r}")
-
-    @property
-    def half_width(self) -> float:
-        return (self.hi - self.lo) / 2.0
 
 
 def normal_quantile(q: float) -> float:

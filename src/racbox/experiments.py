@@ -348,7 +348,7 @@ def _probe_task(task) -> dict:
     return {"kind": kind, "param1": args[1], "param2": param2,
             "counted": res.counted_capacity, "observed": res.observed_score,
             "lo": res.interval[0], "hi": res.interval[1],
-            "corrected": res.corrected_capacity, "analytic": analytic}
+            "corrected": res.counted_capacity, "analytic": analytic}
 
 
 def build_capacity_sanity(config: ExperimentConfig) -> Tables:

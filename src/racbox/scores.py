@@ -170,7 +170,7 @@ def conditional_score_from_records(records, n_bits: int,
             counts = [[0, 0], [0, 0]]
             for target, beta in pairs:
                 counts[target][beta] += 1
-            table = ContingencyTable(counts=counts, query=k)
+            table = ContingencyTable(counts=counts)
             weight = len(pairs) / total_k
             mi_k += weight * plugin_mi(table)
             ones = counts[1][0] + counts[1][1]

@@ -13,8 +13,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from racbox.ablation import (episode_weights_control, eval_score,
-                             precision_packing_control, query_leaky_control, train_strict)
 from racbox.boxes import (IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, chsh_value,
                           iso_bias_from_angle, random_no_signaling_box, twirl)
 from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bpsk_probe,
@@ -22,7 +20,8 @@ from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bp
 from racbox.estimation import (ContingencyTable, plugin_mi, symmetric_score_estimate,
                                wilson_interval)
 from racbox.experiments import (ANGLE_SCAN_PHIS, EXPECTED_ANGLE_SCAN,
-                                EXPECTED_SCORE_GRID, SCORE_GRID_BIASES)
+                                EXPECTED_SCORE_GRID, SCORE_GRID_BIASES,
+                                ExperimentConfig, read_csv_rows, run_experiment)
 from racbox.info import LN2, binary_entropy, bsc_information, entropy_deficit
 from racbox.protocols import (PyramidProtocol, brute_force_one_bit_optimum,
                               classical_avg_success_closed_form, pyramid_monte_carlo)
@@ -194,27 +193,22 @@ def test_criterion_10_capacity_accounting():
     announce(10, "hard, packed, and noisy probes all account correctly")
 
 
-def test_criterion_11_ablations():
-    n_bits = 8
-    for control, expected_tag in ((query_leaky_control, "query"),
-                                  (precision_packing_control, "precision"),
-                                  (episode_weights_control, "memory")):
-        rep = control(n_bits)
-        assert rep.observed_score == 8.0, f"criterion 11: {rep.mode} score {rep.observed_score}"
-        assert rep.diagnosis and expected_tag in rep.diagnosis, \
-            f"criterion 11: {rep.mode} missing diagnosis"
-    per_seed_limit = 600.0
-    for m in (1, 3):
-        for s in range(5):
-            start = time.perf_counter()
-            net, _ = train_strict(n_bits, m, seed=4000 + 10 * m + s)
-            train_time = time.perf_counter() - start
-            assert train_time < per_seed_limit, \
-                f"criterion 11: training took {train_time:.0f}s"
-            rep = eval_score(net, 200_000, seed=5000 + 10 * m + s)
-            half = (rep.interval[1] - rep.interval[0]) / 2.0
-            assert rep.observed_score <= m + 3.0 * half, \
-                f"criterion 11: strict m={m} seed={s} scored {rep.observed_score}"
+def test_criterion_11_ablations(tmp_path):
+    # the shipped `racbox run ablations` at defaults: 5 seeds x m in {1, 3}
+    # plus the three controls, judged by the suite's own verdicts
+    start = time.perf_counter()
+    manifest = run_experiment(ExperimentConfig("ablations", workers=2), out_root=str(tmp_path))
+    elapsed = time.perf_counter() - start
+    failed = [v["name"] for v in manifest["verdicts"] if not v["passed"]]
+    assert manifest["verdicts"] and not failed, f"criterion 11: failed verdicts {failed}"
+    rows = read_csv_rows(str(tmp_path / "ablations" / "ablations.csv"))
+    strict = [r for r in rows if r["mode"] == "strict"]
+    assert len(strict) == 10, f"criterion 11: {len(strict)} strict runs"
+    for mode, expected_tag in (("query_leaky", "query"), ("precision_packing", "precision"),
+                               ("episode_weights", "memory")):
+        (row,) = [r for r in rows if r["mode"] == mode]
+        assert expected_tag in row["diagnosis"], f"criterion 11: {mode} missing diagnosis"
+    assert elapsed < 600.0, f"criterion 11 runtime {elapsed:.0f}s"
     announce(11, "controls reach 8.0 with diagnoses; 10 strict runs stay within budget")
 
 

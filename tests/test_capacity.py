@@ -45,7 +45,6 @@ def test_packed_precision_probe():
     res = run_packed_precision_probe(8, 1, 8, 50_000, seed=60)
     assert res.counted_capacity == 8.0
     assert res.observed_score == pytest.approx(8.0, abs=1e-9)  # deterministic round trip
-    assert res.corrected_capacity == 8.0
     res = run_packed_precision_probe(8, 2, 2, 50_000, seed=61)
     assert res.observed_score == pytest.approx(4.0, abs=0.05)
     res = run_packed_precision_probe(8, 1, 0, 50_000, seed=62)
@@ -130,10 +129,10 @@ def test_bpsk_beats_hard_decision():
 
 def test_accounting_law_observed_below_corrected():
     # every probe's observed score is within falling distance of its
-    # corrected capacity: observed <= corrected + 3 * CI half-width
+    # certified capacity: observed <= certificate + 3 * CI half-width
     probes = [run_hard_copy_probe(8, 3, 50_000, seed=70),
               run_packed_precision_probe(8, 1, 8, 50_000, seed=71),
               run_awgn_bpsk_probe(8, 2, 1.0, 50_000, seed=72)]
     for res in probes:
         half = (res.interval[1] - res.interval[0]) / 2.0
-        assert res.observed_score <= res.corrected_capacity + 3.0 * half + 1e-9
+        assert res.observed_score <= res.counted_capacity + 3.0 * half + 1e-9

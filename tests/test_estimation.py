@@ -24,7 +24,7 @@ def test_contingency_from_trials():
 
     def branch(query):
         mine = records[records[:, 0] == query]
-        return ContingencyTable.from_pairs(mine[:, 1], mine[:, 2], query=query)
+        return ContingencyTable.from_pairs(mine[:, 1], mine[:, 2])
 
     table = branch(0)
     assert table.total == 3
@@ -46,7 +46,7 @@ def test_contingency_seed_protocol_counts():
     # seed episodes at bias 0.75 put ~12.5% of mass off the diagonal
     proto = PyramidProtocol.uniform(1, IsotropicCell(0.75))
     batch = pyramid_monte_carlo(proto, 100_000, seed=40, query=0)
-    table = ContingencyTable.from_pairs(batch.targets, batch.outputs, query=0)
+    table = ContingencyTable.from_pairs(batch.targets, batch.outputs)
     off = (table.counts[0, 1] + table.counts[1, 0]) / table.total
     assert abs(off - 0.125) <= 3 * math.sqrt(0.125 * 0.875 / table.total)
 
@@ -130,11 +130,11 @@ def test_wilson_reference_case():
     assert ci.hi == pytest.approx((lo + hi) / 2, abs=1e-10)
 
 
-def test_hoeffding_reference_half_width():
+def test_hoeffding_reference_interval():
     ci = hoeffding_interval(5000, 10_000, 0.95)
     half = math.sqrt(math.log(40.0) / (2 * 10_000))
-    assert ci.half_width == pytest.approx(half, abs=1e-12)
-    assert ci.half_width == pytest.approx(0.013581015157406195, abs=1e-12)
+    assert (ci.hi - ci.lo) / 2 == pytest.approx(half, abs=1e-12)
+    assert (ci.hi - ci.lo) / 2 == pytest.approx(0.013581015157406195, abs=1e-12)
 
 
 def test_degenerate_successes_hit_the_boundary():
@@ -285,7 +285,7 @@ def test_sample_complexity_near_criticality():
         trials = 2 ** t_log
         successes = round(trials * (1 + delta) / 2)
         ci = wilson_interval(successes, trials, 0.95)
-        if ci.half_width <= delta / 2:
+        if (ci.hi - ci.lo) / 2 <= delta / 2:
             crossing = trials
             break
     assert crossing is not None
