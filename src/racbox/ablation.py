@@ -23,6 +23,11 @@ from .rng import substream
 _TRAIN_STREAM = 0
 _EVAL_DB_STREAM = 1
 _EVAL_QUERY_STREAM = 2
+# eval_score draws and answers this many episodes at a time, reading each
+# stream in order, so memory stays bounded for any episode count.  With a
+# multiple of 64 rows every row lands in the same BLAS row block as in one
+# unchunked pass, so every logit keeps its bits.
+_EVAL_CHUNK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,28 @@ class BottleneckNet:
 
     def _forward(self, x: np.ndarray, queries: np.ndarray, binarize: bool = True):
         """Returns (h1, d_in, h2, logit); the encoder never reads ``queries``."""
-        h1 = np.tanh(x @ self.w1 + self.b1)
-        z = h1 @ self.w2 + self.b2
-        h_pm = (np.sign(z) + (z == 0.0)) if binarize else z
-        onehot = np.eye(self.n_bits)[queries]
-        d_in = np.concatenate([h_pm, onehot], axis=1)
-        h2 = np.tanh(d_in @ self.v1 + self.c1)
-        return h1, d_in, h2, (h2 @ self.v2 + self.c2)[:, 0]
+        batch, m = x.shape[0], self.m
+        h1 = x @ self.w1
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        z = h1 @ self.w2
+        z += self.b2
+        width = m + self.n_bits
+        d_in = np.zeros((batch, width))
+        h_pm = d_in[:, :m]
+        if binarize:
+            np.sign(z, out=h_pm)
+            h_pm += z == 0.0  # a zero pre-activation sends +1
+        else:
+            h_pm[...] = z
+        # the one-hot query columns, set through the flat row-major index
+        d_in.reshape(-1)[np.arange(m, batch * width, width) + queries] = 1.0
+        h2 = d_in @ self.v1
+        h2 += self.c1
+        np.tanh(h2, out=h2)
+        logit = h2 @ self.v2
+        logit += self.c2
+        return h1, d_in, h2, logit[:, 0]
 
     def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
         return (self._forward(x, queries)[3] > 0.0).astype(np.uint8)
@@ -95,31 +115,44 @@ class BottleneckNet:
         (the straight-through surrogate).  Without it the network is smooth
         end-to-end, which is what the finite-difference check exercises.
         """
+        # Temporaries are reused in place, but every matmul keeps the operand
+        # shapes of the plain formulation: a different shape can change
+        # BLAS's summation order and with it the trained weights' bits.
         batch = x.shape[0]
         h1, d_in, h2, logit = self._forward(x, queries, binarize)
+        y = np.asarray(targets, dtype=float)
 
         # log(1 + exp(-|l|)) + max(0, l) - l*y is the stable cross entropy
-        y = targets.astype(float)
-        loss = float(np.mean(np.logaddexp(0.0, -np.abs(logit))
-                             + np.maximum(logit, 0.0) - logit * y))
+        e = np.abs(logit)
+        np.negative(e, out=e)
+        ce = np.logaddexp(0.0, e)
+        ce += np.maximum(logit, 0.0)
+        ce -= logit * y
+        loss = float(ce.sum()) / batch
 
-        # stable sigmoid on both tails
-        sig = np.where(logit >= 0.0,
-                       1.0 / (1.0 + np.exp(-np.abs(logit))),
-                       np.exp(-np.abs(logit)) / (1.0 + np.exp(-np.abs(logit))))
-        dlogit = (sig - y) / batch
+        # stable sigmoid on both tails from e = exp(-|l|)
+        np.exp(e, out=e)
+        denom = e + 1.0
+        dlogit = e / denom
+        np.divide(1.0, denom, out=dlogit, where=logit >= 0.0)
+        dlogit -= y
+        dlogit /= batch
         dv2 = h2.T @ dlogit[:, None]
-        dc2 = np.array([dlogit.sum()])
-        dh2 = dlogit[:, None] @ self.v2.T
-        dpre2 = dh2 * (1.0 - h2 * h2)
+        dc2 = dlogit.sum(keepdims=True)
+        # tanh' = 1 - h^2, computed in place once a layer's h is spent
+        np.multiply(h2, h2, out=h2)
+        np.subtract(1.0, h2, out=h2)
+        dpre2 = dlogit[:, None] * self.v2[:, 0]  # one product per entry, as dlogit @ v2.T
+        dpre2 *= h2
         dv1 = d_in.T @ dpre2
         dc1 = dpre2.sum(axis=0)
-        dd_in = dpre2 @ self.v1.T
-        dz = dd_in[:, : self.m]  # straight through the binarizer
+        dz = (dpre2 @ self.v1.T)[:, : self.m]  # straight through the binarizer
         dw2 = h1.T @ dz
         db2 = dz.sum(axis=0)
-        dh1 = dz @ self.w2.T
-        dpre1 = dh1 * (1.0 - h1 * h1)
+        np.multiply(h1, h1, out=h1)
+        np.subtract(1.0, h1, out=h1)
+        dpre1 = dz @ self.w2.T
+        dpre1 *= h1
         dw1 = x.T @ dpre1
         db1 = dpre1.sum(axis=0)
         grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
@@ -141,15 +174,18 @@ def train_strict(n_bits: int, m: int, seed: int,
     rng = substream(seed, _TRAIN_STREAM)
     net = BottleneckNet.init(n_bits, m, config.hidden, rng)
     curve = []
+    rows = np.arange(config.batch)
     for step in range(config.steps):
         x = rng.integers(0, 2, size=(config.batch, n_bits)).astype(float)
         queries = rng.integers(0, n_bits, size=config.batch)
-        targets = x[np.arange(config.batch), queries]
+        targets = x[rows, queries]
         loss, grads = net.loss_and_grads(x, queries, targets)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
         for name, g in grads.items():
-            setattr(net, name, getattr(net, name) - config.lr * g)
+            g *= config.lr
+            w = getattr(net, name)
+            w -= g
         if step % 200 == 0 or step == config.steps - 1:
             curve.append(loss)
     return net, curve
@@ -181,20 +217,25 @@ def eval_score(net: BottleneckNet, episodes: int, seed: int,
     the per-query accuracy route.
     """
     n_bits = net.n_bits
-    db = substream(seed, _EVAL_DB_STREAM).integers(0, 2, size=(episodes, n_bits))
-    queries = substream(seed, _EVAL_QUERY_STREAM).integers(0, n_bits, size=episodes)
-    targets = db[np.arange(episodes), queries]
-    outputs = net.answer(db.astype(float), queries)
+    db_rng = substream(seed, _EVAL_DB_STREAM)
+    query_rng = substream(seed, _EVAL_QUERY_STREAM)
+    counts = np.zeros((n_bits, 2, 2), dtype=np.int64)  # [query, target, output]
+    for start in range(0, episodes, _EVAL_CHUNK_ROWS):
+        rows = min(_EVAL_CHUNK_ROWS, episodes - start)
+        db = db_rng.integers(0, 2, size=(rows, n_bits))
+        queries = query_rng.integers(0, n_bits, size=rows)
+        targets = db[np.arange(rows), queries]
+        outputs = net.answer(db.astype(float), queries)
+        for k in range(n_bits):
+            mask = queries == k
+            counts[k] += ContingencyTable.from_pairs(targets[mask], outputs[mask]).counts
 
     per_query = []
-    wins = []
-    totals = []
     for k in range(n_bits):
-        mask = queries == k
-        table = ContingencyTable.from_pairs(targets[mask], outputs[mask])
+        table = ContingencyTable(counts=counts[k])
         per_query.append(plugin_mi(table) if not table.empty else 0.0)
-        wins.append(int((targets[mask] == outputs[mask]).sum()))
-        totals.append(int(mask.sum()))
+    wins = (counts[:, 0, 0] + counts[:, 1, 1]).tolist()
+    totals = counts.sum(axis=(1, 2)).tolist()
     _, (lo, hi) = per_query_symmetric_score(wins, totals, level=level, method=method)
     return AblationReport(observed_score=float(sum(per_query)),
                           interval=(lo, hi), counted_capacity=float(net.m),

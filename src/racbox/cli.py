@@ -2,11 +2,13 @@
 
     racbox list
     racbox run <experiment> [--seed S] [--episodes T] [--out DIR] [...]
-    racbox verify <manifest.json>
+    racbox verify [--rebuild] <manifest.json>
 
 ``run`` writes plot-ready CSVs plus a manifest with checksums and pass/fail
-verdicts; ``verify`` rechecks both.  Defaults can be kept in an INI config
-file (one section per experiment); command-line flags override the file.
+verdicts; ``verify`` rechecks both, and with ``--rebuild`` also re-runs the
+manifest's config and compares the new CSVs' checksums with the recorded
+ones.  Defaults can be kept in an INI config file (one section per
+experiment); command-line flags override the file.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import os
 import sys
 
 from .experiments import (DEFAULT_SEED, OUTPUT_ROOT_ENV, REGISTRY, ExperimentConfig,
-                          output_root, run_experiment, verify_manifest)
+                          output_root, rebuild_manifest, run_experiment,
+                          verify_manifest)
 
 
 def _parse_scalar(text: str):
@@ -76,6 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="recheck a manifest's files and verdicts")
     ver.add_argument("manifest")
+    ver.add_argument("--rebuild", action="store_true",
+                     help="also re-run the config in a temporary directory and "
+                          "compare CSV checksums")
 
     sub.add_parser("list", help="list experiments and the exhibit each reproduces")
     return parser
@@ -118,6 +124,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         ok, messages = verify_manifest(args.manifest)
+        if args.rebuild:
+            rebuilt_ok, rebuilt_messages = rebuild_manifest(args.manifest)
+            ok = ok and rebuilt_ok
+            messages += rebuilt_messages
         for msg in messages:
             print(msg)
         print("VERIFY:", "PASS" if ok else "FAIL")

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -768,4 +769,28 @@ def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:
         for v in verdicts:
             messages.append(f"{'PASS' if v.passed else 'FAIL'} {v.name}")
             ok = ok and v.passed
+    return ok, messages
+
+
+def rebuild_manifest(manifest_path: str) -> tuple[bool, list[str]]:
+    """Re-run a manifest's config in a temporary directory and compare checksums.
+
+    Unlike ``verify_manifest``, which re-hashes the files on disk, this
+    re-executes the experiment, so nondeterminism or a drifted library shows
+    up as a mismatch.  Returns (ok, messages); ok is False when any CSV's
+    sha256 differs from the manifest's, or a CSV is missing on either side.
+    """
+    with open(manifest_path) as fh:
+        data = json.load(fh)
+    recorded = data["outputs"]
+    with tempfile.TemporaryDirectory() as tmp:
+        rebuilt = run_experiment(config_from_manifest(data), out_root=tmp)["outputs"]
+    ok = True
+    messages = []
+    for fname in sorted(recorded.keys() | rebuilt.keys()):
+        if recorded.get(fname) == rebuilt.get(fname):
+            messages.append(f"rebuild ok {fname}")
+        else:
+            ok = False
+            messages.append(f"REBUILD MISMATCH {fname}")
     return ok, messages

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import racbox.ablation as ablation
 from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
                              episode_weights_control, eval_score,
                              exact_deterministic_score, precision_packing_control,
@@ -8,6 +11,76 @@ from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
 from racbox.rng import substream
 
 FAST = TrainConfig(steps=1500)
+
+
+# Reference oracle: the plain out-of-place train step.  The shipped step
+# reuses buffers and fuses temporaries; it must stay bit-identical to this.
+def reference_forward(net, x, queries, binarize=True):
+    h1 = np.tanh(x @ net.w1 + net.b1)
+    z = h1 @ net.w2 + net.b2
+    h_pm = (np.sign(z) + (z == 0.0)) if binarize else z
+    onehot = np.eye(net.n_bits)[queries]
+    d_in = np.concatenate([h_pm, onehot], axis=1)
+    h2 = np.tanh(d_in @ net.v1 + net.c1)
+    return h1, d_in, h2, (h2 @ net.v2 + net.c2)[:, 0]
+
+
+def reference_loss_and_grads(net, x, queries, targets, binarize=True):
+    batch = x.shape[0]
+    h1, d_in, h2, logit = reference_forward(net, x, queries, binarize)
+    y = targets.astype(float)
+    loss = float(np.mean(np.logaddexp(0.0, -np.abs(logit))
+                         + np.maximum(logit, 0.0) - logit * y))
+    sig = np.where(logit >= 0.0,
+                   1.0 / (1.0 + np.exp(-np.abs(logit))),
+                   np.exp(-np.abs(logit)) / (1.0 + np.exp(-np.abs(logit))))
+    dlogit = (sig - y) / batch
+    dpre2 = (dlogit[:, None] @ net.v2.T) * (1.0 - h2 * h2)
+    dz = (dpre2 @ net.v1.T)[:, : net.m]
+    dpre1 = (dz @ net.w2.T) * (1.0 - h1 * h1)
+    grads = {"w1": x.T @ dpre1, "b1": dpre1.sum(axis=0),
+             "w2": h1.T @ dz, "b2": dz.sum(axis=0),
+             "v1": d_in.T @ dpre2, "c1": dpre2.sum(axis=0),
+             "v2": h2.T @ dlogit[:, None], "c2": np.array([dlogit.sum()])}
+    return loss, grads
+
+
+def reference_train(n_bits, m, seed, config):
+    rng = substream(seed, ablation._TRAIN_STREAM)
+    net = BottleneckNet.init(n_bits, m, config.hidden, rng)
+    curve = []
+    for step in range(config.steps):
+        x = rng.integers(0, 2, size=(config.batch, n_bits)).astype(float)
+        queries = rng.integers(0, n_bits, size=config.batch)
+        targets = x[np.arange(config.batch), queries]
+        loss, grads = reference_loss_and_grads(net, x, queries, targets)
+        for name, g in grads.items():
+            setattr(net, name, getattr(net, name) - config.lr * g)
+        if step % 200 == 0 or step == config.steps - 1:
+            curve.append(loss)
+    return net, curve
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_train_step_is_bit_identical_to_the_reference(m):
+    config = TrainConfig(steps=300)
+    net, curve = train_strict(8, m, seed=40 + m, config=config)
+    ref, ref_curve = reference_train(8, m, 40 + m, config)
+    assert curve == ref_curve
+    for name, value in vars(ref).items():
+        assert np.array_equal(getattr(net, name), value), name
+
+    rng = substream(85, m)
+    x = rng.integers(0, 2, size=(256, 8)).astype(float)
+    q = rng.integers(0, 8, size=256)
+    y = x[np.arange(256), q]
+    for binarize in (False, True):
+        loss, grads = net.loss_and_grads(x, q, y, binarize=binarize)
+        ref_loss, ref_grads = reference_loss_and_grads(net, x, q, y, binarize=binarize)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, g in ref_grads.items():
+            assert grads[name].shape == g.shape and np.array_equal(grads[name], g), name
 
 
 def identity_multiplexer_net(n_bits: int, gain: float = 20.0) -> BottleneckNet:
@@ -181,3 +254,42 @@ def test_episode_weights_control():
     # the same decoder with weights frozen across episodes answers a constant
     # per query and carries nothing
     assert sum(exact_deterministic_score(8, lambda db, k: 0)) == 0.0
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_eval_score_chunks_match_one_pass(monkeypatch, chunk):
+    # T = 1003 leaves a partial last chunk; the chunked draws and answers
+    # must equal one unchunked pass over the same streams
+    net, _ = train_strict(8, 3, seed=21, config=TrainConfig(steps=300))
+    episodes, seed = 1003, 22
+    db = substream(seed, ablation._EVAL_DB_STREAM).integers(0, 2, size=(episodes, 8))
+    queries = substream(seed, ablation._EVAL_QUERY_STREAM).integers(0, 8, size=episodes)
+    whole = net.answer(db.astype(float), queries)
+    monkeypatch.setattr(ablation, "_EVAL_CHUNK_ROWS", episodes)
+    one_pass = eval_score(net, episodes, seed)
+
+    seen = []
+
+    def recording_answer(x, q):
+        out = BottleneckNet.answer(net, x, q)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(net, "answer", recording_answer)
+    monkeypatch.setattr(ablation, "_EVAL_CHUNK_ROWS", chunk)
+    chunked = eval_score(net, episodes, seed)
+    assert [len(out) for out in seen] == [chunk] * (episodes // chunk) + [episodes % chunk]
+    assert np.array_equal(np.concatenate(seen), whole)
+    assert chunked == one_pass
+
+
+def test_eval_score_memory_is_bounded():
+    # one unchunked pass over 200k episodes peaks near 220 MB
+    net = BottleneckNet.init(8, 3, 32, substream(84))
+    tracemalloc.start()
+    try:
+        eval_score(net, 200_000, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

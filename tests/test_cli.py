@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -46,6 +48,30 @@ def test_verify_fails_on_missing_file(tmp_path, capsys):
     os.remove(tmp_path / "table3" / "table3.csv")
     assert run_cli("verify", str(tmp_path / "table3" / "manifest.json")) == 1
     assert "MISSING table3.csv" in capsys.readouterr().out
+
+
+def test_verify_rebuild_catches_a_drifted_build(tmp_path, capsys, monkeypatch):
+    manifest = str(tmp_path / "table1" / "manifest.json")
+    assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
+    assert run_cli("verify", "--rebuild", manifest) == 0
+    assert "rebuild ok table1.csv" in capsys.readouterr().out
+
+    # a build that moves one score by one ulp still passes every verdict, and
+    # the files on disk still match their checksums: only a rebuild sees it
+    exp = REGISTRY["table1"]
+
+    def drifted(config):
+        rows = exp.build(config)["table1.csv"]
+        first = dict(rows[0], score=math.nextafter(rows[0]["score"], 1.0))
+        return {"table1.csv": [first] + rows[1:]}
+
+    monkeypatch.setitem(REGISTRY, "table1", dataclasses.replace(exp, build=drifted))
+    assert run_cli("verify", manifest) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--rebuild", manifest) == 1
+    out = capsys.readouterr().out
+    assert "REBUILD MISMATCH table1.csv" in out
+    assert "VERIFY: FAIL" in out
 
 
 def test_rerun_same_seed_is_byte_identical(tmp_path):
