@@ -24,7 +24,7 @@ from .estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
                          normal_quantile, per_query_symmetric_score, plugin_mi,
                          score_interval_transform, symmetric_score_estimate, wilson_interval)
 from .info import (Bits, Probability, binary_channel_information, binary_entropy,
-                   bernoulli_kl, bsc_information, entropy_deficit)
+                   bsc_information, entropy_deficit)
 from .protocols import (PyramidBatch, PyramidProtocol, asym_path_success,
                         brute_force_one_bit_optimum, classical_avg_success_closed_form,
                         majority_average_success, majority_encode, pyramid_monte_carlo,

@@ -3,10 +3,13 @@ model and three deliberately leaky controls.
 
 The strict model is a small tanh network trained end-to-end with a
 sign-binarized bottleneck (straight-through gradients) and an encoder that
-never sees the query; its evaluated score must stay within the bottleneck's
-bit budget.  Each control breaks exactly one assumption (query blindness,
-counted precision, fixed weights) and is scored the same way, which is what
-makes the diagnosis unambiguous.
+never sees the query.  At evaluation it is a deterministic function of
+(database, query), so it is scored exactly by enumerating every database
+and query, with no sampling error.  That gives the two quantities of the
+paper's two inequalities: the score I_NRAC <= H(code) (embedding), and
+H(code) <= m (capacity).  Each control breaks exactly one assumption
+(query blindness, counted precision, fixed weights) and is scored by the
+same enumerator, which is what makes the diagnosis unambiguous.
 """
 
 from __future__ import annotations
@@ -16,18 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import ContingencyTable, per_query_symmetric_score, plugin_mi
+from .estimation import ContingencyTable, plugin_mi
 from .info import Bits
 from .rng import substream
 
 _TRAIN_STREAM = 0
-_EVAL_DB_STREAM = 1
-_EVAL_QUERY_STREAM = 2
-# eval_score draws and answers this many episodes at a time, reading each
-# stream in order, so memory stays bounded for any episode count.  With a
-# multiple of 64 rows every row lands in the same BLAS row block as in one
-# unchunked pass, so every logit keeps its bits.
-_EVAL_CHUNK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -192,75 +188,76 @@ def train_strict(n_bits: int, m: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Scoring and reports
+# Exact scoring and reports
 # ---------------------------------------------------------------------------
+
+# Exact scoring enumerates all 2^N databases, each asked all N queries.
+MAX_ENUMERATED_BITS = 16
 
 
 @dataclass(frozen=True)
 class AblationReport:
-    """Observed score against the counted and corrected interface budget."""
+    """Exact score against the counted and corrected interface budget.
+
+    ``code_entropy`` is H(code), the entropy of the bottleneck values the
+    decoder receives over the uniform databases; the controls have none.
+    """
 
     observed_score: Bits
-    interval: tuple[Bits, Bits] | None
     counted_capacity: Bits | None
     corrected_capacity: Bits | None
     diagnosis: str | None = None
     per_query: tuple[Bits, ...] = field(default=())
+    code_entropy: Bits | None = None
 
 
-def eval_score(net: BottleneckNet, episodes: int, seed: int,
-               level: float = 0.95, method: str = "wilson") -> AblationReport:
-    """Score a frozen net on fresh databases with random queries.
+def check_enumerable(n_bits: int):
+    if n_bits > MAX_ENUMERATED_BITS:
+        raise ValueError(f"exact scoring enumerates 2^N databases and is limited to "
+                         f"N <= {MAX_ENUMERATED_BITS}, got N = {n_bits}")
 
-    Per-query contingency tables feed the plug-in estimator (the channel of
-    a trained net need not be symmetric); the attached interval comes from
-    the per-query accuracy route.
-    """
-    n_bits = net.n_bits
-    db_rng = substream(seed, _EVAL_DB_STREAM)
-    query_rng = substream(seed, _EVAL_QUERY_STREAM)
-    counts = np.zeros((n_bits, 2, 2), dtype=np.int64)  # [query, target, output]
-    for start in range(0, episodes, _EVAL_CHUNK_ROWS):
-        rows = min(_EVAL_CHUNK_ROWS, episodes - start)
-        db = db_rng.integers(0, 2, size=(rows, n_bits))
-        queries = query_rng.integers(0, n_bits, size=rows)
-        targets = db[np.arange(rows), queries]
-        outputs = net.answer(db.astype(float), queries)
-        for k in range(n_bits):
-            mask = queries == k
-            counts[k] += ContingencyTable.from_pairs(targets[mask], outputs[mask]).counts
 
-    per_query = []
-    for k in range(n_bits):
-        table = ContingencyTable(counts=counts[k])
-        per_query.append(plugin_mi(table) if not table.empty else 0.0)
-    wins = (counts[:, 0, 0] + counts[:, 1, 1]).tolist()
-    totals = counts.sum(axis=(1, 2)).tolist()
-    _, (lo, hi) = per_query_symmetric_score(wins, totals, level=level, method=method)
-    return AblationReport(observed_score=float(sum(per_query)),
-                          interval=(lo, hi), counted_capacity=float(net.m),
-                          corrected_capacity=float(net.m), diagnosis=None,
-                          per_query=tuple(per_query))
+def _databases(n_bits: int) -> np.ndarray:
+    """All 2^N databases as rows; bit i of row w is bit i of the integer w."""
+    check_enumerable(n_bits)
+    return (np.arange(1 << n_bits)[:, None] >> np.arange(n_bits)) & 1
 
 
 def exact_deterministic_score(n_bits: int, answer) -> tuple[Bits, ...]:
     """Exact per-query information of a deterministic protocol.
 
-    ``answer(db, k)`` is the protocol's output bit for database ``db`` and
-    query ``k``.  All 2^N unbiased databases are enumerated, so the returned
-    values are the true mutual informations, not estimates.
+    ``answer(db, queries)`` returns the output bit of each row of ``db`` for
+    the query beside it.  It is called once on all 2^N unbiased databases
+    times N queries, so the returned values are the true mutual
+    informations, not estimates.
     """
-    if n_bits > 16:
-        raise ValueError("exhaustive database enumeration limited to N <= 16")
-    size = 1 << n_bits
-    per_query = []
-    for k in range(n_bits):
-        counts = np.zeros((2, 2), dtype=np.int64)
-        for word in range(size):
-            db = tuple((word >> i) & 1 for i in range(n_bits))
-            counts[db[k], int(answer(db, k)) & 1] += 1
-        per_query.append(plugin_mi(ContingencyTable(counts=counts)))
-    return tuple(per_query)
+    db = _databases(n_bits)
+    queries = np.repeat(np.arange(n_bits), len(db))  # query-major rows
+    outputs = np.asarray(answer(np.tile(db, (n_bits, 1)), queries)).reshape(n_bits, -1)
+    return tuple(plugin_mi(ContingencyTable.from_pairs(db[:, k], outputs[k] & 1))
+                 for k in range(n_bits))
+
+
+def eval_score(net: BottleneckNet) -> AblationReport:
+    """Exact I_NRAC and H(code) of a frozen net over all 2^N databases.
+
+    At evaluation the net is a deterministic function of (database, query),
+    so enumeration replaces sampling.  I_NRAC <= H(code) is the embedding
+    inequality (the answers are computed from the code) and H(code) <= m the
+    capacity bound (an m-bit code has at most 2^m values).
+    """
+    per_query = exact_deterministic_score(net.n_bits, net.answer)
+    db = _databases(net.n_bits)
+    code = net._forward(db, np.zeros(len(db), dtype=np.int64))[1][:, : net.m]
+    _, counts = np.unique(code, axis=0, return_counts=True)
+    p = counts / len(db)
+    return AblationReport(observed_score=float(sum(per_query)),
+                          counted_capacity=float(net.m), corrected_capacity=float(net.m),
+                          per_query=per_query, code_entropy=float(p @ np.log2(1.0 / p)))
+
+
+def _queried_bit(db: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    return db[np.arange(len(queries)), queries]
 
 
 def query_leaky_control(n_bits: int) -> AblationReport:
@@ -270,9 +267,9 @@ def query_leaky_control(n_bits: int) -> AblationReport:
     just echoes it.  Run exactly over all databases: every query is answered
     perfectly and the score is N through a nominal one-bit interface.
     """
-    per_query = exact_deterministic_score(n_bits, lambda db, k: db[k])
+    per_query = exact_deterministic_score(n_bits, _queried_bit)
     return AblationReport(observed_score=float(sum(per_query)),
-                          interval=None, counted_capacity=1.0,
+                          counted_capacity=1.0,
                           corrected_capacity=None,
                           diagnosis="query separation broken: encoder read the query",
                           per_query=per_query)
@@ -289,9 +286,8 @@ def precision_packing_control(n_bits: int, q: int | None = None) -> AblationRepo
         q = n_bits
     stored = min(n_bits, q)
     per_query = exact_deterministic_score(
-        n_bits, lambda db, k: db[k] if k < stored else 0)
+        n_bits, lambda db, k: _queried_bit(db, k) * (k < stored))
     return AblationReport(observed_score=float(sum(per_query)),
-                          interval=None,
                           counted_capacity=None,  # one real coordinate: no finite certificate
                           corrected_capacity=float(q),
                           diagnosis=f"finite precision must be counted: {q} bits per coordinate",
@@ -305,9 +301,9 @@ def episode_weights_control(n_bits: int) -> AblationReport:
     answers everything exactly, so the score is N against a counted message
     budget of zero.
     """
-    per_query = exact_deterministic_score(n_bits, lambda db, k: db[k])
+    per_query = exact_deterministic_score(n_bits, _queried_bit)
     return AblationReport(observed_score=float(sum(per_query)),
-                          interval=None, counted_capacity=0.0,
+                          counted_capacity=0.0,
                           corrected_capacity=None,
                           diagnosis="weights are data-dependent memory",
                           per_query=per_query)

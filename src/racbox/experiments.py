@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .ablation import (TrainConfig, episode_weights_control, eval_score,
+from .ablation import (TrainConfig, check_enumerable, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
 from .capacity import (awgn_hard_decision_score, bpsk_mutual_information, gaussian_cdf,
@@ -348,8 +348,7 @@ def _probe_task(task) -> dict:
         raise ValueError(kind)
     return {"kind": kind, "param1": args[1], "param2": param2,
             "counted": res.counted_capacity, "observed": res.observed_score,
-            "lo": res.interval[0], "hi": res.interval[1],
-            "corrected": res.counted_capacity, "analytic": analytic}
+            "lo": res.interval[0], "hi": res.interval[1], "analytic": analytic}
 
 
 def build_capacity_sanity(config: ExperimentConfig) -> Tables:
@@ -377,7 +376,7 @@ def build_capacity_sanity(config: ExperimentConfig) -> Tables:
         if row["kind"] == "awgn":
             row["soft_ceiling"] = row["param1"] * bpsk_mutual_information(row["param2"])
         else:
-            row["soft_ceiling"] = row["corrected"]
+            row["soft_ceiling"] = row["counted"]
     return {"capacity_sanity.csv": rows}
 
 
@@ -423,17 +422,14 @@ def judge_capacity_sanity(tables: Tables, config: ExperimentConfig) -> list[Verd
 
 
 def _ablation_task(task) -> tuple[dict, list[dict]]:
-    mode, n_bits, m, seed, episodes, steps, level, method = task
+    mode, n_bits, m, seed, steps = task
+    curve_rows = []
     if mode == "strict":
         net, curve = train_strict(n_bits, m, seed, TrainConfig(steps=steps))
-        rep = eval_score(net, episodes, seed + 1, level=level, method=method)
-        lo, hi = rep.interval
+        rep = eval_score(net)
         curve_rows = [{"m": m, "seed": seed, "checkpoint": k, "loss": loss}
                       for k, loss in enumerate(curve)]
-        return ({"mode": "strict", "m": m, "seed": seed, "observed": rep.observed_score,
-                 "lo": lo, "hi": hi, "counted": float(m), "corrected": float(m),
-                 "diagnosis": ""}, curve_rows)
-    if mode == "query_leaky":
+    elif mode == "query_leaky":
         rep = query_leaky_control(n_bits)
     elif mode == "precision_packing":
         rep = precision_packing_control(n_bits)
@@ -441,23 +437,22 @@ def _ablation_task(task) -> tuple[dict, list[dict]]:
         rep = episode_weights_control(n_bits)
     else:
         raise ValueError(mode)
-    return ({"mode": mode, "m": 0, "seed": seed, "observed": rep.observed_score,
-             "lo": rep.observed_score, "hi": rep.observed_score,
-             "counted": -1.0 if rep.counted_capacity is None else rep.counted_capacity,
-             "corrected": -1.0 if rep.corrected_capacity is None else rep.corrected_capacity,
-             "diagnosis": rep.diagnosis or ""}, [])
+    row = {"mode": mode, "m": m, "seed": seed, "observed": rep.observed_score,
+           "code_entropy": rep.code_entropy, "counted": rep.counted_capacity,
+           "corrected": rep.corrected_capacity}
+    row = {k: -1.0 if v is None else v for k, v in row.items()}  # -1.0: not defined
+    return ({**row, "diagnosis": rep.diagnosis or ""}, curve_rows)
 
 
 def build_ablations(config: ExperimentConfig) -> Tables:
     n_bits = int(_scalar(config, "n_bits", 8))
-    episodes = int(config.episodes or 200_000)
+    check_enumerable(n_bits)  # before any net is trained
     seeds = int(_scalar(config, "seeds", 5))
     steps = int(_scalar(config, "steps", TrainConfig().steps))
     ms = [int(m) for m in _grid(config, "ms", [1, 3])]
-    tasks = [("strict", n_bits, m, config.seed + 1000 * m + s, episodes, steps,
-              config.level, config.interval)
+    tasks = [("strict", n_bits, m, config.seed + 1000 * m + s, steps)
              for m in ms for s in range(seeds)]
-    tasks += [(mode, n_bits, 0, config.seed, episodes, steps, config.level, config.interval)
+    tasks += [(mode, n_bits, 0, config.seed, steps)
               for mode in ("query_leaky", "precision_packing", "episode_weights")]
     results = _parallel_map(_ablation_task, tasks, config.workers)
     rows = [row for row, _ in results]
@@ -465,16 +460,24 @@ def build_ablations(config: ExperimentConfig) -> Tables:
     return {"ablations.csv": rows, "training_curves.csv": curves}
 
 
+# Both strict verdicts compare exact quantities, so only float rounding is forgiven.
+EXACT_TOLERANCE = 1e-12
+
+
 def judge_ablations(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     n_bits = int(_scalar(config, "n_bits", 8))
     verdicts = []
     for r in tables["ablations.csv"]:
         if r["mode"] == "strict":
-            half = (r["hi"] - r["lo"]) / 2.0
+            label = f"strict m={round(r['m'])} seed={round(r['seed'])}"
             verdicts.append(Verdict(
-                name=f"strict m={round(r['m'])} seed={round(r['seed'])} within budget",
-                passed=r["observed"] <= r["counted"] + 3.0 * half,
-                measured=r["observed"], expected=f"<= {r['counted']:g} + 3*CI"))
+                name=f"{label} embedding: I_NRAC <= H(code)",
+                passed=r["observed"] <= r["code_entropy"] + EXACT_TOLERANCE,
+                measured=r["observed"], expected=f"<= {r['code_entropy']:.6g}"))
+            verdicts.append(Verdict(
+                name=f"{label} capacity: H(code) <= m",
+                passed=r["code_entropy"] <= r["counted"] + EXACT_TOLERANCE,
+                measured=r["code_entropy"], expected=f"<= {r['counted']:g}"))
         else:
             verdicts.append(Verdict(
                 name=f"{r['mode']} control reaches N exactly with diagnosis",

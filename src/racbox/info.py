@@ -94,22 +94,3 @@ def binary_channel_information(q: Probability, r: Probability) -> Bits:
     r = clamp_probability(r, "r")
     return binary_entropy((q + r) / 2.0) - 0.5 * binary_entropy(q) - 0.5 * binary_entropy(r)
 
-
-def bernoulli_kl(p: Probability, q: Probability) -> Bits:
-    """KL divergence D(p || q) between Bernoulli distributions, in bits.
-
-    A boundary reference q in {0, 1} with mass on the missing outcome gives
-    infinite divergence, reported as ``math.inf``.
-    """
-    p = clamp_probability(p, "p")
-    q = clamp_probability(q, "q")
-    total = 0.0
-    if p > 0.0:
-        if q == 0.0:
-            return math.inf
-        total += p * math.log2(p / q)
-    if p < 1.0:
-        if q == 1.0:
-            return math.inf
-        total += (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
-    return total

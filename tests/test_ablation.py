@@ -1,13 +1,18 @@
+import functools
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import racbox.ablation as ablation
+import racbox.experiments as experiments
 from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
                              episode_weights_control, eval_score,
                              exact_deterministic_score, precision_packing_control,
                              query_leaky_control, train_strict)
+from racbox.estimation import ContingencyTable, plugin_mi
+from racbox.experiments import ExperimentConfig, build_ablations, judge_ablations
 from racbox.rng import substream
 
 FAST = TrainConfig(steps=1500)
@@ -150,9 +155,7 @@ def test_training_is_deterministic():
     assert curve_a == curve_b
     for name, value in vars(net_a).items():
         assert np.array_equal(value, getattr(net_b, name))
-    rep_a = eval_score(net_a, 20_000, seed=9)
-    rep_b = eval_score(net_b, 20_000, seed=9)
-    assert rep_a == rep_b
+    assert eval_score(net_a) == eval_score(net_b)
 
 
 def test_encoder_is_query_blind():
@@ -179,13 +182,11 @@ def test_divergence_detector():
 
 def test_identity_net_hits_the_ceiling_exactly():
     # the hand-wired reference model, pushed through the exact enumerator,
-    # achieves the m = N ceiling with no sampling error
-    net = identity_multiplexer_net(8)
-    per_query = exact_deterministic_score(
-        8, lambda db, k: int(net.answer(np.array([db], dtype=float), np.array([k]))[0]))
-    assert sum(per_query) == pytest.approx(8.0, abs=1e-12)
-    rep = eval_score(net, 30_000, seed=10)
-    assert rep.observed_score == pytest.approx(8.0, abs=0.01)
+    # achieves the m = N ceiling with no sampling error: every one of the
+    # 256 databases gets its own code, and both inequalities hold with equality
+    rep = eval_score(identity_multiplexer_net(8))
+    assert rep.per_query == (1.0,) * 8
+    assert rep.observed_score == 8.0 == rep.code_entropy
 
 
 def test_trained_wide_bottleneck_approaches_ceiling():
@@ -193,16 +194,17 @@ def test_trained_wide_bottleneck_approaches_ceiling():
     # ceiling, but a short run already clears half of it
     cfg = TrainConfig(hidden=64, batch=512, lr=0.3, steps=8000)
     net, _ = train_strict(8, 8, seed=5, config=cfg)
-    rep = eval_score(net, 60_000, seed=6)
+    rep = eval_score(net)
     assert rep.observed_score > 4.0
-    assert rep.observed_score <= 8.0 + 1e-9
+    assert rep.observed_score <= rep.code_entropy + 1e-12
+    assert rep.code_entropy <= 8.0 + 1e-12
 
 
 def test_strict_small_budget_respects_bound():
     net, _ = train_strict(8, 1, seed=11, config=FAST)
-    rep = eval_score(net, 100_000, seed=12)
-    half = (rep.interval[1] - rep.interval[0]) / 2
-    assert rep.observed_score <= 1.0 + 3 * half
+    rep = eval_score(net)
+    assert 0.0 < rep.observed_score <= rep.code_entropy + 1e-12
+    assert rep.code_entropy <= 1.0 + 1e-12
     assert rep.counted_capacity == 1.0
 
 
@@ -211,17 +213,20 @@ def test_database_independent_output_scores_zero():
     for name, value in vars(net).items():
         if isinstance(value, np.ndarray):
             setattr(net, name, np.zeros_like(value))
-    # constant output carries nothing about any target
-    rep = eval_score(net, 40_000, seed=13)
+    # constant output carries nothing about any target, and the constant
+    # code has no entropy
+    rep = eval_score(net)
     assert rep.observed_score == 0.0
+    assert rep.code_entropy == 0.0 and str(rep.code_entropy) == "0.0"
 
 
 def test_untrained_net_stays_below_its_budget():
     # a frozen random net is still a fixed one-bit-bottleneck protocol, so
     # whatever incidental information it carries respects the budget
     net = BottleneckNet.init(8, 1, 8, substream(83))
-    rep = eval_score(net, 80_000, seed=13)
+    rep = eval_score(net)
     assert rep.observed_score < 1.0
+    assert rep.observed_score <= rep.code_entropy + 1e-12 <= 1.0 + 2e-12
 
 
 def test_query_leaky_control():
@@ -253,43 +258,117 @@ def test_episode_weights_control():
     assert episode_weights_control(2).observed_score == 2.0
     # the same decoder with weights frozen across episodes answers a constant
     # per query and carries nothing
-    assert sum(exact_deterministic_score(8, lambda db, k: 0)) == 0.0
+    assert sum(exact_deterministic_score(8, lambda db, k: np.zeros(len(k), np.uint8))) == 0.0
 
 
-@pytest.mark.parametrize("chunk", [64, 4096])
-def test_eval_score_chunks_match_one_pass(monkeypatch, chunk):
-    # T = 1003 leaves a partial last chunk; the chunked draws and answers
-    # must equal one unchunked pass over the same streams
+def reference_exact_score(n_bits, answer_one):
+    """Loop oracle: tally ``answer_one(db, k)`` database by database."""
+    per_query = []
+    for k in range(n_bits):
+        counts = np.zeros((2, 2), dtype=np.int64)
+        for word in range(1 << n_bits):
+            db = [(word >> i) & 1 for i in range(n_bits)]
+            counts[db[k], int(answer_one(db, k)) & 1] += 1
+        per_query.append(plugin_mi(ContingencyTable(counts=counts)))
+    return tuple(per_query)
+
+
+def test_enumerator_matches_the_loop_oracle():
     net, _ = train_strict(8, 3, seed=21, config=TrainConfig(steps=300))
-    episodes, seed = 1003, 22
-    db = substream(seed, ablation._EVAL_DB_STREAM).integers(0, 2, size=(episodes, 8))
-    queries = substream(seed, ablation._EVAL_QUERY_STREAM).integers(0, 8, size=episodes)
-    whole = net.answer(db.astype(float), queries)
-    monkeypatch.setattr(ablation, "_EVAL_CHUNK_ROWS", episodes)
-    one_pass = eval_score(net, episodes, seed)
 
-    seen = []
+    def net_one(db, k):
+        return net.answer(np.array([db], dtype=float), np.array([k]))[0]
 
-    def recording_answer(x, q):
-        out = BottleneckNet.answer(net, x, q)
-        seen.append(out)
-        return out
+    expected = reference_exact_score(8, net_one)
+    assert exact_deterministic_score(8, net.answer) == expected == eval_score(net).per_query
+    assert precision_packing_control(8, q=5).per_query == reference_exact_score(
+        8, lambda db, k: db[k] if k < 5 else 0)
 
-    monkeypatch.setattr(net, "answer", recording_answer)
-    monkeypatch.setattr(ablation, "_EVAL_CHUNK_ROWS", chunk)
-    chunked = eval_score(net, episodes, seed)
-    assert [len(out) for out in seen] == [chunk] * (episodes // chunk) + [episodes % chunk]
-    assert np.array_equal(np.concatenate(seen), whole)
-    assert chunked == one_pass
+
+def test_enumerator_answers_every_pair_in_one_call():
+    # one batched call sees each of the 2^N databases with each of the N
+    # queries exactly once
+    calls = []
+
+    def answer(db, queries):
+        calls.append((db.copy(), queries.copy()))
+        return db[np.arange(len(queries)), queries] ^ (queries == 2)
+
+    per_query = exact_deterministic_score(5, answer)
+    assert per_query == (1.0,) * 5  # a flipped answer carries as much as the bit
+    (db, queries), = calls
+    assert db.shape == (32 * 5, 5) and queries.shape == (32 * 5,)
+    words = db @ (1 << np.arange(5))
+    pairs = set(zip(words.tolist(), queries.tolist()))
+    assert pairs == {(w, k) for w in range(32) for k in range(5)}
 
 
 def test_eval_score_memory_is_bounded():
-    # one unchunked pass over 200k episodes peaks near 220 MB
+    # exact scoring answers 2^8 x 8 = 2,048 rows in one call; its traced
+    # peak is about 1.4 MB and does not depend on any episode count
     net = BottleneckNet.init(8, 3, 32, substream(84))
     tracemalloc.start()
     try:
-        eval_score(net, 200_000, seed=14)
+        eval_score(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
+
+
+def strict_verdicts(monkeypatch, m, mutate):
+    """Verdicts of a one-seed ``ablations`` run whose net is mutated after training."""
+
+    def train_then_mutate(n_bits, m, seed, config):
+        net, curve = train_strict(n_bits, m, seed, config)
+        mutate(net)
+        return net, curve
+
+    monkeypatch.setattr(experiments, "train_strict", train_then_mutate)
+    config = ExperimentConfig("ablations", params={"seeds": 1, "ms": [m], "steps": 300})
+    tables = build_ablations(config)
+    verdicts = judge_ablations(tables, config)
+    (row,) = [r for r in tables["ablations.csv"] if r["mode"] == "strict"]
+    return row, {kind: [v.passed for v in verdicts if f" {kind}: " in v.name]
+                 for kind in ("embedding", "capacity")}
+
+
+def test_strict_verdicts_pass_on_the_trained_net(monkeypatch):
+    row, passed = strict_verdicts(monkeypatch, 1, lambda net: None)
+    assert passed == {"embedding": [True], "capacity": [True]}
+    assert row["observed"] <= row["code_entropy"] <= row["counted"] == 1.0
+
+
+def test_decoder_fed_the_queried_bit_fails_the_embedding_verdict(monkeypatch):
+    # the decoder reads the queried bit besides the code, so its answers are
+    # no longer a function of the code (compare test_encoder_is_query_blind)
+    def feed_queried_bit(net):
+        net.answer = lambda x, q: x[np.arange(len(q)), q].astype(np.uint8)
+
+    row, passed = strict_verdicts(monkeypatch, 1, feed_queried_bit)
+    assert row["observed"] == 8.0 and row["code_entropy"] <= 1.0
+    assert passed == {"embedding": [False], "capacity": [True]}
+
+
+def test_unbinarized_bottleneck_fails_the_capacity_verdict(monkeypatch):
+    # real-valued bottleneck coordinates at evaluation leak precision: the
+    # decoder receives far more than 2^m distinct codes
+    def leak_precision(net):
+        net._forward = functools.partial(BottleneckNet._forward, net, binarize=False)
+
+    row, passed = strict_verdicts(monkeypatch, 3, leak_precision)
+    assert row["code_entropy"] > 3.0
+    assert passed["capacity"] == [False]
+
+
+def test_oversized_database_fails_before_training(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a net was trained")
+
+    monkeypatch.setattr(experiments, "train_strict", never)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="N <= 16"):
+        build_ablations(ExperimentConfig("ablations", params={"n_bits": 17}))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="N <= 16"):
+        exact_deterministic_score(17, lambda db, k: k)

@@ -159,7 +159,7 @@ def test_every_judge_passes_then_fails_on_a_perturbed_column(name):
     # a verdict that cannot fail checks nothing: every judge must accept the
     # built tables and reject them once one judged column moves a few percent
     if name == "ablations":
-        config = ExperimentConfig(name, episodes=20_000, params={"steps": 100, "seeds": 1})
+        config = ExperimentConfig(name, params={"steps": 100, "seeds": 1})
     else:
         config = ExperimentConfig(name)
     exp = REGISTRY[name]

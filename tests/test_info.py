@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from racbox.info import (LN2, bernoulli_kl, binary_channel_information, binary_entropy,
+from racbox.info import (LN2, binary_channel_information, binary_entropy,
                          bsc_information, entropy_deficit)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -75,26 +75,6 @@ def test_binary_channel_against_joint_enumeration():
 def test_binary_channel_reduces_to_bsc(p):
     assert binary_channel_information(1.0 - p, p) == pytest.approx(
         bsc_information(p), abs=1e-12)
-
-
-def test_kl_reference_points():
-    assert bernoulli_kl(0.5, 0.5) == 0.0
-    assert bernoulli_kl(1.0, 0.5) == pytest.approx(1.0, abs=1e-15)
-    # D(p || 1/2) in bits equals the entropy deficit exactly
-    assert bernoulli_kl(0.75, 0.5) == pytest.approx(1.0 - binary_entropy(0.75), abs=1e-15)
-    assert bernoulli_kl(0.75, 0.5) == pytest.approx(0.18872187554086717, abs=1e-15)
-
-
-def test_kl_boundary_divergence():
-    assert bernoulli_kl(0.3, 0.0) == math.inf
-    assert bernoulli_kl(0.3, 1.0) == math.inf
-    assert bernoulli_kl(0.0, 0.0) == 0.0
-    assert bernoulli_kl(1.0, 1.0) == 0.0
-
-
-@given(probs)
-def test_kl_identity_at_uniform_reference(p):
-    assert bernoulli_kl(p, 0.5) == pytest.approx(1.0 - binary_entropy(p), abs=1e-12)
 
 
 def test_quadratic_deficit_lower_bound_dense_grid():
