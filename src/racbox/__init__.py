@@ -11,12 +11,11 @@ from .ablation import (AblationReport, BottleneckNet, TrainConfig, episode_weigh
                        train_strict)
 from .boxes import (BoxTable, Cell, CorrelatorSet, AsymmetricCell, ExplicitCell,
                     IsotropicCell, QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
-                    TSIRELSON_CHSH, box_from_correlators, box_from_win_probabilities,
-                    chsh_value, effective_iso_bias, iso_bias_from_angle, make_isotropic,
-                    no_signaling_check, pr_box, quantum_phi_correlators,
-                    random_no_signaling_box, twirl)
+                    TSIRELSON_CHSH, box_from_win_probabilities, chsh_value,
+                    iso_bias_from_angle, make_isotropic, no_signaling_check, pr_box,
+                    quantum_phi_correlators, random_no_signaling_box, twirl)
 from .capacity import (AwgnBpsk, HardBits, InterfaceModel, PackedPrecision, ProbeResult,
-                       Qubits, awgn_hard_decision_score, bpsk_mutual_information,
+                       awgn_hard_decision_score, bpsk_mutual_information,
                        capacity_certificate, gaussian_cdf, run_awgn_bpsk_probe,
                        run_hard_copy_probe, run_packed_precision_probe)
 from .estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
@@ -33,7 +32,6 @@ from .rng import substream
 from .scores import (ConditionalScoreReport, CriticalityResult, asym_exact_score,
                      closed_form_score, conditional_score_from_records, critical_bias,
                      critical_bias_asymptotic, critical_constant, exact_conditional_score,
-                     optimize_regularized_angle, regularized_angle_utility,
-                     score_lower_bound_from_accuracy)
+                     optimize_regularized_angle, regularized_angle_utility)
 
 __version__ = "0.1.0"

@@ -123,11 +123,6 @@ def chsh_value(box: BoxTable) -> float:
     return float(box.win_probabilities().sum())
 
 
-def effective_iso_bias(box: BoxTable) -> float:
-    """Isotropic bias S/2 - 1 the box twirls to, clipped to [-1, 1]."""
-    return float(np.clip(chsh_value(box) / 2.0 - 1.0, -1.0, 1.0))
-
-
 def box_from_win_probabilities(wins) -> BoxTable:
     """Uniform-marginal box with the given per-input winning probabilities."""
     wins = [clamp_probability(w, "win probability") for w in wins]
@@ -154,13 +149,6 @@ def make_isotropic(bias: float) -> BoxTable:
 def pr_box() -> BoxTable:
     """The extremal no-signaling box winning CHSH with certainty."""
     return make_isotropic(1.0)
-
-
-def box_from_correlators(cs: CorrelatorSet) -> BoxTable:
-    """Uniform-marginal box with the given correlators."""
-    wins = [(1.0 + (-1) ** (s & t) * e) / 2.0
-            for (s, t), e in zip(product((0, 1), repeat=2), cs.as_array())]
-    return BoxTable(box_from_win_probabilities(wins).probs)
 
 
 def quantum_phi_correlators(phi: float, visibility: float = 1.0) -> CorrelatorSet:

@@ -2,9 +2,12 @@
 
 A certificate is an a-priori bit budget computed from the physical model of
 the bottleneck alone (hard alphabet, packed precision, power-limited noisy
-coordinates, qubit count), never from observed scores.  The probes then run
-concrete encoders through each interface and check the observed score
-against the certified budget.
+coordinates), never from observed scores.  The probes then run concrete
+encoders through each interface and check the observed score against the
+certified budget.  All three share one sampler that carries a prefix of the
+database bits, answers the other queries with a coin and tallies per-query
+wins in fixed chunks of episodes, so its memory does not grow with the
+episode count.
 """
 
 from __future__ import annotations
@@ -22,6 +25,15 @@ _PROBE_DB_STREAM = 0
 _PROBE_QUERY_STREAM = 1
 _PROBE_NOISE_STREAM = 2
 _PROBE_COIN_STREAM = 3
+
+# Episodes per chunk of the probe sampler.  Chunks read each stream in
+# order, so the tallies match one unchunked draw only if no generator call
+# leaves draws behind at a chunk boundary.  A uint8 integers() call takes 4
+# values from each uint32 and drops its byte buffer when it returns; a
+# multiple of 8 episodes leaves that buffer empty for the database and the
+# coins.  The queries read uint32 halves whose spare half the bit generator
+# keeps between calls, and the noise reads whole 64-bit words.
+_CHUNK_EPISODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,22 +73,7 @@ class AwgnBpsk:
             raise ValueError("snr must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Qubits:
-    """m transmitted qubits without receiver-side entanglement.
-
-    Carried as the constant certificate m only; no quantum message is
-    simulated anywhere in the package.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
-
-
-InterfaceModel = HardBits | PackedPrecision | AwgnBpsk | Qubits
+InterfaceModel = HardBits | PackedPrecision | AwgnBpsk
 
 
 def capacity_certificate(model: InterfaceModel) -> Bits:
@@ -87,8 +84,6 @@ def capacity_certificate(model: InterfaceModel) -> Bits:
         return float(model.d * model.q)
     if isinstance(model, AwgnBpsk):
         return model.d / 2.0 * math.log2(1.0 + model.snr)
-    if isinstance(model, Qubits):
-        return float(model.m)
     raise TypeError(f"unknown interface model {model!r}")
 
 
@@ -105,22 +100,42 @@ class ProbeResult:
     interval: tuple[Bits, Bits]
 
 
-def _probe_draws(n_bits: int, episodes: int, seed: int):
-    """Database bits, uniform queries, fallback coins and queried targets."""
-    db = substream(seed, _PROBE_DB_STREAM).integers(0, 2, size=(episodes, n_bits), dtype=np.uint8)
-    queries = substream(seed, _PROBE_QUERY_STREAM).integers(0, n_bits, size=episodes)
-    coins = substream(seed, _PROBE_COIN_STREAM).integers(0, 2, size=episodes, dtype=np.uint8)
-    return db, queries, coins, db[np.arange(episodes), queries]
+def _run_probe(model: InterfaceModel, n_bits: int, carried: int, episodes: int,
+               seed: int, level: float, method: str, amp: float | None = None) -> ProbeResult:
+    """Score an interface that carries database bits 0..carried-1.
 
-
-def _probe_result(model, targets, outputs, queries, n_bits,
-                  level: float = 0.95, method: str = "wilson") -> ProbeResult:
-    ok = (targets == outputs).astype(np.int64)
-    wins = np.bincount(queries, weights=ok, minlength=n_bits).astype(int)
-    totals = np.bincount(queries, minlength=n_bits)
-    score, (lo, hi) = per_query_symmetric_score(wins, totals, level=level, method=method)
+    Queries below ``carried`` are answered through the interface and all
+    others with a fair coin.  With ``amp``, each carried bit is sent as
+    +/- amp over unit-variance Gaussian noise and thresholded at zero.
+    Episodes run in fixed chunks, so the working memory does not grow with
+    ``episodes``.
+    """
+    if episodes < 0:
+        raise ValueError(f"episodes={episodes} is negative")
+    db_rng = substream(seed, _PROBE_DB_STREAM)
+    query_rng = substream(seed, _PROBE_QUERY_STREAM)
+    coin_rng = substream(seed, _PROBE_COIN_STREAM)
+    noise_rng = None if amp is None else substream(seed, _PROBE_NOISE_STREAM)
+    wins = np.zeros(n_bits, dtype=np.int64)
+    totals = np.zeros(n_bits, dtype=np.int64)
+    for lo in range(0, episodes, _CHUNK_EPISODES):
+        size = min(_CHUNK_EPISODES, episodes - lo)
+        rows = np.arange(size)
+        queries = query_rng.integers(0, n_bits, size=size)
+        targets = db_rng.integers(0, 2, size=(size, n_bits), dtype=np.uint8)[rows, queries]
+        coins = coin_rng.integers(0, 2, size=size, dtype=np.uint8)
+        received = targets
+        if noise_rng is not None:
+            # Draw the whole (size, carried) block so the stream stays aligned.
+            noise = noise_rng.standard_normal((size, carried))
+            received = (amp * (2.0 * targets.astype(float) - 1.0)
+                        + noise[rows, np.minimum(queries, carried - 1)] > 0.0)
+        outputs = np.where(queries < carried, received, coins)
+        wins += np.bincount(queries[outputs == targets], minlength=n_bits)
+        totals += np.bincount(queries, minlength=n_bits)
+    score, interval = per_query_symmetric_score(wins, totals, level=level, method=method)
     return ProbeResult(counted_capacity=capacity_certificate(model),
-                       observed_score=score, interval=(lo, hi))
+                       observed_score=score, interval=interval)
 
 
 def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
@@ -128,10 +143,7 @@ def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
     """Copy the first m database bits through a hard m-bit interface."""
     if not 0 <= m <= n_bits:
         raise ValueError(f"m={m} outside [0, {n_bits}]")
-    _, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
-    outputs = np.where(queries < m, targets, coins)
-    return _probe_result(HardBits(m), targets, outputs, queries, n_bits,
-                         level=level, method=method)
+    return _run_probe(HardBits(m), n_bits, m, episodes, seed, level, method)
 
 
 def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
@@ -139,27 +151,14 @@ def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
                                method: str = "wilson") -> ProbeResult:
     """Pack database bits into d coordinates of q-bit precision each.
 
-    The interface transmits d reals; quantization makes the true budget d*q,
-    so min(N, d*q) bits survive the round trip exactly.
+    The interface transmits d reals; quantization makes the true budget d*q.
+    Integer codewords carry bits below the budget exactly, so the first
+    min(N, d*q) bits are read back unchanged and the rest are coins.
     """
     if d * q > 64 * max(d, 1):
         raise ValueError("more than 64 bits per coordinate")
-    model = PackedPrecision(d, q)
-    stored = min(n_bits, d * q)
-    db, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
-    # Pack then unpack: integer codewords round-trip bits below the budget.
-    packed = np.zeros((episodes, d), dtype=np.uint64)
-    for i in range(stored):
-        packed[:, i // max(q, 1)] |= db[:, i].astype(np.uint64) << np.uint64(i % max(q, 1))
-    unpacked = np.empty((episodes, n_bits), dtype=np.uint8)
-    for i in range(n_bits):
-        if i < stored:
-            unpacked[:, i] = ((packed[:, i // q] >> np.uint64(i % q)) & np.uint64(1)).astype(np.uint8)
-        else:
-            unpacked[:, i] = coins  # nothing survived; answer a coin
-    outputs = unpacked[np.arange(episodes), queries]
-    return _probe_result(model, targets, outputs, queries, n_bits,
-                         level=level, method=method)
+    return _run_probe(PackedPrecision(d, q), n_bits, min(n_bits, d * q), episodes, seed,
+                      level, method)
 
 
 def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
@@ -170,22 +169,16 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
     Bits map to +/- sqrt(snr) amplitudes on unit-variance noise; the decoder
     thresholds at zero, so each carried bit sees a symmetric channel with
     success probability Phi(sqrt(snr)).  Queries beyond the d carried bits
-    are answered by a coin.
+    are answered by a coin.  Each coordinate carries one database bit, so d
+    may not exceed n_bits.
     """
     if d < 1:
         raise ValueError("need at least one coordinate")
-    model = AwgnBpsk(d, snr)
-    db, queries, coins, targets = _probe_draws(n_bits, episodes, seed)
-    amp = math.sqrt(snr)
-    carried = min(d, n_bits)
-    symbols = amp * (2.0 * db[:, :carried].astype(float) - 1.0)
-    noise = substream(seed, _PROBE_NOISE_STREAM).standard_normal((episodes, carried))
-    received = (symbols + noise > 0.0).astype(np.uint8)
-    outputs = np.where(queries < carried,
-                       received[np.arange(episodes), np.minimum(queries, carried - 1)],
-                       coins)
-    return _probe_result(model, targets, outputs, queries, n_bits,
-                         level=level, method=method)
+    if d > n_bits:
+        raise ValueError(f"d={d} coordinates above the n_bits={n_bits} database bits "
+                         f"they would carry")
+    return _run_probe(AwgnBpsk(d, snr), n_bits, d, episodes, seed, level, method,
+                      amp=math.sqrt(snr))
 
 
 def awgn_hard_decision_score(d: int, snr: float) -> Bits:

@@ -22,7 +22,7 @@ from .info import LN2, Bits, binary_entropy, entropy_deficit
 
 __all__ = [
     "closed_form_score", "asym_exact_score",
-    "score_lower_bound_from_accuracy", "critical_constant",
+    "critical_constant",
     "critical_bias", "critical_bias_asymptotic", "CriticalityResult",
     "ConditionalScoreReport", "conditional_score_from_records",
     "exact_conditional_score", "regularized_angle_utility",
@@ -58,12 +58,6 @@ def asym_exact_score(depth: int, bias0: float, bias1: float) -> Bits:
         prod = bias0 ** (depth - k) * bias1 ** k
         total += math.comb(depth, k) * entropy_deficit(prod)
     return total
-
-
-def score_lower_bound_from_accuracy(success_probs) -> Bits:
-    """N - sum_K h(P_K): the information certified by per-query accuracies."""
-    ps = list(success_probs)
-    return len(ps) - sum(binary_entropy(p) for p in ps)
 
 
 def critical_constant() -> Bits:

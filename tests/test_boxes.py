@@ -7,7 +7,7 @@ import pytest
 from racbox.boxes import (AsymmetricCell, BoxTable, Cell, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
                           TSIRELSON_CHSH, box_from_win_probabilities,
-                          chsh_value, effective_iso_bias, iso_bias_from_angle,
+                          chsh_value, iso_bias_from_angle,
                           make_isotropic, no_signaling_check, pr_box,
                           quantum_phi_correlators, random_no_signaling_box, twirl)
 from racbox.protocols import PyramidProtocol, pyramid_monte_carlo
@@ -85,14 +85,6 @@ def test_quantum_phi_range_errors():
         quantum_phi_correlators(0.3, 1.2)
 
 
-def test_effective_iso_bias():
-    assert effective_iso_bias(make_isotropic(0.7)) == pytest.approx(0.7, abs=1e-12)
-    box = QuantumPhiCell(math.pi / 16, 1.0).as_table()
-    assert effective_iso_bias(box) == pytest.approx(0.5879, abs=1e-4)
-    box = QuantumPhiCell(math.pi / 4, 0.9).as_table()
-    assert effective_iso_bias(box) == pytest.approx(0.9 / math.sqrt(2), abs=1e-12)
-
-
 def test_quantum_family_never_beats_tsirelson():
     for phi in np.linspace(0.0, math.pi / 4, 41):
         for nu in np.linspace(0.0, 1.0, 11):
@@ -146,16 +138,6 @@ def test_twirl_skewed_box_with_known_chsh():
     out = twirl(skewed)
     for s, t in product((0, 1), repeat=2):
         assert out.win_probability(s, t) == pytest.approx(0.8, abs=1e-12)
-
-
-def test_correlator_constructor_round_trip():
-    from racbox.boxes import box_from_correlators
-    cs = quantum_phi_correlators(0.3, 0.8)
-    box = box_from_correlators(cs)
-    back = box.correlators()
-    assert np.allclose(cs.as_array(), back.as_array(), atol=1e-15)
-    for s, t in product((0, 1), repeat=2):
-        assert box.alice_marginal(s, t) == pytest.approx(0.5, abs=1e-15)
 
 
 def depth_one_batch(cell, episodes, seed, query=None):

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from racbox.capacity import (AwgnBpsk, HardBits, PackedPrecision, Qubits,
+from racbox import capacity
+from racbox.capacity import (AwgnBpsk, HardBits, PackedPrecision,
                              awgn_hard_decision_score, bpsk_mutual_information,
                              capacity_certificate, gaussian_cdf, run_awgn_bpsk_probe,
                              run_hard_copy_probe, run_packed_precision_probe)
+from racbox.experiments import REGISTRY, ExperimentConfig
 from racbox.info import binary_entropy
 from racbox.rng import substream
 
@@ -17,7 +20,6 @@ def test_certificates():
     assert capacity_certificate(PackedPrecision(2, 4)) == 8.0
     assert capacity_certificate(AwgnBpsk(2, 1.0)) == pytest.approx(1.0)
     assert capacity_certificate(AwgnBpsk(4, 3.0)) == pytest.approx(4.0)
-    assert capacity_certificate(Qubits(3)) == 3.0
     with pytest.raises(ValueError):
         HardBits(-1)
     with pytest.raises(ValueError):
@@ -49,6 +51,48 @@ def test_packed_precision_probe():
     assert res.observed_score == pytest.approx(4.0, abs=0.05)
     res = run_packed_precision_probe(8, 1, 0, 50_000, seed=62)
     assert res.observed_score == pytest.approx(0.0, abs=0.01)
+
+
+def test_packed_probe_is_the_copy_probe_on_its_budget():
+    # integer codewords return every bit below the budget d*q unchanged
+    for d, q in [(1, 8), (2, 2), (1, 0), (3, 4)]:
+        packed = run_packed_precision_probe(8, d, q, 20_000, seed=68)
+        copy = run_hard_copy_probe(8, min(8, d * q), 20_000, seed=68)
+        assert packed.counted_capacity == float(d * q)
+        assert packed.observed_score == copy.observed_score
+        assert packed.interval == copy.interval
+
+
+def test_awgn_probe_rejects_more_coordinates_than_bits():
+    with pytest.raises(ValueError, match="n_bits=8"):
+        run_awgn_bpsk_probe(8, 9, 1.0, 10, seed=1)
+    # capacity-sanity judges d coordinates, so d > N must stop the run
+    config = ExperimentConfig("capacity-sanity", episodes=1_000,
+                              params={"d": 10, "ms": [1], "packed": ["1x8"], "snrs": [1.0]})
+    with pytest.raises(ValueError, match="d=10"):
+        REGISTRY["capacity-sanity"].build(config)
+
+
+@pytest.mark.parametrize("chunk", [8, 64])
+def test_chunked_probes_equal_one_chunk(monkeypatch, chunk):
+    # a chunk size that leaves uint8 draws behind at a boundary breaks this
+    probes = [(run_hard_copy_probe, (5, 3)), (run_packed_precision_probe, (5, 2, 2)),
+              (run_awgn_bpsk_probe, (5, 3, 1.0))]
+    assert capacity._CHUNK_EPISODES >= 1_003
+    whole = [probe(*args, 1_003, seed=69) for probe, args in probes]
+    monkeypatch.setattr(capacity, "_CHUNK_EPISODES", chunk)
+    assert [probe(*args, 1_003, seed=69) for probe, args in probes] == whole
+
+
+def test_probe_memory_does_not_grow_with_episodes():
+    # whole per-episode database and noise arrays would peak at about 208 MiB here
+    tracemalloc.start()
+    try:
+        run_awgn_bpsk_probe(8, 8, 1.0, 1_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 def test_awgn_probe_matches_analytics():

@@ -13,7 +13,7 @@ from racbox.scores import (asym_exact_score, closed_form_score,
                            conditional_score_from_records, critical_bias,
                            critical_bias_asymptotic, critical_constant,
                            exact_conditional_score, optimize_regularized_angle,
-                           regularized_angle_utility, score_lower_bound_from_accuracy)
+                           regularized_angle_utility)
 
 
 def test_closed_form_reference_values():
@@ -115,23 +115,6 @@ def test_asym_violation_condition():
         assert e0 * e0 + e1 * e1 <= 1.0 + 1e-12
         for n in range(1, 61):
             assert asym_exact_score(n, e0, e1) <= 1.0 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Accuracy lower bound
-# ---------------------------------------------------------------------------
-
-
-def test_lower_bound_reference_cases():
-    assert score_lower_bound_from_accuracy([0.5] * 6) == pytest.approx(0.0, abs=1e-12)
-    assert score_lower_bound_from_accuracy([1.0] * 8) == pytest.approx(8.0, abs=0)
-
-
-def test_lower_bound_tight_on_symmetric_profile():
-    for n, e in [(3, 0.5), (5, 0.7), (8, 0.9)]:
-        p = (1 + e ** n) / 2
-        assert score_lower_bound_from_accuracy([p] * 2 ** n) == pytest.approx(
-            closed_form_score(n, e), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
