@@ -11,9 +11,9 @@ from .ablation import (AblationReport, BottleneckNet, TrainConfig, episode_weigh
                        train_strict)
 from .boxes import (BoxTable, Cell, CorrelatorSet, AsymmetricCell, ExplicitCell,
                     IsotropicCell, QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
-                    TSIRELSON_CHSH, box_from_win_probabilities, chsh_value,
-                    iso_bias_from_angle, make_isotropic, no_signaling_check, pr_box,
-                    quantum_phi_correlators, random_no_signaling_box, twirl)
+                    box_from_win_probabilities, chsh_value, iso_bias_from_angle,
+                    make_isotropic, no_signaling_check, pr_box, quantum_phi_correlators,
+                    twirl)
 from .capacity import (AwgnBpsk, HardBits, InterfaceModel, PackedPrecision, ProbeResult,
                        awgn_hard_decision_score, bpsk_mutual_information,
                        capacity_certificate, gaussian_cdf, run_awgn_bpsk_probe,
@@ -22,8 +22,7 @@ from .estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
                          binomial_interval, clopper_pearson_interval, hoeffding_interval,
                          normal_quantile, per_query_symmetric_score, plugin_mi,
                          score_interval_transform, symmetric_score_estimate, wilson_interval)
-from .info import (Bits, Probability, binary_channel_information, binary_entropy,
-                   bsc_information, entropy_deficit)
+from .info import Bits, Probability, binary_entropy, bsc_information, entropy_deficit
 from .protocols import (PyramidBatch, PyramidProtocol, asym_path_success,
                         brute_force_one_bit_optimum, classical_avg_success_closed_form,
                         majority_average_success, majority_encode, pyramid_monte_carlo,

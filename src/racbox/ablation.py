@@ -193,6 +193,9 @@ def train_strict(n_bits: int, m: int, seed: int,
 
 # Exact scoring enumerates all 2^N databases, each asked all N queries.
 MAX_ENUMERATED_BITS = 16
+# The databases are enumerated in blocks whose tiled query matrix holds at
+# most this many bits (rows x N), so working memory does not grow with N.
+_ENUM_BLOCK_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -217,25 +220,31 @@ def check_enumerable(n_bits: int):
                          f"N <= {MAX_ENUMERATED_BITS}, got N = {n_bits}")
 
 
-def _databases(n_bits: int) -> np.ndarray:
-    """All 2^N databases as rows; bit i of row w is bit i of the integer w."""
+def _database_blocks(n_bits: int):
+    """All 2^N databases as rows, in fixed blocks; bit i of row w is bit i of w."""
     check_enumerable(n_bits)
-    return (np.arange(1 << n_bits)[:, None] >> np.arange(n_bits)) & 1
+    size = max(1, _ENUM_BLOCK_BITS // max(1, n_bits) ** 2)
+    for start in range(0, 1 << n_bits, size):
+        words = np.arange(start, min(start + size, 1 << n_bits))
+        yield (words[:, None] >> np.arange(n_bits)) & 1
 
 
 def exact_deterministic_score(n_bits: int, answer) -> tuple[Bits, ...]:
     """Exact per-query information of a deterministic protocol.
 
     ``answer(db, queries)`` returns the output bit of each row of ``db`` for
-    the query beside it.  It is called once on all 2^N unbiased databases
-    times N queries, so the returned values are the true mutual
-    informations, not estimates.
+    the query beside it.  It is called once per block of databases, on each
+    database of the block times all N queries, and the integer contingency
+    counts are summed over the blocks; so over all 2^N unbiased databases
+    the returned values are the true mutual informations, not estimates.
     """
-    db = _databases(n_bits)
-    queries = np.repeat(np.arange(n_bits), len(db))  # query-major rows
-    outputs = np.asarray(answer(np.tile(db, (n_bits, 1)), queries)).reshape(n_bits, -1)
-    return tuple(plugin_mi(ContingencyTable.from_pairs(db[:, k], outputs[k] & 1))
-                 for k in range(n_bits))
+    counts = np.zeros((n_bits, 2, 2), dtype=np.int64)
+    for db in _database_blocks(n_bits):
+        queries = np.repeat(np.arange(n_bits), len(db))  # query-major rows
+        outputs = np.asarray(answer(np.tile(db, (n_bits, 1)), queries)).reshape(n_bits, -1)
+        for k in range(n_bits):
+            counts[k] += ContingencyTable.from_pairs(db[:, k], outputs[k] & 1).counts
+    return tuple(plugin_mi(ContingencyTable(c)) for c in counts)
 
 
 def eval_score(net: BottleneckNet) -> AblationReport:
@@ -247,10 +256,14 @@ def eval_score(net: BottleneckNet) -> AblationReport:
     capacity bound (an m-bit code has at most 2^m values).
     """
     per_query = exact_deterministic_score(net.n_bits, net.answer)
-    db = _databases(net.n_bits)
-    code = net._forward(db, np.zeros(len(db), dtype=np.int64))[1][:, : net.m]
-    _, counts = np.unique(code, axis=0, return_counts=True)
-    p = counts / len(db)
+    code_counts: dict[tuple, int] = {}
+    for db in _database_blocks(net.n_bits):
+        code = net._forward(db, np.zeros(len(db), dtype=np.int64))[1][:, : net.m]
+        for row, count in zip(*np.unique(code, axis=0, return_counts=True)):
+            key = tuple(row.tolist())
+            code_counts[key] = code_counts.get(key, 0) + int(count)
+    # sorted as np.unique sorts rows, so the entropy sums in the same order
+    p = np.array([code_counts[key] for key in sorted(code_counts)]) / (1 << net.n_bits)
     return AblationReport(observed_score=float(sum(per_query)),
                           counted_capacity=float(net.m), corrected_capacity=float(net.m),
                           per_query=per_query, code_entropy=float(p @ np.log2(1.0 / p)))

@@ -23,7 +23,6 @@ DIST_TOL = 1e-12
 # Marginals may depend on the remote input by at most this much.
 NS_TOL = 1e-10
 
-TSIRELSON_CHSH = 2.0 + math.sqrt(2.0)
 TSIRELSON_BIAS = 1.0 / math.sqrt(2.0)
 
 
@@ -329,24 +328,3 @@ class ExplicitCell(Cell):
 
     def as_table(self) -> BoxTable:
         return self.table
-
-
-def random_no_signaling_box(rng: np.random.Generator, max_pr_weight: float = 0.5) -> BoxTable:
-    """Random point of the no-signaling polytope: a Dirichlet mixture of the
-    16 local deterministic boxes plus a random amount of the extremal box.
-
-    ``max_pr_weight`` bounds the extremal component so that both local-ish
-    and strongly nonlocal boxes get exercised.
-    """
-    weights = rng.dirichlet(np.ones(16))
-    table = np.zeros((4, 4))
-    k = 0
-    for a0, a1, b0, b1 in product((0, 1), repeat=4):
-        for s, t in product((0, 1), repeat=2):
-            a = a1 if s else a0
-            b = b1 if t else b0
-            table[_input_index(s, t), 2 * a + b] += weights[k]
-        k += 1
-    lam = rng.uniform(0.0, max_pr_weight)
-    table = (1.0 - lam) * table + lam * pr_box().probs
-    return BoxTable(table)

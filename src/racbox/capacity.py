@@ -138,12 +138,39 @@ def _run_probe(model: InterfaceModel, n_bits: int, carried: int, episodes: int,
                        observed_score=score, interval=interval)
 
 
+def probe_interface(kind: str, n_bits: int, *params) -> tuple[InterfaceModel, int]:
+    """Interface model of a probe and the number of database bits it carries.
+
+    ``params`` are the probe's own arguments: (m,) for "hard", (d, q) for
+    "packed" and (d, snr) for "awgn".  Raises ValueError on arguments the
+    probe cannot run, so a whole grid can be checked before any sampling.
+    """
+    if kind == "hard":
+        (m,) = params
+        if not 0 <= m <= n_bits:
+            raise ValueError(f"m={m} outside [0, {n_bits}]")
+        return HardBits(m), m
+    if kind == "packed":
+        d, q = params
+        if d * q > 64 * max(d, 1):
+            raise ValueError("more than 64 bits per coordinate")
+        return PackedPrecision(d, q), min(n_bits, d * q)
+    if kind == "awgn":
+        d, snr = params
+        if d < 1:
+            raise ValueError("need at least one coordinate")
+        if d > n_bits:
+            raise ValueError(f"d={d} coordinates above the n_bits={n_bits} database bits "
+                             f"they would carry")
+        return AwgnBpsk(d, snr), d
+    raise ValueError(f"unknown probe kind {kind!r}")
+
+
 def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
                         level: float = 0.95, method: str = "wilson") -> ProbeResult:
     """Copy the first m database bits through a hard m-bit interface."""
-    if not 0 <= m <= n_bits:
-        raise ValueError(f"m={m} outside [0, {n_bits}]")
-    return _run_probe(HardBits(m), n_bits, m, episodes, seed, level, method)
+    model, carried = probe_interface("hard", n_bits, m)
+    return _run_probe(model, n_bits, carried, episodes, seed, level, method)
 
 
 def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
@@ -155,10 +182,8 @@ def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
     Integer codewords carry bits below the budget exactly, so the first
     min(N, d*q) bits are read back unchanged and the rest are coins.
     """
-    if d * q > 64 * max(d, 1):
-        raise ValueError("more than 64 bits per coordinate")
-    return _run_probe(PackedPrecision(d, q), n_bits, min(n_bits, d * q), episodes, seed,
-                      level, method)
+    model, carried = probe_interface("packed", n_bits, d, q)
+    return _run_probe(model, n_bits, carried, episodes, seed, level, method)
 
 
 def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
@@ -172,12 +197,8 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
     are answered by a coin.  Each coordinate carries one database bit, so d
     may not exceed n_bits.
     """
-    if d < 1:
-        raise ValueError("need at least one coordinate")
-    if d > n_bits:
-        raise ValueError(f"d={d} coordinates above the n_bits={n_bits} database bits "
-                         f"they would carry")
-    return _run_probe(AwgnBpsk(d, snr), n_bits, d, episodes, seed, level, method,
+    model, carried = probe_interface("awgn", n_bits, d, snr)
+    return _run_probe(model, n_bits, carried, episodes, seed, level, method,
                       amp=math.sqrt(snr))
 
 

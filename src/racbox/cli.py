@@ -8,7 +8,9 @@
 verdicts; ``verify`` rechecks both, and with ``--rebuild`` also re-runs the
 manifest's config and compares the new CSVs' checksums with the recorded
 ones.  Defaults can be kept in an INI config file (one section per
-experiment); command-line flags override the file.
+experiment); command-line flags override the file.  A parameter the
+experiment cannot run stops ``run`` with a one-line ``error: ...`` and
+exit status 1.
 """
 
 from __future__ import annotations
@@ -133,8 +135,12 @@ def main(argv: list[str] | None = None) -> int:
         print("VERIFY:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    config = _assemble_config(args)
-    manifest = run_experiment(config, out_root=output_root(args.out))
+    try:
+        config = _assemble_config(args)
+        manifest = run_experiment(config, out_root=output_root(args.out))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for v in manifest["verdicts"]:
         status = "PASS" if v["passed"] else "FAIL"
         measured = "" if v["measured"] is None else f"  measured={v['measured']:.6g}"

@@ -5,6 +5,14 @@ either through the plug-in mutual-information estimator or, for symmetric
 channels, through the empirical accuracy mapped by N(1 - h(.)).  Binomial
 uncertainty is reported as Wilson (default), Clopper-Pearson, or Hoeffding
 intervals and pushed through the score map by monotonicity.
+
+The Clopper-Pearson interval bisects exact binomial tail sums.  Three things
+keep it cheap without moving a bit of its endpoints: the log-binomial
+coefficients are read from one lgamma table per process, extended on
+demand; each bisection stops once a step leaves its bracket unchanged; and
+each step decides its sign from the few thousand terms around the mode,
+summing every term only when that windowed value lies within a margin of
+zero that bounds the terms it drops (see ``clopper_pearson_interval``).
 """
 
 from __future__ import annotations
@@ -132,22 +140,79 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> Confide
                               level=level, method="wilson")
 
 
-def _binomial_log_cdf_terms(trials: int) -> np.ndarray:
-    k = np.arange(trials + 1)
-    return (math.lgamma(trials + 1)
-            - np.array([math.lgamma(i + 1) + math.lgamma(trials - i + 1) for i in k]))
+# _LGAMMA[j] = lgamma(j + 1), built on first use and extended on demand.
+_LGAMMA = np.zeros(0)
+
+# The window of a Clopper-Pearson step spans this many binomial standard
+# deviations, plus a constant for the Poisson-like tails of a small variance,
+# on each side of the mode.  It is only used when the terms at its clipped
+# edges lie _WINDOW_EDGE_DROP below the term at its centre (in natural log).
+_WINDOW_SIGMAS = 16.0
+_WINDOW_EXTRA = 32
+_WINDOW_EDGE_DROP = 64.0
+# A windowed step value further than this from zero has the sign of the
+# full sum; clopper_pearson_interval derives the bound.
+_SIGN_MARGIN = 1e-12
 
 
-def _binomial_cdf(k: int, trials: int, p: float, log_binom: np.ndarray) -> float:
-    """P[X <= k] for X ~ Binomial(trials, p), summed stably in log space."""
+def _binomial_log_cdf_terms(trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log C(trials, i), i, trials - i) for i = 0..trials, the counts as floats.
+
+    The coefficients come from the lgamma table with the same operands and
+    order of addition as lgamma(trials + 1) - (lgamma(i + 1) + lgamma(trials - i + 1)).
+    """
+    global _LGAMMA
+    table = _LGAMMA  # kept locally: another thread may rebind the global meanwhile
+    have = len(table)
+    if have <= trials:
+        grown = np.fromiter(map(math.lgamma, range(have + 1, trials + 2)), float,
+                            count=trials + 1 - have)
+        table = _LGAMMA = np.concatenate([table, grown])
+    index = np.arange(trials + 1, dtype=float)
+    return table[trials] - (table[: trials + 1] + table[trials::-1]), index, trials - index
+
+
+def _binomial_cdf(k: int, p: float, terms, start: int = 0, stop: int | None = None) -> float:
+    """P[X <= k] for X ~ Binomial(trials, p), summed stably in log space.
+
+    ``terms`` is ``_binomial_log_cdf_terms(trials)``.  ``start`` and ``stop``
+    restrict the sum to the terms i in [start, stop); by default it runs
+    over 0..k.
+    """
+    log_binom, index, rest = terms
     if p <= 0.0:
         return 1.0
     if p >= 1.0:
-        return 0.0 if k < trials else 1.0
-    i = np.arange(k + 1)
-    logs = log_binom[: k + 1] + i * math.log(p) + (trials - i) * math.log1p(-p)
+        return 0.0 if k < len(index) - 1 else 1.0
+    part = slice(start, k + 1 if stop is None else stop)
+    logs = log_binom[part] + index[part] * math.log(p) + rest[part] * math.log1p(-p)
     top = logs.max()
     return float(min(1.0, math.exp(top) * np.exp(logs - top).sum()))
+
+
+def _cdf_window(k: int, p: float, log_binom: np.ndarray) -> tuple[int, int] | None:
+    """Terms [start, stop) of P[X <= k] around the mode that hold its mass.
+
+    None when the window would hold half of 0..k or more, or when a clipped
+    edge's term is not _WINDOW_EDGE_DROP below the term at its centre.
+    """
+    trials = len(log_binom) - 1
+    if not 0.0 < p < 1.0:
+        return None
+    half = int(_WINDOW_SIGMAS * math.sqrt(trials * p * (1.0 - p))) + _WINDOW_EXTRA
+    centre = min(k, int((trials + 1) * p))
+    start, last = max(0, centre - half), min(k, centre + half)
+    if 2 * (last + 1 - start) > k + 1:
+        return None
+    lp, lq = math.log(p), math.log1p(-p)
+
+    def log_term(i):
+        return float(log_binom[i]) + i * lp + (trials - i) * lq
+
+    floor = log_term(centre) - _WINDOW_EDGE_DROP
+    if (start > 0 and log_term(start) > floor) or (last < k and log_term(last) > floor):
+        return None
+    return start, last + 1
 
 
 def clopper_pearson_interval(successes: int, trials: int,
@@ -156,34 +221,61 @@ def clopper_pearson_interval(successes: int, trials: int,
 
     The lower endpoint solves P[X >= successes | p] = alpha/2 and the upper
     solves P[X <= successes | p] = alpha/2; no incomplete-beta function is
-    involved, only direct tail sums.
+    involved, only direct tail sums.  Each endpoint halves [0, 1] up to 80
+    times and stops early once a step leaves the bracket unchanged, because
+    every later step would repeat it.
+
+    A step first sums the window of terms around the mode that
+    ``_cdf_window`` picks.  It sums all of 0..k, as a direct evaluation
+    does, only when there is no window or the windowed value lies within
+    _SIGN_MARGIN = 1e-12 of zero.  Only the sign of a step's value steers
+    the bisection, so the endpoints are bit for bit those of the full sum at
+    every step, as long as the two values differ by less than the margin:
+
+    * The binomial pmf is log-concave, hence unimodal, and the terms at the
+      window's clipped edges are at most e^-64 times the term at its
+      centre.  Every dropped term is then below e^-64 times the largest
+      one, so the dropped mass is below (trials + 1) e^-64, which is
+      1.7e-28 (trials + 1).
+    * The kept terms come from the same expressions as in the full sum.
+      NumPy adds nonnegative terms pairwise, with a relative error below
+      64 u (u = 2^-53) for any length that fits in memory, so with the few
+      scalar roundings after the sums the two values differ by less than
+      2e-14.
+
+    Both are far below 1e-12.  The log-binomial coefficients come from a
+    per-process lgamma table, with the same operands and order of addition
+    as a direct evaluation.
     """
     _check_binomial(successes, trials, level)
     alpha = 1.0 - level
-    log_binom = _binomial_log_cdf_terms(trials)
+    terms = _binomial_log_cdf_terms(trials)
 
-    def bisect(target, lo, hi, decreasing):
+    def bisect(k, target, decreasing):
+        """Root in p of target(P[X <= k | p])."""
+        lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            val = target(mid)
-            if (val > 0.0) == decreasing:
-                lo = mid
-            else:
-                hi = mid
+            window = _cdf_window(k, mid, terms[0])
+            val = 0.0 if window is None else target(_binomial_cdf(k, mid, terms, *window))
+            if abs(val) <= _SIGN_MARGIN:
+                val = target(_binomial_cdf(k, mid, terms))
+            step = (mid, hi) if (val > 0.0) == decreasing else (lo, mid)
+            if step == (lo, hi):
+                break
+            lo, hi = step
         return 0.5 * (lo + hi)
 
     if successes == 0:
         lo = 0.0
     else:
         # P[X >= s | p] grows with p; root of alpha/2 - tail
-        lo = bisect(lambda p: (1.0 - _binomial_cdf(successes - 1, trials, p, log_binom))
-                    - alpha / 2.0, 0.0, 1.0, decreasing=False)
+        lo = bisect(successes - 1, lambda cdf: (1.0 - cdf) - alpha / 2.0, decreasing=False)
     if successes == trials:
         hi = 1.0
     else:
         # P[X <= s | p] falls with p
-        hi = bisect(lambda p: _binomial_cdf(successes, trials, p, log_binom) - alpha / 2.0,
-                    0.0, 1.0, decreasing=True)
+        hi = bisect(successes, lambda cdf: cdf - alpha / 2.0, decreasing=True)
     return ConfidenceInterval(lo=lo, hi=hi, level=level, method="clopper_pearson")
 
 

@@ -15,17 +15,20 @@ import io
 import json
 import math
 import os
+import platform
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import __version__
 from .ablation import (TrainConfig, check_enumerable, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
 from .capacity import (awgn_hard_decision_score, bpsk_mutual_information, gaussian_cdf,
-                       run_awgn_bpsk_probe, run_hard_copy_probe,
+                       probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)
 from .info import LN2, binary_entropy
 from .protocols import classical_avg_success_closed_form
@@ -371,6 +374,11 @@ def build_capacity_sanity(config: ExperimentConfig) -> Tables:
     for i, snr in enumerate(snrs):
         tasks.append(("awgn", (n_bits, d_awgn, snr, episodes, config.seed + 307 * (i + 1)),
                       config.level, config.interval))
+    # Every probe's arguments are checked before the first one samples.
+    if episodes < 0:
+        raise ValueError(f"episodes={episodes} is negative")
+    for kind, args, _, _ in tasks:
+        probe_interface(kind, *args[:-2])
     rows = _parallel_map(_probe_task, tasks, config.workers)
     for row in rows:
         if row["kind"] == "awgn":
@@ -725,6 +733,10 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
         "verdicts": [asdict(v) for v in verdicts],
         "all_passed": all(v.passed for v in verdicts),
         "wall_clock_s": elapsed,
+        # Byte-identity rests on NumPy's generator streams; the fingerprint
+        # stays out of the CSVs and the config hash.
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "platform": platform.platform()},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

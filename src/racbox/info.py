@@ -81,16 +81,3 @@ def bsc_information(p: Probability) -> Bits:
     success probability p and an unbiased input bit."""
     p = clamp_probability(p)
     return entropy_deficit(2.0 * p - 1.0)
-
-
-def binary_channel_information(q: Probability, r: Probability) -> Bits:
-    """Mutual information of a general binary channel under an unbiased input.
-
-    ``q`` and ``r`` are the probabilities of output 1 given input 0 and
-    input 1 respectively; the value is h((q+r)/2) - h(q)/2 - h(r)/2 and
-    reduces to ``bsc_information(p)`` when q = 1-p, r = p.
-    """
-    q = clamp_probability(q, "q")
-    r = clamp_probability(r, "r")
-    return binary_entropy((q + r) / 2.0) - 0.5 * binary_entropy(q) - 0.5 * binary_entropy(r)
-

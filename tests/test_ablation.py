@@ -316,6 +316,33 @@ def test_eval_score_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("bits", [8 * 8, 8 * 8 * 37])
+def test_blocked_enumeration_equals_one_block(monkeypatch, bits):
+    # blocks of 1 and of 37 databases (the last one short) sum to the same
+    # contingency counts and code counts as a single block of all 256
+    net, _ = train_strict(8, 3, seed=21, config=TrainConfig(steps=300))
+    whole = eval_score(net)
+    assert ablation._ENUM_BLOCK_BITS >= 8 * 8 * 256
+    monkeypatch.setattr(ablation, "_ENUM_BLOCK_BITS", bits)
+    blocked = eval_score(net)
+    assert (blocked.per_query, blocked.code_entropy) == (whole.per_query, whole.code_entropy)
+
+
+def test_exact_scorer_memory_does_not_grow_with_n():
+    # whole 2^N x N enumerations peaked at 7.3 MiB at N = 10 and 36.4 MiB at
+    # N = 12; blocks of databases hold the working set fixed
+    def peak(n_bits):
+        net = BottleneckNet.init(n_bits, 3, 32, substream(84))
+        tracemalloc.start()
+        try:
+            eval_score(net)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) <= peak(10)
+
+
 def strict_verdicts(monkeypatch, m, mutate):
     """Verdicts of a one-seed ``ablations`` run whose net is mutated after training."""
 

@@ -13,8 +13,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import random_no_signaling_box
 from racbox.boxes import (IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, chsh_value,
-                          iso_bias_from_angle, random_no_signaling_box, twirl)
+                          iso_bias_from_angle, twirl)
 from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bpsk_probe,
                              run_hard_copy_probe, run_packed_precision_probe)
 from racbox.estimation import (ContingencyTable, plugin_mi, symmetric_score_estimate,

@@ -4,12 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import TSIRELSON_CHSH, random_no_signaling_box
 from racbox.boxes import (AsymmetricCell, BoxTable, Cell, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
-                          TSIRELSON_CHSH, box_from_win_probabilities,
-                          chsh_value, iso_bias_from_angle,
+                          box_from_win_probabilities, chsh_value, iso_bias_from_angle,
                           make_isotropic, no_signaling_check, pr_box,
-                          quantum_phi_correlators, random_no_signaling_box, twirl)
+                          quantum_phi_correlators, twirl)
 from racbox.protocols import PyramidProtocol, pyramid_monte_carlo
 from racbox.rng import substream
 

@@ -2,9 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import platform
 
+import numpy as np
 import pytest
 
+from racbox import experiments
 from racbox.cli import main
 from racbox.experiments import (ExperimentConfig, REGISTRY, read_csv_rows,
                                 run_experiment)
@@ -82,6 +85,41 @@ def test_rerun_same_seed_is_byte_identical(tmp_path):
     second = run_experiment(cfg, out_root=str(tmp_path / "b"))
     assert first["outputs"] == second["outputs"]
     assert first["config_hash"] == second["config_hash"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bad_probe_grid_fails_before_any_probe_runs(tmp_path, capsys, monkeypatch, workers):
+    # d=10 coordinates cannot carry an N=8 database; the grid is rejected
+    # before the hard and packed probes that precede it get to sample
+    def never(*args, **kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(experiments, "run_hard_copy_probe", never)
+    monkeypatch.setattr(experiments, "run_packed_precision_probe", never)
+    code = run_cli("run", "capacity-sanity", "--grid", "d=10", "--workers", workers,
+                   "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code != 0
+    assert err.splitlines() == ["error: d=10 coordinates above the n_bits=8 database bits "
+                                "they would carry"]
+    assert not (tmp_path / "capacity-sanity").exists()
+
+
+def test_manifest_records_the_environment_outside_the_hash(tmp_path, capsys):
+    assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
+    path = tmp_path / "table1" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "platform"}
+    assert env["numpy"] == np.__version__ and env["python"] == platform.python_version()
+    assert manifest["config_hash"] == ExperimentConfig("table1").hash()
+    csv_text = (tmp_path / "table1" / "table1.csv").read_text()
+    assert env["platform"] not in csv_text and env["numpy"] not in csv_text
+    # manifests written before the fingerprint existed still verify and rebuild
+    del manifest["environment"]
+    path.write_text(json.dumps(manifest))
+    assert run_cli("verify", "--rebuild", str(path)) == 0
+    assert "VERIFY: PASS" in capsys.readouterr().out
 
 
 def test_unknown_experiment_rejected(tmp_path):

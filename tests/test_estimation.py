@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import binary_channel_information
 from racbox.estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
                                binomial_interval, clopper_pearson_interval,
                                hoeffding_interval,
                                normal_quantile, per_query_symmetric_score, plugin_mi,
                                score_interval_transform, symmetric_score_estimate,
                                wilson_interval)
-from racbox.info import binary_channel_information, binary_entropy, bsc_information
+from racbox.info import binary_entropy, bsc_information
 from racbox.protocols import PyramidProtocol, pyramid_monte_carlo
 from racbox.boxes import IsotropicCell
 from racbox.rng import substream
@@ -206,6 +207,55 @@ def test_wilson_coverage():
             ci = wilson_interval(int(s), 1000, 0.95)
             hits += ci.lo <= p <= ci.hi
         assert hits / 1000 >= 0.93
+
+
+def reference_clopper_pearson(successes, trials, level):
+    """The direct construction: 2(T + 1) lgamma calls, then 80 bisection
+    steps per endpoint, each summing every tail term."""
+    alpha = 1.0 - level
+    k = np.arange(trials + 1)
+    log_binom = (math.lgamma(trials + 1)
+                 - np.array([math.lgamma(i + 1) + math.lgamma(trials - i + 1) for i in k]))
+
+    def cdf(k, p):
+        if p <= 0.0:
+            return 1.0
+        if p >= 1.0:
+            return 0.0 if k < trials else 1.0
+        i = np.arange(k + 1)
+        logs = log_binom[: k + 1] + i * math.log(p) + (trials - i) * math.log1p(-p)
+        top = logs.max()
+        return float(min(1.0, math.exp(top) * np.exp(logs - top).sum()))
+
+    def bisect(target, decreasing):
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if (target(mid) > 0.0) == decreasing:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    lo = 0.0 if successes == 0 else bisect(
+        lambda p: (1.0 - cdf(successes - 1, p)) - alpha / 2.0, decreasing=False)
+    hi = 1.0 if successes == trials else bisect(
+        lambda p: cdf(successes, p) - alpha / 2.0, decreasing=True)
+    return lo, hi
+
+
+CP_BATTERY = [(s, t, level)
+              for t in (1, 2, 37, 1000, 25_000)
+              for s in sorted({0, 1, t - 1, t})
+              for level in (0.5, 0.95, 1.0 - 1e-6)] + [(600_000, 1_000_000, 0.95)]
+
+
+def test_clopper_pearson_equals_the_direct_construction():
+    # the windowed sign test, the early stop and the lgamma table must not
+    # move a single bit of either endpoint
+    for s, t, level in CP_BATTERY:
+        ci = clopper_pearson_interval(s, t, level)
+        assert (ci.lo, ci.hi) == reference_clopper_pearson(s, t, level), (s, t, level)
 
 
 def test_clopper_pearson_coverage():
