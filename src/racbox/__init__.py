@@ -23,10 +23,9 @@ from .estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
                          normal_quantile, per_query_symmetric_score, plugin_mi,
                          score_interval_transform, symmetric_score_estimate, wilson_interval)
 from .info import Bits, Probability, binary_entropy, bsc_information, entropy_deficit
-from .protocols import (PyramidBatch, PyramidProtocol, asym_path_success,
-                        brute_force_one_bit_optimum, classical_avg_success_closed_form,
-                        majority_average_success, majority_encode, pyramid_monte_carlo,
-                        pyramid_success_closed_form)
+from .protocols import (PyramidBatch, PyramidProtocol, brute_force_one_bit_optimum,
+                        classical_avg_success_closed_form, majority_average_success,
+                        majority_encode, pyramid_monte_carlo)
 from .rng import substream
 from .scores import (ConditionalScoreReport, CriticalityResult, asym_exact_score,
                      closed_form_score, conditional_score_from_records, critical_bias,

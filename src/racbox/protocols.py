@@ -9,11 +9,15 @@ along the path, so the output obeys
     output = target ^ (parity of path error bits)
 
 exactly, episode by episode.  :func:`pyramid_monte_carlo` is the only
-sampler; at depth 1 it runs the two-bit seed protocol.  It runs episodes in
-fixed chunks, so its working memory is fixed; only the returned batch grows
-with the episode count, at O(episodes * (depth + 11)) bytes.  Also here: the
-closed-form success probabilities and the optimal classical one-bit majority
-code.  The copy baseline is :func:`racbox.capacity.run_hard_copy_probe`.
+sampler; at depth 1 it runs the two-bit seed protocol.  It has two loops.
+When every cell's Alice marginal is 1/2, each off-path subtree sends a fair
+bit, one-time-padded by its leftmost database bit, so only the n cells on
+the query path are sampled, at O(episodes * n) cost.  Otherwise the whole
+tree is encoded, at O(episodes * 2^n).  Both run episodes in fixed chunks,
+so the working memory is fixed; only the returned batch grows with the
+episode count, at O(episodes * (depth + 11)) bytes.  Also here: the optimal
+classical one-bit majority code.  The copy baseline is
+:func:`racbox.capacity.run_hard_copy_probe`.
 """
 
 from __future__ import annotations
@@ -108,6 +112,14 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     the batch size.  Episodes run in fixed chunks, so the working memory does
     not grow with ``episodes``; the returned batch takes O(episodes *
     (depth + 11)) bytes, and a batch above 2 GiB is refused up front.
+
+    Two loops give the same law of the recorded bits.  If every node's Alice
+    marginal is exactly 1/2 (isotropic, asymmetric and angle-family cells),
+    only the n cells on the query path are sampled, at O(episodes * n) cost;
+    the message is then one fair bit per episode and each target is implied
+    by the path, so targets under different pinned queries are not bits of
+    one shared database (the messages are still shared).  Any other protocol
+    encodes the whole tree of 2^n - 1 cells per episode, O(episodes * 2^n).
     """
     n = protocol.depth
     big_n = protocol.n_inputs
@@ -124,38 +136,63 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     if query is not None and not 0 <= query < big_n:
         raise ValueError(f"query {query} out of range")
 
-    # Per-node conditional tables, gathered by heap index.
-    tables = [c.conditional_tables() for c in protocol.cells]
-    pa1 = np.stack([pa for pa, _ in tables])
-    pb1 = np.stack([pb for _, pb in tables])
+    pa1, pb1 = _node_tables(protocol)
+    sample = _sample_path if np.all(pa1 == 0.5) else _sample_tree
+    return sample(pa1, pb1, t_count, seed, query)
 
-    db_rng = substream(seed, _DB_STREAM)
+
+def _node_tables(protocol: PyramidProtocol) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node conditional tables, stacked by heap index."""
+    pa1 = np.empty((len(protocol.cells), 4))
+    pb1 = np.empty((len(protocol.cells), 4, 2))
+    for k, cell in enumerate(protocol.cells):
+        pa1[k], pb1[k] = cell.conditional_tables()
+    return pa1, pb1
+
+
+def _empty_batch(episodes: int, n: int, query: int | None) -> PyramidBatch:
+    return PyramidBatch(
+        queries=(np.empty(episodes, dtype=np.int64) if query is None
+                 else np.full(episodes, int(query))),
+        targets=np.empty(episodes, dtype=np.uint8),
+        outputs=np.empty(episodes, dtype=np.uint8),
+        messages=np.empty(episodes, dtype=np.uint8),
+        path_errors=np.empty((episodes, n), dtype=np.uint8))
+
+
+def _chunks(batch: PyramidBatch, seed: int, query: int | None, chunk: int):
+    """Yield (lo, hi, queries[lo:hi]) per chunk, drawing random queries."""
+    episodes, n = batch.path_errors.shape
     query_rng = substream(seed, _QUERY_STREAM) if query is None else None
+    for lo in range(0, episodes, chunk):
+        hi = min(lo + chunk, episodes)
+        if query_rng is not None:
+            batch.queries[lo:hi] = query_rng.integers(0, 1 << n, size=hi - lo)
+        yield lo, hi, batch.queries[lo:hi]
+
+
+# Chunks read each stream in order, so the rows match one unchunked draw only
+# if no generator call leaves draws behind at a chunk boundary.  random()
+# takes one 64-bit word per value and the uint32 half-word buffer of the bit
+# generator carries over between calls, but a uint8 integers() call takes 4
+# values from each uint32 and drops its byte buffer when it returns.  Both
+# loops therefore run a multiple of 8 episodes per chunk, so that each uint8
+# call, of one or 2^n bytes per episode, ends on a uint32 boundary.
+
+
+def _sample_tree(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
+                 query: int | None) -> PyramidBatch:
+    """Encode the full database through every cell, then decode the path."""
+    n = len(pb1).bit_length()
+    big_n = 1 << n
+    batch = _empty_batch(episodes, n, query)
+    db_rng = substream(seed, _DB_STREAM)
     alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
     bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
-
-    queries = (np.empty(t_count, dtype=np.int64) if query is None
-               else np.full(t_count, int(query)))
-    targets = np.empty(t_count, dtype=np.uint8)
-    outputs = np.empty(t_count, dtype=np.uint8)
-    messages = np.empty(t_count, dtype=np.uint8)
-    errors = np.empty((t_count, n), dtype=np.uint8)
-
-    # Chunks read each stream in order, so the rows match one unchunked draw
-    # only if no generator call leaves draws behind at a chunk boundary.
-    # random() takes one 64-bit word per value and the uint32 half-word
-    # buffer of the bit generator carries over between calls, but a uint8
-    # integers() call takes 4 values from each uint32 and drops its byte
-    # buffer when it returns.  A multiple of 8 episodes of 2^n database bits
-    # each leaves that buffer empty at every chunk boundary.
     chunk = max(8, _CHUNK_CELL_DRAWS // big_n // 8 * 8)
-    for lo in range(0, t_count, chunk):
-        hi = min(lo + chunk, t_count)
+    for lo, hi, q in _chunks(batch, seed, query, chunk):
         size = hi - lo
         db = db_rng.integers(0, 2, size=(size, big_n), dtype=np.uint8)
-        if query_rng is not None:
-            queries[lo:hi] = query_rng.integers(0, big_n, size=size)
-        q = queries[lo:hi]
 
         # Upward encoding.
         x = db
@@ -171,7 +208,7 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
             s_levels[r] = s_vals
             a_levels[r] = a_vals
             x = left ^ a_vals
-        messages[lo:hi] = x[:, 0]
+        batch.messages[lo:hi] = x[:, 0]
 
         # Downward decoding.
         estimate = x[:, 0].copy()
@@ -185,34 +222,53 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
             p_bob = pb1[node_ids, 2 * s_vals + t_bits, a_vals]
             u = bob_rngs[r].random(size)
             b_vals = (u < p_bob).astype(np.uint8)
-            errors[lo:hi, r] = a_vals ^ b_vals ^ (s_vals & t_bits)
+            batch.path_errors[lo:hi, r] = a_vals ^ b_vals ^ (s_vals & t_bits)
             estimate ^= b_vals
             j = 2 * j + t_bits
-        outputs[lo:hi] = estimate
-        targets[lo:hi] = db[rows, q]
-
-    return PyramidBatch(queries=queries, targets=targets, outputs=outputs,
-                        messages=messages, path_errors=errors)
+        batch.outputs[lo:hi] = estimate
+        batch.targets[lo:hi] = db[rows, q]
+    return batch
 
 
-def pyramid_success_closed_form(depth: int, bias: float) -> float:
-    """Per-query success probability (1 + E^n)/2 of the uniform pyramid."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0.0 <= bias <= 1.0:
-        raise ValueError(f"bias={bias!r} outside [0, 1]")
-    return (1.0 + bias ** depth) / 2.0
+def _sample_path(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
+                 query: int | None) -> PyramidBatch:
+    """Sample only the query path; exact in law when every pa1 is 1/2.
 
-
-def asym_path_success(bias0: float, bias1: float, path) -> float:
-    """Success probability (1 + prod_l E_{b_l})/2 along one query path."""
-    for name, v in (("bias0", bias0), ("bias1", bias1)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name}={v!r} outside [0, 1]")
-    prod = 1.0
-    for b in path:
-        prod *= bias1 if b else bias0
-    return (1.0 + prod) / 2.0
+    The message of an off-path subtree is its leftmost database bit XOR
+    Alice bits that, with uniform marginals, ignore their inputs: a one-time
+    pad, so the subtree sends a fair bit independent of everything outside
+    it.  Hence each path node's input s_r is a fresh fair bit, as are its
+    Alice bit a_r and the root message m, and the target is implied:
+    target = m ^ XOR_r (a_r ^ s_r t_r), output = m ^ XOR_r b_r.
+    """
+    n = len(pb1).bit_length()
+    batch = _empty_batch(episodes, n, query)
+    db_rng = substream(seed, _DB_STREAM)
+    alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
+    bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
+    # Levels run one at a time, so an episode holds about 36 bytes of
+    # temporaries at any depth: 2^16 episodes per chunk, about 2 MiB.
+    chunk = max(8, _CHUNK_CELL_DRAWS // 16 // 8 * 8)
+    for lo, hi, q in _chunks(batch, seed, query, chunk):
+        size = hi - lo
+        message = db_rng.integers(0, 2, size=size, dtype=np.uint8)
+        target = message.copy()
+        estimate = message.copy()
+        for r in range(n):
+            t_bits = ((q >> (n - 1 - r)) & 1).astype(np.uint8)
+            s_and_a = alice_rngs[r].integers(0, 4, size=size, dtype=np.uint8)
+            s_vals, a_vals = s_and_a >> 1, s_and_a & 1
+            node_ids = (1 << r) - 1 + (q >> (n - r))
+            p_bob = pb1[node_ids, 2 * s_vals + t_bits, a_vals]
+            b_vals = (bob_rngs[r].random(size) < p_bob).astype(np.uint8)
+            pad = a_vals ^ (s_vals & t_bits)
+            batch.path_errors[lo:hi, r] = pad ^ b_vals
+            target ^= pad
+            estimate ^= b_vals
+        batch.messages[lo:hi] = message
+        batch.targets[lo:hi] = target
+        batch.outputs[lo:hi] = estimate
+    return batch
 
 
 # ---------------------------------------------------------------------------

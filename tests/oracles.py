@@ -1,6 +1,6 @@
 """Reference oracles that only the tests use.
 
-    from oracles import TSIRELSON_CHSH, binary_channel_information, random_no_signaling_box
+    from oracles import TSIRELSON_CHSH, pyramid_success_closed_form, random_no_signaling_box
 
 pytest puts this directory on ``sys.path``, so the test modules import it
 by its bare name.
@@ -48,3 +48,23 @@ def binary_channel_information(q: Probability, r: Probability) -> float:
     q = clamp_probability(q, "q")
     r = clamp_probability(r, "r")
     return binary_entropy((q + r) / 2.0) - 0.5 * binary_entropy(q) - 0.5 * binary_entropy(r)
+
+
+def pyramid_success_closed_form(depth: int, bias: float) -> float:
+    """Per-query success probability (1 + E^n)/2 of the uniform pyramid."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not 0.0 <= bias <= 1.0:
+        raise ValueError(f"bias={bias!r} outside [0, 1]")
+    return (1.0 + bias ** depth) / 2.0
+
+
+def asym_path_success(bias0: float, bias1: float, path) -> float:
+    """Success probability (1 + prod_l E_{b_l})/2 along one query path."""
+    for name, v in (("bias0", bias0), ("bias1", bias1)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name}={v!r} outside [0, 1]")
+    prod = 1.0
+    for b in path:
+        prod *= bias1 if b else bias0
+    return (1.0 + prod) / 2.0

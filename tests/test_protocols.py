@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import asym_path_success, pyramid_success_closed_form
 from racbox import protocols
 from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, pr_box)
 from racbox.capacity import run_hard_copy_probe
-from racbox.protocols import (PyramidProtocol, asym_path_success,
-                              brute_force_one_bit_optimum,
+from racbox.estimation import normal_quantile
+from racbox.protocols import (PyramidProtocol, brute_force_one_bit_optimum,
                               classical_avg_success_closed_form, majority_average_success,
-                              majority_encode, pyramid_monte_carlo,
-                              pyramid_success_closed_form)
+                              majority_encode, pyramid_monte_carlo)
 from racbox.rng import substream
 
 CHI2_CRIT_DF1_ALPHA01 = 6.635  # chi-square critical value, df=1, alpha=0.01
@@ -50,6 +51,8 @@ def test_nonuniform_protocol_routes_msb_first(level, offset):
 # Box tables are indexed [2s + t, 2A + B]: the identity gives A = s, B = t
 ECHO_INPUTS = np.eye(4)
 ZERO_OUTPUTS = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))  # A = B = 0
+# Alice outputs 1 with probability 0.3 on every input
+BIASED = ExplicitCell(BoxTable(0.6 * pr_box().probs + 0.4 * ZERO_OUTPUTS))
 
 
 def _heap_reference(db, special, query, depth):
@@ -147,6 +150,18 @@ def test_oversized_batch_fails_before_allocating():
 def test_working_memory_is_bounded():
     # the full (episodes, 2^depth) arrays would peak at about 255 MB here
     proto = PyramidProtocol.uniform(10, IsotropicCell(0.75))
+    tracemalloc.start()
+    try:
+        pyramid_monte_carlo(proto, 20_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def test_tree_working_memory_is_bounded():
+    # biased marginals run the full tree: 2^10 database bits per episode
+    proto = PyramidProtocol.uniform(10, BIASED)
     tracemalloc.start()
     try:
         pyramid_monte_carlo(proto, 20_000, seed=3)
@@ -294,6 +309,106 @@ def test_explicit_cell_pyramid_runs():
     p = batch.success_count / 100_000
     target = pyramid_success_closed_form(2, 0.8)
     assert abs(p - target) <= binom_3sigma(target, 100_000)
+
+
+# ---------------------------------------------------------------------------
+# Path loop against the full tree
+# ---------------------------------------------------------------------------
+
+
+def _batch_digest(batch):
+    h = hashlib.sha256()
+    for name in ("queries", "targets", "outputs", "messages", "path_errors"):
+        arr = getattr(batch, name)
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _joint_counts(batch, depth):
+    """Counts over (query, target, output, message, path error bits)."""
+    errors = batch.path_errors.astype(np.int64) @ (1 << np.arange(depth))
+    key = ((batch.queries * 2 + batch.targets) * 2 + batch.outputs) * 2 + batch.messages
+    return np.bincount((key << depth) + errors, minlength=8 << (2 * depth))
+
+
+def _path_against_tree(proto, seed, episodes=100_000):
+    """Two-sample chi-square (statistic, degrees of freedom) between the path
+    and the tree loop, run on separate seeds."""
+    pa1, pb1 = protocols._node_tables(proto)
+    depth = proto.depth
+    path = _joint_counts(protocols._sample_path(pa1, pb1, episodes, seed, None), depth)
+    tree = _joint_counts(protocols._sample_tree(pa1, pb1, episodes, seed + 10, None), depth)
+    seen = (path + tree) > 0
+    chi2 = float(((path - tree)[seen] ** 2 / (path + tree)[seen]).sum())
+    return chi2, int(seen.sum()) - 1
+
+
+def _chi2_upper(df, alpha):
+    """Wilson-Hilferty approximation of the chi-square upper quantile."""
+    z = normal_quantile(1.0 - alpha)
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+def _mixed_biases(depth):
+    return PyramidProtocol(depth=depth, cells=tuple(
+        IsotropicCell(b) for b in np.linspace(0.95, 0.2, (1 << depth) - 1)))
+
+
+LAW_CELLS = {
+    "isotropic": lambda depth: PyramidProtocol.uniform(depth, IsotropicCell(0.6)),
+    "asymmetric": lambda depth: PyramidProtocol.uniform(depth, AsymmetricCell(0.9, 0.3)),
+    "angle": lambda depth: PyramidProtocol.uniform(depth, QuantumPhiCell(math.pi / 8)),
+    "per-node": _mixed_biases,
+}
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("kind", sorted(LAW_CELLS))
+def test_path_loop_matches_the_tree_in_law(kind, depth):
+    # two-sample chi-square over the joint of every recorded bit; the tree
+    # loop, which encodes the whole database, is the reference
+    proto = LAW_CELLS[kind](depth)
+    pa1, _ = protocols._node_tables(proto)
+    assert np.all(pa1 == 0.5)
+    chi2, df = _path_against_tree(proto, seed=60 + depth)
+    assert chi2 < _chi2_upper(df, 1e-4), f"chi2 {chi2:.1f} over {df} degrees of freedom"
+
+
+def test_path_law_is_wrong_for_biased_marginals():
+    # why biased cells keep the tree: the same path loop misses the tree's law
+    chi2, df = _path_against_tree(PyramidProtocol.uniform(3, BIASED), seed=63)
+    assert chi2 > _chi2_upper(df, 1e-4)
+
+
+def test_biased_marginals_run_the_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("path loop entered")
+
+    # one biased node is enough to keep the whole tree
+    iso = IsotropicCell(0.7)
+    mixed = PyramidProtocol(depth=3, cells=(iso,) * 5 + (BIASED, iso))
+    monkeypatch.setattr(protocols, "_sample_path", refuse)
+    for proto in (PyramidProtocol.uniform(1, BIASED), PyramidProtocol.uniform(3, BIASED), mixed):
+        assert pyramid_monte_carlo(proto, 100, seed=1).parity_identity_holds()
+    # and uniform marginals never run it
+    monkeypatch.undo()
+    monkeypatch.setattr(protocols, "_sample_tree", refuse)
+    for cell in (iso, AsymmetricCell(0.9, 0.3), QuantumPhiCell(math.pi / 8)):
+        proto = PyramidProtocol.uniform(3, cell)
+        assert pyramid_monte_carlo(proto, 100, seed=1).parity_identity_holds()
+
+
+def test_biased_batches_keep_their_bytes():
+    # sha256 of the tree loop's batches as recorded before the path loop was
+    # added: biased marginals still draw the same database and cell bits
+    want = {(3, None): "0a1a6c2dbf6233106a1c46bf7055a898a9c441d8297b98e679beff15aa427853",
+            (4, 5): "265dce7ee69a0ef1d06faf90fa8e98ae19be0257d8bbdb7d8621122d4f0c3226"}
+    for (depth, query), digest in want.items():
+        batch = pyramid_monte_carlo(PyramidProtocol.uniform(depth, BIASED), 2_000,
+                                    seed=90, query=query)
+        assert _batch_digest(batch) == digest
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import asym_path_success
 from racbox.boxes import TSIRELSON_BIAS
 from racbox.info import LN2, binary_entropy
-from racbox.protocols import asym_path_success
 from racbox.rng import substream
 from racbox.scores import (asym_exact_score, closed_form_score,
                            conditional_score_from_records, critical_bias,
