@@ -14,10 +14,9 @@ from .boxes import (BoxTable, Cell, CorrelatorSet, AsymmetricCell, ExplicitCell,
                     box_from_win_probabilities, chsh_value, iso_bias_from_angle,
                     make_isotropic, no_signaling_check, pr_box, quantum_phi_correlators,
                     twirl)
-from .capacity import (AwgnBpsk, HardBits, InterfaceModel, PackedPrecision, ProbeResult,
-                       awgn_hard_decision_score, bpsk_mutual_information,
-                       capacity_certificate, gaussian_cdf, run_awgn_bpsk_probe,
-                       run_hard_copy_probe, run_packed_precision_probe)
+from .capacity import (ProbeResult, awgn_hard_decision_score, bpsk_mutual_information,
+                       gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
+                       run_packed_precision_probe)
 from .estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
                          binomial_interval, clopper_pearson_interval, hoeffding_interval,
                          normal_quantile, per_query_symmetric_score, plugin_mi,

@@ -209,9 +209,6 @@ class Cell:
         Bob's conditional probability of 1 given Alice's output."""
         raise NotImplementedError
 
-    def win_probability(self, s: int, t: int) -> float:
-        return self.as_table().win_probability(s, t)
-
     def as_table(self) -> BoxTable:
         pa1, pb1 = self.conditional_tables()
         table = np.empty((4, 4))
@@ -252,9 +249,6 @@ class IsotropicCell(Cell):
         w = (1.0 + self.bias) / 2.0
         return _uniform_alice_tables(np.full(4, w))
 
-    def win_probability(self, s: int, t: int) -> float:
-        return (1.0 + self.bias) / 2.0
-
 
 @dataclass(frozen=True)
 class AsymmetricCell(Cell):
@@ -273,9 +267,6 @@ class AsymmetricCell(Cell):
         wins = np.array([(1.0 + (self.bias1 if t else self.bias0)) / 2.0
                          for s, t in product((0, 1), repeat=2)])
         return _uniform_alice_tables(wins)
-
-    def win_probability(self, s: int, t: int) -> float:
-        return (1.0 + (self.bias1 if t else self.bias0)) / 2.0
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 """Interface-capacity certificates and explicit channel probes.
 
-A certificate is an a-priori bit budget computed from the physical model of
-the bottleneck alone (hard alphabet, packed precision, power-limited noisy
-coordinates), never from observed scores.  The probes then run concrete
-encoders through each interface and check the observed score against the
-certified budget.  All three share one sampler that carries a prefix of the
-database bits, answers the other queries with a coin and tallies per-query
-wins in fixed chunks of episodes, so its memory does not grow with the
-episode count.
+A certificate is an a-priori bit budget C_H computed from the physical model
+of the bottleneck alone (hard alphabet, packed precision, power-limited noisy
+coordinates), never from observed scores.  ``probe_interface`` is the one
+place that knows each probe kind: from the kind and its parameters it checks
+the arguments and returns an ``Interface`` record with the certificate, the
+number of database bits carried, the decoder's analytic score and the
+soft-decision ceiling.  The probes then run concrete encoders through the
+interface and check the observed score against the certified budget.  All
+three share one sampler that carries a prefix of the database bits, answers
+the other queries with a coin and tallies per-query wins in fixed chunks of
+episodes, so its memory does not grow with the episode count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,57 +40,6 @@ _PROBE_COIN_STREAM = 3
 _CHUNK_EPISODES = 1 << 16
 
 
-@dataclass(frozen=True)
-class HardBits:
-    """Hard classical alphabet of m bits."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PackedPrecision:
-    """d coordinates quantized to q bits each."""
-
-    d: int
-    q: int
-
-    def __post_init__(self):
-        if self.d < 0 or self.q < 0:
-            raise ValueError("counts must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AwgnBpsk:
-    """d real coordinates through additive Gaussian noise at power ratio snr."""
-
-    d: int
-    snr: float
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("d must be nonnegative")
-        if self.snr < 0.0:
-            raise ValueError("snr must be nonnegative")
-
-
-InterfaceModel = HardBits | PackedPrecision | AwgnBpsk
-
-
-def capacity_certificate(model: InterfaceModel) -> Bits:
-    """Bit budget certified by the interface model alone."""
-    if isinstance(model, HardBits):
-        return float(model.m)
-    if isinstance(model, PackedPrecision):
-        return float(model.d * model.q)
-    if isinstance(model, AwgnBpsk):
-        return model.d / 2.0 * math.log2(1.0 + model.snr)
-    raise TypeError(f"unknown interface model {model!r}")
-
-
 def gaussian_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -100,18 +53,74 @@ class ProbeResult:
     interval: tuple[Bits, Bits]
 
 
-def _run_probe(model: InterfaceModel, n_bits: int, carried: int, episodes: int,
-               seed: int, level: float, method: str, amp: float | None = None) -> ProbeResult:
-    """Score an interface that carries database bits 0..carried-1.
+@dataclass(frozen=True)
+class Interface:
+    """What one probe kind fixes about its interface before any sampling.
 
-    Queries below ``carried`` are answered through the interface and all
-    others with a fair coin.  With ``amp``, each carried bit is sent as
-    +/- amp over unit-variance Gaussian noise and thresholded at zero.
-    Episodes run in fixed chunks, so the working memory does not grow with
-    ``episodes``.
+    ``certificate`` is the bit budget C_H that the physical model alone
+    certifies.  The probe sends database bits 0..carried-1 through the
+    interface, each as +/- ``amp`` over unit-variance Gaussian noise when
+    ``amp`` is set.  ``analytic`` is the score its decoder reaches in
+    expectation and ``soft_ceiling`` the most any decoder could read.
+    """
+
+    certificate: Bits
+    carried: int
+    analytic: Bits
+    soft_ceiling: Bits
+    amp: float | None = None
+
+
+def probe_interface(kind: str, n_bits: int, *params) -> Interface:
+    """The interface a probe runs against an ``n_bits`` database.
+
+    ``params`` are the probe's own arguments: (m,) for a hard m-bit alphabet
+    ("hard"), (d, q) for d coordinates of q-bit precision ("packed") and
+    (d, snr) for d real coordinates over Gaussian noise at power ratio snr
+    ("awgn").  Raises ValueError on arguments the probe cannot run, so a
+    whole grid can be checked before any sampling.
+    """
+    if kind == "hard":
+        (m,) = params
+        if not 0 <= m <= n_bits:
+            raise ValueError(f"m={m} outside [0, {n_bits}]")
+        return Interface(certificate=float(m), carried=m, analytic=float(m),
+                         soft_ceiling=float(m))
+    if kind == "packed":
+        d, q = params
+        if d < 0 or q < 0:
+            raise ValueError("counts must be nonnegative")
+        if d * q > 64 * max(d, 1):
+            raise ValueError("more than 64 bits per coordinate")
+        carried = min(n_bits, d * q)
+        return Interface(certificate=float(d * q), carried=carried, analytic=float(carried),
+                         soft_ceiling=float(d * q))
+    if kind == "awgn":
+        d, snr = params
+        if d < 1:
+            raise ValueError("need at least one coordinate")
+        if d > n_bits:
+            raise ValueError(f"d={d} coordinates above the n_bits={n_bits} database bits "
+                             f"they would carry")
+        if snr < 0.0:
+            raise ValueError("snr must be nonnegative")
+        return Interface(certificate=d / 2.0 * math.log2(1.0 + snr), carried=d,
+                         analytic=awgn_hard_decision_score(d, snr),
+                         soft_ceiling=d * bpsk_mutual_information(snr), amp=math.sqrt(snr))
+    raise ValueError(f"unknown probe kind {kind!r}")
+
+
+def _run_probe(interface: Interface, n_bits: int, episodes: int, seed: int, level: float,
+               method: str) -> ProbeResult:
+    """Score ``interface`` against an ``n_bits`` database.
+
+    Queries below ``carried`` are answered through the interface, noisy bits
+    thresholded at zero, and all others with a fair coin.  Episodes run in
+    fixed chunks, so the working memory does not grow with ``episodes``.
     """
     if episodes < 0:
         raise ValueError(f"episodes={episodes} is negative")
+    carried, amp = interface.carried, interface.amp
     db_rng = substream(seed, _PROBE_DB_STREAM)
     query_rng = substream(seed, _PROBE_QUERY_STREAM)
     coin_rng = substream(seed, _PROBE_COIN_STREAM)
@@ -134,43 +143,15 @@ def _run_probe(model: InterfaceModel, n_bits: int, carried: int, episodes: int,
         wins += np.bincount(queries[outputs == targets], minlength=n_bits)
         totals += np.bincount(queries, minlength=n_bits)
     score, interval = per_query_symmetric_score(wins, totals, level=level, method=method)
-    return ProbeResult(counted_capacity=capacity_certificate(model),
+    return ProbeResult(counted_capacity=interface.certificate,
                        observed_score=score, interval=interval)
-
-
-def probe_interface(kind: str, n_bits: int, *params) -> tuple[InterfaceModel, int]:
-    """Interface model of a probe and the number of database bits it carries.
-
-    ``params`` are the probe's own arguments: (m,) for "hard", (d, q) for
-    "packed" and (d, snr) for "awgn".  Raises ValueError on arguments the
-    probe cannot run, so a whole grid can be checked before any sampling.
-    """
-    if kind == "hard":
-        (m,) = params
-        if not 0 <= m <= n_bits:
-            raise ValueError(f"m={m} outside [0, {n_bits}]")
-        return HardBits(m), m
-    if kind == "packed":
-        d, q = params
-        if d * q > 64 * max(d, 1):
-            raise ValueError("more than 64 bits per coordinate")
-        return PackedPrecision(d, q), min(n_bits, d * q)
-    if kind == "awgn":
-        d, snr = params
-        if d < 1:
-            raise ValueError("need at least one coordinate")
-        if d > n_bits:
-            raise ValueError(f"d={d} coordinates above the n_bits={n_bits} database bits "
-                             f"they would carry")
-        return AwgnBpsk(d, snr), d
-    raise ValueError(f"unknown probe kind {kind!r}")
 
 
 def run_hard_copy_probe(n_bits: int, m: int, episodes: int, seed: int,
                         level: float = 0.95, method: str = "wilson") -> ProbeResult:
     """Copy the first m database bits through a hard m-bit interface."""
-    model, carried = probe_interface("hard", n_bits, m)
-    return _run_probe(model, n_bits, carried, episodes, seed, level, method)
+    return _run_probe(probe_interface("hard", n_bits, m), n_bits, episodes, seed, level,
+                      method)
 
 
 def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
@@ -182,8 +163,8 @@ def run_packed_precision_probe(n_bits: int, d: int, q: int, episodes: int,
     Integer codewords carry bits below the budget exactly, so the first
     min(N, d*q) bits are read back unchanged and the rest are coins.
     """
-    model, carried = probe_interface("packed", n_bits, d, q)
-    return _run_probe(model, n_bits, carried, episodes, seed, level, method)
+    return _run_probe(probe_interface("packed", n_bits, d, q), n_bits, episodes, seed, level,
+                      method)
 
 
 def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
@@ -197,14 +178,18 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
     are answered by a coin.  Each coordinate carries one database bit, so d
     may not exceed n_bits.
     """
-    model, carried = probe_interface("awgn", n_bits, d, snr)
-    return _run_probe(model, n_bits, carried, episodes, seed, level, method,
-                      amp=math.sqrt(snr))
+    return _run_probe(probe_interface("awgn", n_bits, d, snr), n_bits, episodes, seed, level,
+                      method)
 
 
 def awgn_hard_decision_score(d: int, snr: float) -> Bits:
     """Analytic score d (1 - h(Phi(sqrt(snr)))) of the threshold decoder."""
     return d * (1.0 - binary_entropy(gaussian_cdf(math.sqrt(snr))))
+
+
+@functools.lru_cache(maxsize=4)
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(order)
 
 
 def bpsk_mutual_information(snr: float, order: int = 81) -> Bits:
@@ -221,7 +206,7 @@ def bpsk_mutual_information(snr: float, order: int = 81) -> Bits:
     if snr == 0.0:
         return 0.0
     a = math.sqrt(snr)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _hermgauss(order)
     z = math.sqrt(2.0) * nodes  # standard normal variates
     exponent = -2.0 * a * a - 2.0 * a * z
     # log2(1 + exp(e)) evaluated stably on both tails

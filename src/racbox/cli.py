@@ -9,8 +9,9 @@ verdicts; ``verify`` rechecks both, and with ``--rebuild`` also re-runs the
 manifest's config and compares the new CSVs' checksums with the recorded
 ones.  Defaults can be kept in an INI config file (one section per
 experiment); command-line flags override the file.  A parameter the
-experiment cannot run stops ``run`` with a one-line ``error: ...`` and
-exit status 1.
+experiment cannot run, or one it does not read, stops ``run`` with a
+one-line ``error: ...`` and exit status 1; keys of the shared ``[defaults]``
+section that the experiment does not read are dropped instead.
 """
 
 from __future__ import annotations
@@ -21,24 +22,18 @@ import os
 import sys
 
 from .experiments import (DEFAULT_SEED, OUTPUT_ROOT_ENV, REGISTRY, ExperimentConfig,
-                          output_root, rebuild_manifest, run_experiment,
+                          output_root, parse_scalar, rebuild_manifest, run_experiment,
                           verify_manifest)
 
-
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+# Config keys that every experiment reads; the rest are experiment parameters.
+_RUN_KEYS = ("seed", "episodes", "interval", "level", "workers")
 
 
 def _parse_grid_item(item: str) -> tuple[str, object]:
     if "=" not in item:
         raise argparse.ArgumentTypeError(f"grid items look like key=v1,v2 (got {item!r})")
     key, _, raw = item.partition("=")
-    values = [_parse_scalar(v) for v in raw.split(",") if v != ""]
+    values = [parse_scalar(v) for v in raw.split(",") if v != ""]
     if not values:
         raise argparse.ArgumentTypeError(f"grid item {item!r} has no values")
     return key.strip().replace("-", "_"), values if len(values) > 1 else values[0]
@@ -48,11 +43,16 @@ def _load_config_file(path: str, experiment: str) -> dict:
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
+    # [defaults] is shared by every experiment, so a key there that this
+    # experiment does not read is dropped; its own section is taken whole.
+    shared = {*_RUN_KEYS, *REGISTRY[experiment].params}
     merged: dict = {}
     for section in ("defaults", experiment):
         if parser.has_section(section):
             for key, raw in parser.items(section):
-                merged[key.replace("-", "_")] = _parse_grid_item(f"{key}={raw}")[1]
+                key, value = _parse_grid_item(f"{key}={raw}")
+                if section == experiment or key in shared:
+                    merged[key] = value
     return merged
 
 
@@ -93,9 +93,8 @@ def _assemble_config(args) -> ExperimentConfig:
     file_params = _load_config_file(args.config, args.experiment) if args.config else {}
 
     def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_params.pop(key, default)
+        value = file_params.pop(key, default)
+        return value if flag is None else flag
 
     seed = int(pick(args.seed, "seed", DEFAULT_SEED))
     episodes = pick(args.episodes, "episodes", None)
@@ -127,7 +126,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         ok, messages = verify_manifest(args.manifest)
         if args.rebuild:
-            rebuilt_ok, rebuilt_messages = rebuild_manifest(args.manifest)
+            try:
+                rebuilt_ok, rebuilt_messages = rebuild_manifest(args.manifest)
+            except ValueError as exc:  # e.g. a parameter no experiment reads any more
+                rebuilt_ok, rebuilt_messages = False, [f"REBUILD FAILED {exc}"]
             ok = ok and rebuilt_ok
             messages += rebuilt_messages
         for msg in messages:

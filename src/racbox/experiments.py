@@ -27,8 +27,7 @@ from . import __version__
 from .ablation import (TrainConfig, check_enumerable, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
-from .capacity import (awgn_hard_decision_score, bpsk_mutual_information, gaussian_cdf,
-                       probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
+from .capacity import (gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)
 from .info import LN2, binary_entropy
 from .protocols import classical_avg_success_closed_form
@@ -84,17 +83,11 @@ class ExperimentConfig:
     workers: int = 1
     params: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"experiment": self.experiment, "seed": self.seed,
-                "episodes": self.episodes, "interval": self.interval,
-                "level": self.level, "workers": self.workers,
-                "params": dict(sorted(self.params.items()))}
-
     def hash(self) -> str:
         # workers is an execution detail: it never changes the numbers, so
         # it stays out of the hash and outputs stay byte-identical across
         # pool sizes
-        science = {k: v for k, v in self.as_dict().items() if k != "workers"}
+        science = {k: v for k, v in asdict(self).items() if k != "workers"}
         blob = json.dumps(science, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -331,27 +324,21 @@ def judge_capacity_phase(tables: Tables, config: ExperimentConfig) -> list[Verdi
 # ---------------------------------------------------------------------------
 
 
+# The probe wrappers are kept by name and looked up at call time, so that
+# rebinding the module attribute reaches every call.
+_PROBE_RUNNERS = {"hard": "run_hard_copy_probe", "packed": "run_packed_precision_probe",
+                  "awgn": "run_awgn_bpsk_probe"}
+
+
 def _probe_task(task) -> dict:
-    kind, args, level, method = task
-    # The probe functions are looked up here at call time, not kept in a
-    # table, so that rebinding the module attribute reaches every call.
-    if kind == "hard":
-        n_bits, m, episodes, seed = args
-        res = run_hard_copy_probe(*args, level=level, method=method)
-        param2, analytic = 0.0, float(m)
-    elif kind == "packed":
-        n_bits, d, q, episodes, seed = args
-        res = run_packed_precision_probe(*args, level=level, method=method)
-        param2, analytic = float(q), float(min(n_bits, d * q))
-    elif kind == "awgn":
-        n_bits, d, snr, episodes, seed = args
-        res = run_awgn_bpsk_probe(*args, level=level, method=method)
-        param2, analytic = float(snr), awgn_hard_decision_score(d, snr)
-    else:
-        raise ValueError(kind)
-    return {"kind": kind, "param1": args[1], "param2": param2,
+    kind, n_bits, params, episodes, seed, interface, level, method = task
+    res = globals()[_PROBE_RUNNERS[kind]](n_bits, *params, episodes, seed,
+                                          level=level, method=method)
+    param1, param2 = (*params, 0.0)[:2]  # a hard probe's one parameter leaves param2 at 0.0
+    return {"kind": kind, "param1": param1, "param2": float(param2),
             "counted": res.counted_capacity, "observed": res.observed_score,
-            "lo": res.interval[0], "hi": res.interval[1], "analytic": analytic}
+            "lo": res.interval[0], "hi": res.interval[1], "analytic": interface.analytic,
+            "soft_ceiling": interface.soft_ceiling}
 
 
 def build_capacity_sanity(config: ExperimentConfig) -> Tables:
@@ -363,29 +350,18 @@ def build_capacity_sanity(config: ExperimentConfig) -> Tables:
     # not the sampled SNR points.
     snrs = [float(s) for s in _grid(config, "snrs", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])]
     d_awgn = int(_scalar(config, "d", 2))
-    tasks = []
-    for i, m in enumerate(ms):
-        tasks.append(("hard", (n_bits, m, episodes, config.seed + 101 * i),
-                      config.level, config.interval))
+    probes = [("hard", (m,), config.seed + 101 * i) for i, m in enumerate(ms)]
     for i, shape in enumerate(packed):
         d, q = (int(x) for x in str(shape).lower().split("x"))
-        tasks.append(("packed", (n_bits, d, q, episodes, config.seed + 211 * (i + 1)),
-                      config.level, config.interval))
-    for i, snr in enumerate(snrs):
-        tasks.append(("awgn", (n_bits, d_awgn, snr, episodes, config.seed + 307 * (i + 1)),
-                      config.level, config.interval))
+        probes.append(("packed", (d, q), config.seed + 211 * (i + 1)))
+    probes += [("awgn", (d_awgn, snr), config.seed + 307 * (i + 1))
+               for i, snr in enumerate(snrs)]
     # Every probe's arguments are checked before the first one samples.
     if episodes < 0:
         raise ValueError(f"episodes={episodes} is negative")
-    for kind, args, _, _ in tasks:
-        probe_interface(kind, *args[:-2])
-    rows = _parallel_map(_probe_task, tasks, config.workers)
-    for row in rows:
-        if row["kind"] == "awgn":
-            row["soft_ceiling"] = row["param1"] * bpsk_mutual_information(row["param2"])
-        else:
-            row["soft_ceiling"] = row["counted"]
-    return {"capacity_sanity.csv": rows}
+    tasks = [(kind, n_bits, params, episodes, seed, probe_interface(kind, n_bits, *params),
+              config.level, config.interval) for kind, params, seed in probes]
+    return {"capacity_sanity.csv": _parallel_map(_probe_task, tasks, config.workers)}
 
 
 def _awgn_score_sigma(d: int, snr: float, episodes_per_query: float) -> float:
@@ -619,13 +595,15 @@ class Experiment:
     exhibit: str
     build: object
     judge: object
+    params: tuple[str, ...]  # the config.params keys that build and judge read
 
 
 REGISTRY: dict[str, Experiment] = {}
 
 
-def _register(name: str, exhibit: str, build, judge):
-    REGISTRY[name] = Experiment(name=name, exhibit=exhibit, build=build, judge=judge)
+def _register(name: str, exhibit: str, build, judge, params: tuple[str, ...] = ()):
+    REGISTRY[name] = Experiment(name=name, exhibit=exhibit, build=build, judge=judge,
+                                params=params)
 
 
 _register("table1", "closed-form score grid over depth and bias",
@@ -633,23 +611,23 @@ _register("table1", "closed-form score grid over depth and bias",
 _register("table3", "measurement-angle scan: bias, CHSH value, depth-10 score",
           build_table3, judge_table3)
 _register("depth-scan", "score versus depth for representative biases",
-          build_depth_scan, judge_depth_scan)
+          build_depth_scan, judge_depth_scan, ("n_max", "biases", "capacity"))
 _register("bias-scan", "score versus bias at fixed depth 10",
-          build_bias_scan, judge_bias_scan)
+          build_bias_scan, judge_bias_scan, ("depth", "points", "capacity"))
 _register("phase-boundary", "critical bias versus depth at unit capacity",
-          build_phase_boundary, judge_phase_boundary)
+          build_phase_boundary, judge_phase_boundary, ("n_max", "capacity"))
 _register("capacity-phase", "critical bias curves for several capacity budgets",
-          build_capacity_phase, judge_capacity_phase)
+          build_capacity_phase, judge_capacity_phase, ("n_max", "capacities"))
 _register("capacity-sanity", "hard / packed / noisy interface accounting probes",
-          build_capacity_sanity, judge_capacity_sanity)
+          build_capacity_sanity, judge_capacity_sanity, ("n_bits", "ms", "packed", "snrs", "d"))
 _register("ablations", "strict trained bottlenecks plus leaky controls",
-          build_ablations, judge_ablations)
+          build_ablations, judge_ablations, ("n_bits", "seeds", "steps", "ms"))
 _register("visibility", "angle sweep under visibility loss at depth 10",
-          build_visibility, judge_visibility)
+          build_visibility, judge_visibility, ("depth", "points", "capacity", "visibilities"))
 _register("benchmark", "classical one-bit majority code versus nested cells",
-          build_benchmark, judge_benchmark)
+          build_benchmark, judge_benchmark, ("n_max",))
 _register("angle-opt", "regularized optimization of the cell angle",
-          build_angle_opt, judge_angle_opt)
+          build_angle_opt, judge_angle_opt, ("depth", "penalties"))
 
 
 def _format_value(v) -> str:
@@ -670,15 +648,14 @@ def _write_csv(path: str, rows: list[dict], header_comment: str):
             writer.writerow([_format_value(row[k]) for k in fieldnames])
 
 
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def parse_scalar(text: str):
+    """``text`` as an int, else a float, else the string itself."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
 
 
 def read_csv_rows(path: str) -> list[dict]:
@@ -687,7 +664,7 @@ def read_csv_rows(path: str) -> list[dict]:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.DictReader(io.StringIO("".join(lines)))
     for raw in reader:
-        rows.append({k: _parse_cell(v) for k, v in raw.items()})
+        rows.append({k: parse_scalar(v) for k, v in raw.items()})
     return rows
 
 
@@ -704,11 +681,19 @@ def output_root(override: str | None = None) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dict:
-    """Build, judge, and persist one experiment; returns the manifest."""
+    """Build, judge, and persist one experiment; returns the manifest.
+
+    Raises ValueError, before anything is built, on a parameter the
+    experiment does not read.
+    """
     if config.experiment not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown experiment {config.experiment!r}; known: {known}")
     exp = REGISTRY[config.experiment]
+    unknown = sorted(set(config.params) - set(exp.params))
+    if unknown:
+        raise ValueError(f"{config.experiment} has no parameter {', '.join(unknown)}; "
+                         f"known: {', '.join(exp.params) or 'none'}")
     start = time.perf_counter()
     tables = exp.build(config)
     verdicts = exp.judge(tables, config)
@@ -726,7 +711,7 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
     manifest = {
         "experiment": config.experiment,
         "exhibit": exp.exhibit,
-        "config": config.as_dict(),
+        "config": asdict(config),
         "config_hash": config.hash(),
         "version": __version__,
         "outputs": outputs,
@@ -745,11 +730,7 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
 
 
 def config_from_manifest(data: dict) -> ExperimentConfig:
-    cfg = data["config"]
-    return ExperimentConfig(experiment=cfg["experiment"], seed=cfg["seed"],
-                            episodes=cfg["episodes"], interval=cfg["interval"],
-                            level=cfg["level"], workers=cfg["workers"],
-                            params=dict(cfg["params"]))
+    return ExperimentConfig(**data["config"])
 
 
 def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:

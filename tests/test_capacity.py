@@ -5,25 +5,27 @@ import numpy as np
 import pytest
 
 from racbox import capacity
-from racbox.capacity import (AwgnBpsk, HardBits, PackedPrecision,
-                             awgn_hard_decision_score, bpsk_mutual_information,
-                             capacity_certificate, gaussian_cdf, run_awgn_bpsk_probe,
-                             run_hard_copy_probe, run_packed_precision_probe)
-from racbox.experiments import REGISTRY, ExperimentConfig
+from racbox.capacity import (awgn_hard_decision_score, bpsk_mutual_information, gaussian_cdf,
+                             probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
+                             run_packed_precision_probe)
+from racbox.experiments import REGISTRY, ExperimentConfig, run_experiment
 from racbox.info import binary_entropy
 from racbox.rng import substream
 
 
 def test_certificates():
-    assert capacity_certificate(HardBits(1)) == 1.0
-    assert capacity_certificate(HardBits(0)) == 0.0
-    assert capacity_certificate(PackedPrecision(2, 4)) == 8.0
-    assert capacity_certificate(AwgnBpsk(2, 1.0)) == pytest.approx(1.0)
-    assert capacity_certificate(AwgnBpsk(4, 3.0)) == pytest.approx(4.0)
+    assert probe_interface("hard", 8, 1).certificate == 1.0
+    assert probe_interface("hard", 8, 0).certificate == 0.0
+    assert probe_interface("packed", 8, 2, 4).certificate == 8.0
+    assert probe_interface("awgn", 8, 2, 1.0).certificate == pytest.approx(1.0)
+    assert probe_interface("awgn", 8, 4, 3.0).certificate == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        HardBits(-1)
-    with pytest.raises(ValueError):
-        AwgnBpsk(1, -0.5)
+        probe_interface("hard", 8, -1)
+    with pytest.raises(ValueError, match="snr must be nonnegative"):
+        probe_interface("awgn", 8, 1, -0.5)
+    for d, q in [(-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            probe_interface("packed", 8, d, q)
 
 
 def test_gaussian_cdf_reference():
@@ -61,6 +63,18 @@ def test_packed_probe_is_the_copy_probe_on_its_budget():
         assert packed.counted_capacity == float(d * q)
         assert packed.observed_score == copy.observed_score
         assert packed.interval == copy.interval
+
+
+# sha256 of capacity_sanity.csv at 2,000 episodes and the default grids, as
+# recorded before the per-kind interface facts moved into probe_interface
+@pytest.mark.parametrize("interval, digest", [
+    ("wilson", "ba08fc46b9d70bb5cc2337d00e74134cd3f585ad66622cfdbe9cdbe965543903"),
+    ("clopper_pearson", "814a545433c950fc43af7904c3ba7f2d80afb0d0babe8642247dc77efa1913d7"),
+])
+def test_capacity_sanity_keeps_its_bytes(tmp_path, interval, digest):
+    config = ExperimentConfig("capacity-sanity", episodes=2_000, interval=interval, workers=1)
+    manifest = run_experiment(config, out_root=str(tmp_path))
+    assert manifest["outputs"]["capacity_sanity.csv"] == digest
 
 
 def test_awgn_probe_rejects_more_coordinates_than_bits():

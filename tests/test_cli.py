@@ -105,6 +105,76 @@ def test_bad_probe_grid_fails_before_any_probe_runs(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "capacity-sanity").exists()
 
 
+def test_unread_probe_parameter_fails_before_any_probe_runs(tmp_path, capsys, monkeypatch):
+    # "snr" is a typo of "snrs": the default grid must not run in its place
+    def never(*args, **kwargs):
+        raise AssertionError("a probe ran")
+
+    for name in ("run_hard_copy_probe", "run_packed_precision_probe", "run_awgn_bpsk_probe"):
+        monkeypatch.setattr(experiments, name, never)
+    code = run_cli("run", "capacity-sanity", "--grid", "snr=1", "--episodes", "2000",
+                   "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: capacity-sanity has no parameter snr; known: n_bits, ms, packed, snrs, d"]
+    assert not (tmp_path / "capacity-sanity").exists()
+
+
+def test_unread_parameter_fails_an_experiment_without_parameters(tmp_path, capsys):
+    assert run_cli("run", "table1", "--n-max", "5", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: table1 has no parameter n_max; known: none"]
+    assert run_cli("run", "table1", "--grid", "typo=3", "--out", str(tmp_path)) == 1
+    assert not (tmp_path / "table1").exists()
+
+
+def test_shared_defaults_drop_keys_the_experiment_does_not_read(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[defaults]\nseed = 7\nn_max = 4\n")
+    assert run_cli("run", "table1", "--config", str(ini), "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "table1" / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 7
+    assert manifest["config"]["params"] == {}
+    assert manifest["config_hash"] == ExperimentConfig("table1", seed=7).hash()
+    # an experiment's own section is not shared, so its unread keys still fail
+    ini.write_text("[table1]\nn_max = 4\n")
+    assert run_cli("run", "table1", "--config", str(ini), "--out", str(tmp_path)) == 1
+
+
+def test_rebuild_of_a_manifest_with_an_unread_parameter_fails_cleanly(tmp_path, capsys):
+    # manifests written before unread parameters were rejected may carry one
+    manifest = tmp_path / "table1" / "manifest.json"
+    assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
+    data = json.loads(manifest.read_text())
+    data["config"]["params"] = {"typo": 3}
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "--rebuild", str(manifest)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["REBUILD FAILED table1 has no parameter typo; known: none",
+                        "VERIFY: FAIL"]
+
+
+def test_declared_parameters_are_the_ones_read(monkeypatch):
+    # build and judge read config.params only through _scalar and _grid
+    read = set()
+    for helper in ("_scalar", "_grid"):
+        original = getattr(experiments, helper)
+
+        def record(config, key, default, original=original):
+            read.add(key)
+            return original(config, key, default)
+
+        monkeypatch.setattr(experiments, helper, record)
+    small = {"capacity-sanity": dict(episodes=1_000),
+             "ablations": dict(params={"steps": 10, "seeds": 1, "ms": [1]})}
+    for name, exp in REGISTRY.items():
+        read.clear()
+        config = ExperimentConfig(name, **small.get(name, {}))
+        exp.judge(exp.build(config), config)
+        assert read == set(exp.params), name
+
+
 def test_manifest_records_the_environment_outside_the_hash(tmp_path, capsys):
     assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
     path = tmp_path / "table1" / "manifest.json"
