@@ -9,9 +9,12 @@ verdicts; ``verify`` rechecks both, and with ``--rebuild`` also re-runs the
 manifest's config and compares the new CSVs' checksums with the recorded
 ones.  Defaults can be kept in an INI config file (one section per
 experiment); command-line flags override the file.  A parameter the
-experiment cannot run, or one it does not read, stops ``run`` with a
-one-line ``error: ...`` and exit status 1; keys of the shared ``[defaults]``
-section that the experiment does not read are dropped instead.
+experiment cannot run, one it does not read, or a non-integral value for an
+integer parameter (``--grid ms=1.5``) stops ``run`` with a one-line
+``error: ...`` and exit status 1; keys of the shared ``[defaults]`` section
+that the experiment does not read are dropped instead.  In the same way a
+run flag the experiment does not read (``--episodes`` on ``table1``) is
+echoed in the manifest but enters the config hash at its default.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ import configparser
 import os
 import sys
 
-from .experiments import (DEFAULT_SEED, OUTPUT_ROOT_ENV, REGISTRY, ExperimentConfig,
-                          output_root, parse_scalar, rebuild_manifest, run_experiment,
-                          verify_manifest)
-
-# Config keys that every experiment reads; the rest are experiment parameters.
-_RUN_KEYS = ("seed", "episodes", "interval", "level", "workers")
+from .experiments import (DEFAULT_SEED, OUTPUT_ROOT_ENV, REGISTRY, RUN_FIELDS,
+                          ExperimentConfig, output_root, parse_scalar, rebuild_manifest,
+                          run_experiment, verify_manifest)
 
 
 def _parse_grid_item(item: str) -> tuple[str, object]:
@@ -45,7 +45,7 @@ def _load_config_file(path: str, experiment: str) -> dict:
         parser.read_file(fh)
     # [defaults] is shared by every experiment, so a key there that this
     # experiment does not read is dropped; its own section is taken whole.
-    shared = {*_RUN_KEYS, *REGISTRY[experiment].params}
+    shared = {*RUN_FIELDS, "workers", *REGISTRY[experiment].params}
     merged: dict = {}
     for section in ("defaults", experiment):
         if parser.has_section(section):
@@ -96,11 +96,11 @@ def _assemble_config(args) -> ExperimentConfig:
         value = file_params.pop(key, default)
         return value if flag is None else flag
 
-    seed = int(pick(args.seed, "seed", DEFAULT_SEED))
+    seed = pick(args.seed, "seed", DEFAULT_SEED)
     episodes = pick(args.episodes, "episodes", None)
     interval = pick(args.interval, "interval", "wilson")
-    level = float(pick(args.level, "level", 0.95))
-    workers = int(pick(args.workers, "workers", os.cpu_count() or 1))
+    level = pick(args.level, "level", 0.95)
+    workers = pick(args.workers, "workers", os.cpu_count() or 1)
     params = dict(file_params)  # remaining file keys are experiment parameters
     if args.n_max is not None:
         params["n_max"] = args.n_max
@@ -108,10 +108,8 @@ def _assemble_config(args) -> ExperimentConfig:
         key, value = _parse_grid_item(item)
         params[key] = value
     interval = {"cp": "clopper_pearson"}.get(interval, interval)
-    return ExperimentConfig(experiment=args.experiment, seed=seed,
-                            episodes=None if episodes is None else int(episodes),
-                            interval=interval, level=level, workers=workers,
-                            params=params)
+    return ExperimentConfig(experiment=args.experiment, seed=seed, episodes=episodes,
+                            interval=interval, level=level, workers=workers, params=params)
 
 
 def main(argv: list[str] | None = None) -> int:

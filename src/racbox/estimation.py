@@ -24,7 +24,7 @@ import numpy as np
 
 from .info import Bits, Probability, binary_entropy, clamp_probability
 
-_INTERVAL_METHODS = ("wilson", "clopper_pearson", "hoeffding")
+INTERVAL_METHODS = ("wilson", "clopper_pearson", "hoeffding")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class ConfidenceInterval:
             raise ValueError(f"level={self.level!r} outside (0, 1)")
         if self.lo > self.hi + 1e-12:
             raise ValueError("interval endpoints out of order")
-        if self.method not in _INTERVAL_METHODS:
+        if self.method not in INTERVAL_METHODS:
             raise ValueError(f"unknown interval method {self.method!r}")
 
 

@@ -14,12 +14,14 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import platform
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .ablation import (TrainConfig, check_enumerable, episode_weights_control, e
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
 from .capacity import (gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)
+from .estimation import INTERVAL_METHODS
 from .info import LN2, binary_entropy
 from .protocols import classical_avg_success_closed_form
 from .scores import (closed_form_score, critical_bias, critical_bias_asymptotic,
@@ -73,6 +76,10 @@ class Verdict:
     detail: str = ""
 
 
+# The ExperimentConfig fields that can change the numbers; workers never does.
+RUN_FIELDS = ("seed", "episodes", "interval", "level")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -84,10 +91,14 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def hash(self) -> str:
-        # workers is an execution detail: it never changes the numbers, so
-        # it stays out of the hash and outputs stay byte-identical across
-        # pool sizes
-        science = {k: v for k, v in asdict(self).items() if k != "workers"}
+        # Neither workers nor a run field the experiment does not read
+        # changes its numbers, so workers stays out of the hash and an unread
+        # run field enters it at its default: one result, one hash.
+        exp = REGISTRY.get(self.experiment)
+        unread = {f.name: f.default for f in fields(self)
+                  if exp is not None and f.name in RUN_FIELDS and f.name not in exp.run}
+        science = {**asdict(self), **unread}
+        del science["workers"]
         blob = json.dumps(science, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -107,20 +118,66 @@ def _parallel_map(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _grid(config: ExperimentConfig, key: str, default):
-    value = config.params.get(key, default)
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _scalar(config: ExperimentConfig, key: str, default):
-    value = config.params.get(key, default)
-    if isinstance(value, (list, tuple)):
-        if len(value) != 1:
-            raise ValueError(f"parameter {key} expects a single value, got {value}")
-        return value[0]
-    return value
+def _typed(experiment: str, key: str, value, kind: type):
+    if kind is str:
+        ok = isinstance(value, str)
+    else:  # a number, integral for an int parameter; bool is not a number here
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and (kind is float or float(value).is_integer()))
+    if not ok:
+        raise ValueError(f"{experiment} parameter {key} takes {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _integer(value, least: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def resolve(config: ExperimentConfig) -> SimpleNamespace:
+    """The values ``config`` runs with, as attributes.
+
+    These are each parameter its experiment declares, given or defaulted
+    and of its default's type (a scalar given for a grid becomes a
+    one-point grid), each run field it declares, and ``workers``; anything
+    else is not there to read.  Raises ValueError on an unknown parameter,
+    a value of the wrong type (a list for a scalar parameter, a non-integral
+    number for an integer one) or an invalid run field.
+    """
+    if config.experiment not in REGISTRY:
+        known = ", ".join(sorted(REGISTRY))
+        raise KeyError(f"unknown experiment {config.experiment!r}; known: {known}")
+    exp = REGISTRY[config.experiment]
+    unknown = sorted(set(config.params) - set(exp.params))
+    if unknown:
+        raise ValueError(f"{config.experiment} has no parameter {', '.join(unknown)}; "
+                         f"known: {', '.join(exp.params) or 'none'}")
+    # Run fields are checked even where unread: an invalid one is a mistake.
+    if not _integer(config.seed, 0):
+        raise ValueError(f"seed={config.seed!r} is not a nonnegative integer")
+    if config.episodes is not None and not _integer(config.episodes, 1):
+        raise ValueError(f"episodes={config.episodes!r} is not a positive integer")
+    if config.interval not in INTERVAL_METHODS:
+        raise ValueError(f"unknown interval method {config.interval!r}")
+    if not (isinstance(config.level, numbers.Real) and 0.0 < config.level < 1.0):
+        raise ValueError(f"level={config.level!r} outside (0, 1)")
+    if not _integer(config.workers, 1):
+        raise ValueError(f"workers={config.workers!r} is not a positive integer")
+    values = {"workers": config.workers}
+    for key, default in exp.params.items():
+        value = config.params.get(key, default)
+        if isinstance(default, list):
+            grid = value if isinstance(value, (list, tuple)) else [value]
+            values[key] = [_typed(config.experiment, key, v, type(default[0])) for v in grid]
+        else:  # a list for a scalar parameter fails the type check
+            values[key] = _typed(config.experiment, key, value, type(default))
+    for name in exp.run:
+        values[name] = getattr(config, name)
+    if "episodes" in exp.run and config.episodes is None:
+        values["episodes"] = exp.episodes
+    return SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +227,13 @@ def judge_table3(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_depth_scan(config: ExperimentConfig) -> Tables:
-    n_max = int(_scalar(config, "n_max", 40))
-    biases = _grid(config, "biases", list(SCORE_GRID_BIASES))
-    capacity = float(_scalar(config, "capacity", 1.0))
+    p = resolve(config)
     rows = []
-    for e in biases:
-        for n in range(1, n_max + 1):
+    for e in p.biases:
+        for n in range(1, p.n_max + 1):
             score = closed_form_score(n, e)
-            rows.append({"n": n, "bias": e, "capacity": capacity, "score": score,
-                         "exceeds_capacity": int(score > capacity)})
+            rows.append({"n": n, "bias": e, "capacity": p.capacity, "score": score,
+                         "exceeds_capacity": int(score > p.capacity)})
     return {"depth_scan.csv": rows}
 
 
@@ -202,15 +257,13 @@ def judge_depth_scan(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_bias_scan(config: ExperimentConfig) -> Tables:
-    depth = int(_scalar(config, "depth", 10))
-    points = int(_scalar(config, "points", 101))
-    capacity = float(_scalar(config, "capacity", 1.0))
-    biases = sorted([k / (points - 1) for k in range(points)] + [TSIRELSON_BIAS])
+    p = resolve(config)
+    biases = sorted([k / (p.points - 1) for k in range(p.points)] + [TSIRELSON_BIAS])
     rows = []
     for e in biases:
-        score = closed_form_score(depth, e)
-        rows.append({"n": depth, "bias": e, "capacity": capacity, "score": score,
-                     "exceeds_capacity": int(score > capacity)})
+        score = closed_form_score(p.depth, e)
+        rows.append({"n": p.depth, "bias": e, "capacity": p.capacity, "score": score,
+                     "exceeds_capacity": int(score > p.capacity)})
     return {"bias_scan.csv": rows}
 
 
@@ -234,15 +287,14 @@ def judge_bias_scan(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_phase_boundary(config: ExperimentConfig) -> Tables:
-    n_max = int(_scalar(config, "n_max", 40))
-    capacity = float(_scalar(config, "capacity", 1.0))
+    p = resolve(config)
     rows = []
-    for n in range(1, n_max + 1):
-        if capacity >= float(2 ** n):
+    for n in range(1, p.n_max + 1):
+        if p.capacity >= float(2 ** n):
             continue
-        res = critical_bias(n, capacity)
-        rows.append({"n": n, "capacity": capacity, "e_crit": res.critical_bias,
-                     "e_crit_asymptotic": critical_bias_asymptotic(n, capacity),
+        res = critical_bias(n, p.capacity)
+        rows.append({"n": n, "capacity": p.capacity, "e_crit": res.critical_bias,
+                     "e_crit_asymptotic": critical_bias_asymptotic(n, p.capacity),
                      "iterations": res.iterations})
     return {"phase_boundary.csv": rows}
 
@@ -276,16 +328,15 @@ def judge_phase_boundary(tables: Tables, config: ExperimentConfig) -> list[Verdi
 
 
 def build_capacity_phase(config: ExperimentConfig) -> Tables:
-    n_max = int(_scalar(config, "n_max", 40))
-    capacities = _grid(config, "capacities", [0.25, 0.5, 1.0, 2.0, 4.0])
+    p = resolve(config)
     rows = []
-    for cap in capacities:
-        for n in range(1, n_max + 1):
-            if float(cap) >= float(2 ** n):
+    for cap in p.capacities:
+        for n in range(1, p.n_max + 1):
+            if cap >= float(2 ** n):
                 continue
-            res = critical_bias(n, float(cap))
-            rows.append({"n": n, "capacity": float(cap), "e_crit": res.critical_bias,
-                         "e_crit_asymptotic": critical_bias_asymptotic(n, float(cap))})
+            res = critical_bias(n, cap)
+            rows.append({"n": n, "capacity": cap, "e_crit": res.critical_bias,
+                         "e_crit_asymptotic": critical_bias_asymptotic(n, cap)})
     return {"capacity_phase.csv": rows}
 
 
@@ -342,26 +393,17 @@ def _probe_task(task) -> dict:
 
 
 def build_capacity_sanity(config: ExperimentConfig) -> Tables:
-    n_bits = int(_scalar(config, "n_bits", 8))
-    episodes = int(config.episodes or 200_000)
-    ms = [int(m) for m in _grid(config, "ms", [1, 2, 3, 8])]
-    packed = _grid(config, "packed", ["1x8", "2x2"])
-    # Reconstructed default grid; the exhibit fixes the channel family but
-    # not the sampled SNR points.
-    snrs = [float(s) for s in _grid(config, "snrs", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])]
-    d_awgn = int(_scalar(config, "d", 2))
-    probes = [("hard", (m,), config.seed + 101 * i) for i, m in enumerate(ms)]
-    for i, shape in enumerate(packed):
-        d, q = (int(x) for x in str(shape).lower().split("x"))
-        probes.append(("packed", (d, q), config.seed + 211 * (i + 1)))
-    probes += [("awgn", (d_awgn, snr), config.seed + 307 * (i + 1))
-               for i, snr in enumerate(snrs)]
+    p = resolve(config)
+    probes = [("hard", (m,), p.seed + 101 * i) for i, m in enumerate(p.ms)]
+    for i, shape in enumerate(p.packed):
+        d, q = (int(x) for x in shape.lower().split("x"))
+        probes.append(("packed", (d, q), p.seed + 211 * (i + 1)))
+    probes += [("awgn", (p.d, snr), p.seed + 307 * (i + 1)) for i, snr in enumerate(p.snrs)]
     # Every probe's arguments are checked before the first one samples.
-    if episodes < 0:
-        raise ValueError(f"episodes={episodes} is negative")
-    tasks = [(kind, n_bits, params, episodes, seed, probe_interface(kind, n_bits, *params),
-              config.level, config.interval) for kind, params, seed in probes]
-    return {"capacity_sanity.csv": _parallel_map(_probe_task, tasks, config.workers)}
+    tasks = [(kind, p.n_bits, params, p.episodes, seed,
+              probe_interface(kind, p.n_bits, *params), p.level, p.interval)
+             for kind, params, seed in probes]
+    return {"capacity_sanity.csv": _parallel_map(_probe_task, tasks, p.workers)}
 
 
 def _awgn_score_sigma(d: int, snr: float, episodes_per_query: float) -> float:
@@ -376,8 +418,7 @@ def _awgn_score_sigma(d: int, snr: float, episodes_per_query: float) -> float:
 
 def judge_capacity_sanity(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     rows = tables["capacity_sanity.csv"]
-    n_bits = int(_scalar(config, "n_bits", 8))
-    episodes = int(config.episodes or 200_000)
+    p = resolve(config)
     verdicts = []
     for r in rows:
         if r["kind"] == "hard":
@@ -391,7 +432,7 @@ def judge_capacity_sanity(tables: Tables, config: ExperimentConfig) -> list[Verd
                 passed=abs(r["observed"] - r["analytic"]) <= max(0.02, 3 * (r["hi"] - r["lo"])),
                 measured=r["observed"], expected=f"{r['analytic']:g}"))
         else:
-            sigma = _awgn_score_sigma(round(r["param1"]), r["param2"], episodes / n_bits)
+            sigma = _awgn_score_sigma(round(r["param1"]), r["param2"], p.episodes / p.n_bits)
             below = r["observed"] <= r["counted"] + 1e-9
             matches = abs(r["observed"] - r["analytic"]) <= 3 * sigma + 1e-6
             verdicts.append(Verdict(
@@ -429,16 +470,13 @@ def _ablation_task(task) -> tuple[dict, list[dict]]:
 
 
 def build_ablations(config: ExperimentConfig) -> Tables:
-    n_bits = int(_scalar(config, "n_bits", 8))
-    check_enumerable(n_bits)  # before any net is trained
-    seeds = int(_scalar(config, "seeds", 5))
-    steps = int(_scalar(config, "steps", TrainConfig().steps))
-    ms = [int(m) for m in _grid(config, "ms", [1, 3])]
-    tasks = [("strict", n_bits, m, config.seed + 1000 * m + s, steps)
-             for m in ms for s in range(seeds)]
-    tasks += [(mode, n_bits, 0, config.seed, steps)
+    p = resolve(config)
+    check_enumerable(p.n_bits)  # before any net is trained
+    tasks = [("strict", p.n_bits, m, p.seed + 1000 * m + s, p.steps)
+             for m in p.ms for s in range(p.seeds)]
+    tasks += [(mode, p.n_bits, 0, p.seed, p.steps)
               for mode in ("query_leaky", "precision_packing", "episode_weights")]
-    results = _parallel_map(_ablation_task, tasks, config.workers)
+    results = _parallel_map(_ablation_task, tasks, p.workers)
     rows = [row for row, _ in results]
     curves = [cr for _, curve_rows in results for cr in curve_rows]
     return {"ablations.csv": rows, "training_curves.csv": curves}
@@ -449,7 +487,7 @@ EXACT_TOLERANCE = 1e-12
 
 
 def judge_ablations(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
-    n_bits = int(_scalar(config, "n_bits", 8))
+    n_bits = resolve(config).n_bits
     verdicts = []
     for r in tables["ablations.csv"]:
         if r["mode"] == "strict":
@@ -476,19 +514,16 @@ def judge_ablations(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_visibility(config: ExperimentConfig) -> Tables:
-    depth = int(_scalar(config, "depth", 10))
-    points = int(_scalar(config, "points", 33))
-    capacity = float(_scalar(config, "capacity", 1.0))
-    nus = [float(v) for v in _grid(config, "visibilities", [1.0, 0.95, 0.9, 0.8])]
+    p = resolve(config)
     rows = []
-    for nu in nus:
-        for k in range(points):
-            phi = k * math.pi / 4.0 / (points - 1)
+    for nu in p.visibilities:
+        for k in range(p.points):
+            phi = k * math.pi / 4.0 / (p.points - 1)
             e_eff = iso_bias_from_angle(phi, nu)
-            score = closed_form_score(depth, e_eff)
-            rows.append({"n": depth, "phi": phi, "visibility": nu, "e_eff": e_eff,
-                         "capacity": capacity, "score": score,
-                         "exceeds_capacity": int(score > capacity)})
+            score = closed_form_score(p.depth, e_eff)
+            rows.append({"n": p.depth, "phi": phi, "visibility": nu, "e_eff": e_eff,
+                         "capacity": p.capacity, "score": score,
+                         "exceeds_capacity": int(score > p.capacity)})
     return {"visibility.csv": rows}
 
 
@@ -512,9 +547,8 @@ def judge_visibility(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_benchmark(config: ExperimentConfig) -> Tables:
-    n_max = int(_scalar(config, "n_max", 10))
     rows = []
-    for n in range(1, n_max + 1):
+    for n in range(1, resolve(config).n_max + 1):
         big_n = 1 << n
         p_cl = classical_avg_success_closed_form(big_n)
         rows.append({"n": n, "N": big_n, "majority_success": p_cl,
@@ -549,12 +583,10 @@ def judge_benchmark(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_angle_opt(config: ExperimentConfig) -> Tables:
-    depth = int(_scalar(config, "depth", 10))
-    penalties = [float(v) for v in
-                 _grid(config, "penalties", [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])]
+    p = resolve(config)
     rows = []
-    for lam in penalties:
-        phi, utility = optimize_regularized_angle(depth, lam)
+    for lam in p.penalties:
+        phi, utility = optimize_regularized_angle(p.depth, lam)
         rows.append({"penalty": lam, "phi_star": phi,
                      "phi_frac": phi / (math.pi / 4.0), "utility": utility})
     return {"angle_opt.csv": rows}
@@ -595,39 +627,50 @@ class Experiment:
     exhibit: str
     build: object
     judge: object
-    params: tuple[str, ...]  # the config.params keys that build and judge read
+    # Each config.params key that build and judge read, with its default, in
+    # declaration order.  The default's type is the parameter's type, and a
+    # list default makes the parameter a grid.
+    params: dict = field(default_factory=dict)
+    run: tuple[str, ...] = ()  # the RUN_FIELDS that build and judge read
+    episodes: int | None = None  # episodes to run when the config gives none
 
 
-REGISTRY: dict[str, Experiment] = {}
-
-
-def _register(name: str, exhibit: str, build, judge, params: tuple[str, ...] = ()):
-    REGISTRY[name] = Experiment(name=name, exhibit=exhibit, build=build, judge=judge,
-                                params=params)
-
-
-_register("table1", "closed-form score grid over depth and bias",
-          build_table1, judge_table1)
-_register("table3", "measurement-angle scan: bias, CHSH value, depth-10 score",
-          build_table3, judge_table3)
-_register("depth-scan", "score versus depth for representative biases",
-          build_depth_scan, judge_depth_scan, ("n_max", "biases", "capacity"))
-_register("bias-scan", "score versus bias at fixed depth 10",
-          build_bias_scan, judge_bias_scan, ("depth", "points", "capacity"))
-_register("phase-boundary", "critical bias versus depth at unit capacity",
-          build_phase_boundary, judge_phase_boundary, ("n_max", "capacity"))
-_register("capacity-phase", "critical bias curves for several capacity budgets",
-          build_capacity_phase, judge_capacity_phase, ("n_max", "capacities"))
-_register("capacity-sanity", "hard / packed / noisy interface accounting probes",
-          build_capacity_sanity, judge_capacity_sanity, ("n_bits", "ms", "packed", "snrs", "d"))
-_register("ablations", "strict trained bottlenecks plus leaky controls",
-          build_ablations, judge_ablations, ("n_bits", "seeds", "steps", "ms"))
-_register("visibility", "angle sweep under visibility loss at depth 10",
-          build_visibility, judge_visibility, ("depth", "points", "capacity", "visibilities"))
-_register("benchmark", "classical one-bit majority code versus nested cells",
-          build_benchmark, judge_benchmark, ("n_max",))
-_register("angle-opt", "regularized optimization of the cell angle",
-          build_angle_opt, judge_angle_opt, ("depth", "penalties"))
+# The SNR grid of capacity-sanity is reconstructed: the exhibit fixes the
+# channel family but not the sampled SNR points.
+REGISTRY: dict[str, Experiment] = {exp.name: exp for exp in (
+    Experiment("table1", "closed-form score grid over depth and bias",
+               build_table1, judge_table1),
+    Experiment("table3", "measurement-angle scan: bias, CHSH value, depth-10 score",
+               build_table3, judge_table3),
+    Experiment("depth-scan", "score versus depth for representative biases",
+               build_depth_scan, judge_depth_scan,
+               {"n_max": 40, "biases": list(SCORE_GRID_BIASES), "capacity": 1.0}),
+    Experiment("bias-scan", "score versus bias at fixed depth 10", build_bias_scan,
+               judge_bias_scan, {"depth": 10, "points": 101, "capacity": 1.0}),
+    Experiment("phase-boundary", "critical bias versus depth at unit capacity",
+               build_phase_boundary, judge_phase_boundary, {"n_max": 40, "capacity": 1.0}),
+    Experiment("capacity-phase", "critical bias curves for several capacity budgets",
+               build_capacity_phase, judge_capacity_phase,
+               {"n_max": 40, "capacities": [0.25, 0.5, 1.0, 2.0, 4.0]}),
+    Experiment("capacity-sanity", "hard / packed / noisy interface accounting probes",
+               build_capacity_sanity, judge_capacity_sanity,
+               {"n_bits": 8, "ms": [1, 2, 3, 8], "packed": ["1x8", "2x2"],
+                "snrs": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], "d": 2},
+               run=RUN_FIELDS, episodes=200_000),
+    Experiment("ablations", "strict trained bottlenecks plus leaky controls",
+               build_ablations, judge_ablations,
+               {"n_bits": 8, "seeds": 5, "steps": TrainConfig().steps, "ms": [1, 3]},
+               run=("seed",)),
+    Experiment("visibility", "angle sweep under visibility loss at depth 10",
+               build_visibility, judge_visibility,
+               {"depth": 10, "points": 33, "capacity": 1.0,
+                "visibilities": [1.0, 0.95, 0.9, 0.8]}),
+    Experiment("benchmark", "classical one-bit majority code versus nested cells",
+               build_benchmark, judge_benchmark, {"n_max": 10}),
+    Experiment("angle-opt", "regularized optimization of the cell angle",
+               build_angle_opt, judge_angle_opt,
+               {"depth": 10, "penalties": [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]}),
+)}
 
 
 def _format_value(v) -> str:
@@ -683,17 +726,11 @@ def output_root(override: str | None = None) -> str:
 def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dict:
     """Build, judge, and persist one experiment; returns the manifest.
 
-    Raises ValueError, before anything is built, on a parameter the
-    experiment does not read.
+    Raises ValueError, before anything is built, on a config that
+    ``resolve`` rejects.
     """
-    if config.experiment not in REGISTRY:
-        known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown experiment {config.experiment!r}; known: {known}")
+    resolve(config)
     exp = REGISTRY[config.experiment]
-    unknown = sorted(set(config.params) - set(exp.params))
-    if unknown:
-        raise ValueError(f"{config.experiment} has no parameter {', '.join(unknown)}; "
-                         f"known: {', '.join(exp.params) or 'none'}")
     start = time.perf_counter()
     tables = exp.build(config)
     verdicts = exp.judge(tables, config)
@@ -737,7 +774,7 @@ def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:
     """Recheck output checksums and re-derive the verdicts from the files.
 
     Returns (ok, messages); ok is False on any checksum mismatch, missing
-    file, or failed verdict.
+    file, config that no longer resolves, or failed verdict.
     """
     with open(manifest_path) as fh:
         data = json.load(fh)
@@ -760,8 +797,12 @@ def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:
         tables[fname] = read_csv_rows(path)
     if ok:
         config = config_from_manifest(data)
-        exp = REGISTRY[config.experiment]
-        verdicts = exp.judge(tables, config)
+        try:
+            resolve(config)  # judges read the resolved values
+        except ValueError as exc:
+            messages.append(f"FAIL {exc}")
+            return False, messages
+        verdicts = REGISTRY[config.experiment].judge(tables, config)
         for v in verdicts:
             messages.append(f"{'PASS' if v.passed else 'FAIL'} {v.name}")
             ok = ok and v.passed

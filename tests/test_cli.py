@@ -155,24 +155,103 @@ def test_rebuild_of_a_manifest_with_an_unread_parameter_fails_cleanly(tmp_path, 
                         "VERIFY: FAIL"]
 
 
-def test_declared_parameters_are_the_ones_read(monkeypatch):
-    # build and judge read config.params only through _scalar and _grid
+def test_every_declared_parameter_is_read(monkeypatch):
+    # reading an undeclared value fails by construction; this checks the
+    # converse, that no declared parameter or run field goes unread
     read = set()
-    for helper in ("_scalar", "_grid"):
-        original = getattr(experiments, helper)
+    resolve = experiments.resolve
 
-        def record(config, key, default, original=original):
+    class Recorder:
+        def __init__(self, values):
+            self.values = values
+
+        def __getattr__(self, key):
             read.add(key)
-            return original(config, key, default)
+            return getattr(self.values, key)
 
-        monkeypatch.setattr(experiments, helper, record)
+    monkeypatch.setattr(experiments, "resolve", lambda config: Recorder(resolve(config)))
     small = {"capacity-sanity": dict(episodes=1_000),
              "ablations": dict(params={"steps": 10, "seeds": 1, "ms": [1]})}
     for name, exp in REGISTRY.items():
         read.clear()
         config = ExperimentConfig(name, **small.get(name, {}))
         exp.judge(exp.build(config), config)
-        assert read == set(exp.params), name
+        assert read - {"workers"} == {*exp.params, *exp.run}, name
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a probe ran or a net trained")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("capacity-sanity", "--grid", "ms=1.5"),
+     "capacity-sanity parameter ms takes an integer, got 1.5"),
+    (("ablations", "--grid", "seeds=1.5"), "ablations parameter seeds takes an integer, got 1.5"),
+    (("phase-boundary", "--grid", "n_max=6.5"),
+     "phase-boundary parameter n_max takes an integer, got 6.5"),
+    (("capacity-sanity", "--grid", "n_bits=4,8"),
+     "capacity-sanity parameter n_bits takes an integer, got [4, 8]"),
+    (("capacity-sanity", "--grid", "packed=12"),
+     "capacity-sanity parameter packed takes a string, got 12"),
+])
+def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv,
+                                                       error):
+    # a truncating cast would run m = 1 under a manifest that records 1.5
+    for name in ("run_hard_copy_probe", "run_packed_precision_probe", "run_awgn_bpsk_probe",
+                 "train_strict", "critical_bias"):
+        monkeypatch.setattr(experiments, name, _never)
+    assert run_cli("run", *argv, "--workers", "1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("interval", "bogus", "unknown interval method 'bogus'"),
+    ("level", 1.5, "level=1.5 outside (0, 1)"),
+    ("episodes", -1, "episodes=-1 is not a positive integer"),
+    ("episodes", 0, "episodes=0 is not a positive integer"),  # nothing to judge
+])
+def test_invalid_run_field_fails_before_any_probe_runs(tmp_path, monkeypatch, field, value,
+                                                       error):
+    for name in ("run_hard_copy_probe", "run_packed_precision_probe", "run_awgn_bpsk_probe"):
+        monkeypatch.setattr(experiments, name, _never)
+    config = ExperimentConfig("capacity-sanity", **{field: value})
+    with pytest.raises(ValueError) as info:
+        run_experiment(config, out_root=str(tmp_path))
+    assert str(info.value) == error
+    assert not (tmp_path / "capacity-sanity").exists()
+
+
+def test_unread_run_fields_are_hashed_at_their_defaults(tmp_path):
+    assert run_cli("run", "table1", "--out", str(tmp_path / "a")) == 0
+    assert run_cli("run", "table1", "--interval", "cp", "--episodes", "5", "--level", "0.5",
+                   "--seed", "7", "--out", str(tmp_path / "b")) == 0
+    csvs = [(tmp_path / side / "table1" / "table1.csv").read_bytes() for side in "ab"]
+    assert csvs[0] == csvs[1]
+    # the manifest still echoes what was given
+    manifest = json.loads((tmp_path / "b" / "table1" / "manifest.json").read_text())
+    assert (manifest["config"]["seed"], manifest["config"]["level"]) == (7, 0.5)
+    # capacity-sanity reads every run field, so each still moves its hash
+    sanity = ExperimentConfig("capacity-sanity")
+    assert sanity.hash() != dataclasses.replace(sanity, interval="clopper_pearson").hash()
+    ablations = ExperimentConfig("ablations")
+    assert ablations.hash() == dataclasses.replace(ablations, interval="hoeffding").hash()
+    assert ablations.hash() != dataclasses.replace(ablations, seed=7).hash()
+
+
+def test_verify_fails_cleanly_on_params_that_no_longer_resolve(tmp_path, capsys):
+    assert run_cli("run", "capacity-sanity", "--episodes", "2000", "--grid", "ms=1",
+                   "--grid", "packed=1x8", "--grid", "snrs=1", "--workers", "1",
+                   "--out", str(tmp_path)) == 0
+    manifest = tmp_path / "capacity-sanity" / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["params"]["ms"] = [1.5]
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", str(manifest)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["FAIL capacity-sanity parameter ms takes an integer, got 1.5",
+                        "VERIFY: FAIL"]
 
 
 def test_manifest_records_the_environment_outside_the_hash(tmp_path, capsys):
