@@ -9,8 +9,9 @@ verdicts; ``verify`` rechecks both, and with ``--rebuild`` also re-runs the
 manifest's config and compares the new CSVs' checksums with the recorded
 ones.  Defaults can be kept in an INI config file (one section per
 experiment); command-line flags override the file.  A parameter the
-experiment cannot run, one it does not read, or a non-integral value for an
-integer parameter (``--grid ms=1.5``) stops ``run`` with a one-line
+experiment cannot run, one it does not read, a non-integral value for an
+integer parameter (``--grid ms=1.5``) or a value below the parameter's
+declared least one (``--grid points=1``) stops ``run`` with a one-line
 ``error: ...`` and exit status 1; keys of the shared ``[defaults]`` section
 that the experiment does not read are dropped instead.  In the same way a
 run flag the experiment does not read (``--episodes`` on ``table1``) is

@@ -144,7 +144,8 @@ def resolve(config: ExperimentConfig) -> SimpleNamespace:
     one-point grid), each run field it declares, and ``workers``; anything
     else is not there to read.  Raises ValueError on an unknown parameter,
     a value of the wrong type (a list for a scalar parameter, a non-integral
-    number for an integer one) or an invalid run field.
+    number for an integer one), a value below its declared least value, an
+    empty grid or an invalid run field.
     """
     if config.experiment not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
@@ -166,13 +167,21 @@ def resolve(config: ExperimentConfig) -> SimpleNamespace:
     if not _integer(config.workers, 1):
         raise ValueError(f"workers={config.workers!r} is not a positive integer")
     values = {"workers": config.workers}
-    for key, default in exp.params.items():
+    for key, spec in exp.params.items():
+        default, least = spec if isinstance(spec, tuple) else (spec, None)
         value = config.params.get(key, default)
         if isinstance(default, list):
             grid = value if isinstance(value, (list, tuple)) else [value]
+            if not grid:
+                raise ValueError(f"{config.experiment} parameter {key} needs at least one value")
             values[key] = [_typed(config.experiment, key, v, type(default[0])) for v in grid]
         else:  # a list for a scalar parameter fails the type check
             values[key] = _typed(config.experiment, key, value, type(default))
+        if least is not None:
+            low = min(values[key]) if isinstance(default, list) else values[key]
+            if low < least:
+                raise ValueError(f"{config.experiment} parameter {key} must be at least "
+                                 f"{least}, got {low!r}")
     for name in exp.run:
         values[name] = getattr(config, name)
     if "episodes" in exp.run and config.episodes is None:
@@ -629,7 +638,8 @@ class Experiment:
     judge: object
     # Each config.params key that build and judge read, with its default, in
     # declaration order.  The default's type is the parameter's type, and a
-    # list default makes the parameter a grid.
+    # list default makes the parameter a grid.  A (default, least) pair
+    # also declares the least value a run may give, for every grid point.
     params: dict = field(default_factory=dict)
     run: tuple[str, ...] = ()  # the RUN_FIELDS that build and judge read
     episodes: int | None = None  # episodes to run when the config gives none
@@ -644,32 +654,34 @@ REGISTRY: dict[str, Experiment] = {exp.name: exp for exp in (
                build_table3, judge_table3),
     Experiment("depth-scan", "score versus depth for representative biases",
                build_depth_scan, judge_depth_scan,
-               {"n_max": 40, "biases": list(SCORE_GRID_BIASES), "capacity": 1.0}),
+               {"n_max": (40, 1), "biases": list(SCORE_GRID_BIASES), "capacity": 1.0}),
     Experiment("bias-scan", "score versus bias at fixed depth 10", build_bias_scan,
-               judge_bias_scan, {"depth": 10, "points": 101, "capacity": 1.0}),
+               judge_bias_scan, {"depth": (10, 1), "points": (101, 2), "capacity": 1.0}),
     Experiment("phase-boundary", "critical bias versus depth at unit capacity",
-               build_phase_boundary, judge_phase_boundary, {"n_max": 40, "capacity": 1.0}),
+               build_phase_boundary, judge_phase_boundary,
+               {"n_max": (40, 1), "capacity": 1.0}),
     Experiment("capacity-phase", "critical bias curves for several capacity budgets",
                build_capacity_phase, judge_capacity_phase,
-               {"n_max": 40, "capacities": [0.25, 0.5, 1.0, 2.0, 4.0]}),
+               {"n_max": (40, 1), "capacities": [0.25, 0.5, 1.0, 2.0, 4.0]}),
     Experiment("capacity-sanity", "hard / packed / noisy interface accounting probes",
                build_capacity_sanity, judge_capacity_sanity,
-               {"n_bits": 8, "ms": [1, 2, 3, 8], "packed": ["1x8", "2x2"],
-                "snrs": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], "d": 2},
+               {"n_bits": (8, 1), "ms": ([1, 2, 3, 8], 0), "packed": ["1x8", "2x2"],
+                "snrs": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], "d": (2, 1)},
                run=RUN_FIELDS, episodes=200_000),
     Experiment("ablations", "strict trained bottlenecks plus leaky controls",
                build_ablations, judge_ablations,
-               {"n_bits": 8, "seeds": 5, "steps": TrainConfig().steps, "ms": [1, 3]},
+               {"n_bits": (8, 1), "seeds": (5, 1), "steps": (TrainConfig().steps, 1),
+                "ms": ([1, 3], 0)},
                run=("seed",)),
     Experiment("visibility", "angle sweep under visibility loss at depth 10",
                build_visibility, judge_visibility,
-               {"depth": 10, "points": 33, "capacity": 1.0,
+               {"depth": (10, 1), "points": (33, 2), "capacity": 1.0,
                 "visibilities": [1.0, 0.95, 0.9, 0.8]}),
     Experiment("benchmark", "classical one-bit majority code versus nested cells",
-               build_benchmark, judge_benchmark, {"n_max": 10}),
+               build_benchmark, judge_benchmark, {"n_max": (10, 1)}),
     Experiment("angle-opt", "regularized optimization of the cell angle",
                build_angle_opt, judge_angle_opt,
-               {"depth": 10, "penalties": [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]}),
+               {"depth": (10, 1), "penalties": [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]}),
 )}
 
 

@@ -142,11 +142,18 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
 
 
 def _node_tables(protocol: PyramidProtocol) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node conditional tables, stacked by heap index."""
+    """Per-node conditional tables, stacked by heap index.
+
+    Each distinct cell object builds its tables once, so a uniform protocol
+    builds one pair for all of its 2^n - 1 nodes.
+    """
     pa1 = np.empty((len(protocol.cells), 4))
     pb1 = np.empty((len(protocol.cells), 4, 2))
+    built: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k, cell in enumerate(protocol.cells):
-        pa1[k], pb1[k] = cell.conditional_tables()
+        if id(cell) not in built:
+            built[id(cell)] = cell.conditional_tables()
+        pa1[k], pb1[k] = built[id(cell)]
     return pa1, pb1
 
 

@@ -66,19 +66,24 @@ def reference_train(n_bits, m, seed, config):
     return net, curve
 
 
-@pytest.mark.parametrize("m", [1, 3])
-def test_train_step_is_bit_identical_to_the_reference(m):
-    config = TrainConfig(steps=300)
-    net, curve = train_strict(8, m, seed=40 + m, config=config)
-    ref, ref_curve = reference_train(8, m, 40 + m, config)
+@pytest.mark.parametrize("m, n_bits, config", [
+    pytest.param(1, 8, TrainConfig(steps=300), id="1"),
+    pytest.param(3, 8, TrainConfig(steps=300), id="3"),
+    # at N = 6 every query is checked for a Lemire rejection; odd batch and hidden
+    pytest.param(2, 6, TrainConfig(steps=300, batch=255, hidden=7), id="n6-b255-h7"),
+])
+def test_train_step_is_bit_identical_to_the_reference(m, n_bits, config):
+    net, curve = train_strict(n_bits, m, seed=40 + m, config=config)
+    ref, ref_curve = reference_train(n_bits, m, 40 + m, config)
     assert curve == ref_curve
     for name, value in vars(ref).items():
         assert np.array_equal(getattr(net, name), value), name
 
     rng = substream(85, m)
-    x = rng.integers(0, 2, size=(256, 8)).astype(float)
-    q = rng.integers(0, 8, size=256)
-    y = x[np.arange(256), q]
+    batch = config.batch
+    x = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
+    q = rng.integers(0, n_bits, size=batch)
+    y = x[np.arange(batch), q]
     for binarize in (False, True):
         loss, grads = net.loss_and_grads(x, q, y, binarize=binarize)
         ref_loss, ref_grads = reference_loss_and_grads(net, x, q, y, binarize=binarize)
@@ -86,6 +91,113 @@ def test_train_step_is_bit_identical_to_the_reference(m):
         assert grads.keys() == ref_grads.keys()
         for name, g in ref_grads.items():
             assert grads[name].shape == g.shape and np.array_equal(grads[name], g), name
+
+
+def test_gradients_returned_outside_training_do_not_alias():
+    # a caller may keep the gradients of one call while making the next
+    rng = substream(86)
+    net = BottleneckNet.init(4, 2, 6, rng)
+    x = rng.integers(0, 2, size=(12, 4)).astype(float)
+    q = rng.integers(0, 4, size=12)
+    y = x[np.arange(12), q]
+    _, first = net.loss_and_grads(x, q, y)
+    kept = {name: g.copy() for name, g in first.items()}
+    _, second = net.loss_and_grads(1.0 - x, (q + 1) % 4, 1.0 - y)
+    for name, g in first.items():
+        assert np.array_equal(g, kept[name]), name
+        assert not np.shares_memory(g, second[name]), name
+        assert not np.shares_memory(g, getattr(net, name)), name
+
+
+# The training sampler must equal these NumPy calls, step by step.
+def integers_batches(rng, n_bits, batch, steps):
+    for _ in range(steps):
+        x = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
+        q = rng.integers(0, n_bits, size=batch)
+        yield x, q, x[np.arange(batch), q]
+
+
+def assert_sampler_equals_integers(make_rng, n_bits, batch, steps):
+    got = ablation._training_batches(make_rng(), n_bits, batch, steps)
+    want = integers_batches(make_rng(), n_bits, batch, steps)
+    count = 0
+    for (x, q, y), (x_ref, q_ref, y_ref) in zip(got, want, strict=True):
+        assert x.dtype == x_ref.dtype and np.array_equal(x, x_ref)
+        assert q.dtype == q_ref.dtype and np.array_equal(q, q_ref)
+        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+        count += 1
+    assert count == steps
+
+
+@pytest.mark.parametrize("n_bits", [1, 3, 5, 6, 8, 12, 16])
+@pytest.mark.parametrize("batch", [1, 7, 33, 255])
+def test_sampler_equals_rng_integers(monkeypatch, n_bits, batch):
+    # an odd word count per step leaves half a 64-bit word pending between
+    # steps; small chunks put chunk boundaries everywhere
+    assert_sampler_equals_integers(lambda: substream(87, n_bits, batch), n_bits, batch, 5)
+    monkeypatch.setattr(ablation, "_CHUNK_BYTES", 1)
+    assert_sampler_equals_integers(lambda: substream(88, n_bits, batch), n_bits, batch, 5)
+
+
+def test_sampler_continues_a_pending_half_word():
+    def make_rng():
+        rng = substream(89)
+        rng.integers(0, 2, size=3)  # leaves the high half of a word pending
+        return rng
+
+    assert make_rng().bit_generator.state["has_uint32"] == 1
+    assert_sampler_equals_integers(make_rng, 6, 5, 4)
+
+
+# PCG64 (XSL-RR) emits rotr64(hi ^ lo, hi >> 58) of the 128-bit state after
+# each step state = state * MULTIPLIER + increment.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_emitting(at: int, first: int, second: int) -> np.random.Generator:
+    """A PCG64 generator whose 64-bit outputs ``at`` and ``at + 1`` (from 0)
+    are ``first`` and ``second``."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+
+    def state_emitting(out, hi):  # a state whose output is ``out``
+        r = hi >> 58
+        return (hi << 64) | (hi ^ (((out << r) | (out >> (64 - r))) & mask64 if r else out))
+
+    s1 = state_emitting(first, 1 << 40)
+    for hi2 in (3 << 50, (3 << 50) + 1):  # the increment's parity differs between these
+        s2 = state_emitting(second, hi2)
+        increment = (s2 - s1 * PCG64_MULTIPLIER) & mask128
+        if increment & 1:  # PCG64 increments are odd
+            state = s1
+            for _ in range(at + 1):  # step back to the state before output 0
+                state = ((state - increment) * inverse) & mask128
+            bit_generator = np.random.PCG64()
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": increment},
+                                   "has_uint32": 0, "uinteger": 0}
+            return np.random.Generator(bit_generator)
+    raise AssertionError("no odd increment found")
+
+
+@pytest.mark.parametrize("n_bits, at, first, second, rejected", [
+    # one example per step lays out [x0 x1 x2 q0 | x0 ...]; the zero fourth
+    # word is rejected, so the query is the fifth word and every later step
+    # shifts by one word
+    (3, 0, 0x12345678_00000000, 0, [0, 0x12345678, 0, 0]),
+    # [x0 .. x5 q0 | ...]: the seventh and eighth words are both zero, so the
+    # query is the ninth word
+    (6, 3, 0, 0x9ABCDEF0_12345678, [0, 0, 0x12345678, 0x9ABCDEF0]),
+])
+def test_sampler_walks_a_rejected_query(n_bits, at, first, second, rejected):
+    # Lemire's method rejects u = 0 for any N that is not a power of two:
+    # 0 * N leaves 0 below 2^32 % N
+    make_rng = functools.partial(pcg64_emitting, at, first, second)
+    words = make_rng().bit_generator.random_raw(at + 2).view(np.uint32)
+    assert words[2 * at:].tolist() == rejected
+    assert (1 << 32) % n_bits > 0
+    assert_sampler_equals_integers(make_rng, n_bits, 1, 6)
+    assert_sampler_equals_integers(make_rng, n_bits, 2, 4)
 
 
 def identity_multiplexer_net(n_bits: int, gain: float = 20.0) -> BottleneckNet:

@@ -205,6 +205,55 @@ def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeyp
     assert not (tmp_path / argv[0]).exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("bias-scan", "--grid", "points=1"), "bias-scan parameter points must be at least 2, got 1"),
+    (("visibility", "--grid", "points=1"),
+     "visibility parameter points must be at least 2, got 1"),
+    (("phase-boundary", "--grid", "n_max=0"),
+     "phase-boundary parameter n_max must be at least 1, got 0"),
+    (("capacity-phase", "--n-max", "0"),
+     "capacity-phase parameter n_max must be at least 1, got 0"),
+    (("benchmark", "--grid", "n_max=0"), "benchmark parameter n_max must be at least 1, got 0"),
+    (("depth-scan", "--grid", "n_max=0"), "depth-scan parameter n_max must be at least 1, got 0"),
+    (("ablations", "--grid", "seeds=0"), "ablations parameter seeds must be at least 1, got 0"),
+    (("capacity-sanity", "--grid", "ms=2,-1"),
+     "capacity-sanity parameter ms must be at least 0, got -1"),
+])
+def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv, error):
+    # these used to end in a traceback, or in ALL PASS with nothing judged
+    for name in ("run_hard_copy_probe", "train_strict", "critical_bias", "closed_form_score"):
+        monkeypatch.setattr(experiments, name, _never)
+    assert run_cli("run", *argv, "--workers", "1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / argv[0]).exists()
+
+
+def test_an_empty_grid_is_rejected():
+    with pytest.raises(ValueError, match="^ablations parameter ms needs at least one value$"):
+        experiments.resolve(ExperimentConfig("ablations", params={"ms": []}))
+
+
+def _least_values(exp) -> dict:
+    """Every bounded parameter of ``exp`` at its declared least value."""
+    least = {}
+    for key, spec in exp.params.items():
+        if isinstance(spec, tuple):
+            default, low = spec
+            least[key] = [low] if isinstance(default, list) else low
+    return least
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_experiment_at_its_least_values_yields_a_verdict(name):
+    exp = REGISTRY[name]
+    for key, spec in exp.params.items():
+        if isinstance(spec, tuple):  # each default respects its own bound
+            default, low = spec
+            assert min(default if isinstance(default, list) else [default]) >= low, key
+    config = ExperimentConfig(name, workers=1, params=_least_values(exp))
+    assert exp.judge(exp.build(config), config), config.params
+
+
 @pytest.mark.parametrize("field, value, error", [
     ("interval", "bogus", "unknown interval method 'bogus'"),
     ("level", 1.5, "level=1.5 outside (0, 1)"),

@@ -364,6 +364,27 @@ LAW_CELLS = {
 }
 
 
+def test_node_tables_are_built_once_per_distinct_cell(monkeypatch):
+    calls = []
+    build = IsotropicCell.conditional_tables
+
+    def counted(cell):
+        calls.append(cell)
+        return build(cell)
+
+    monkeypatch.setattr(IsotropicCell, "conditional_tables", counted)
+    cell = IsotropicCell(0.7)
+    pa1, pb1 = protocols._node_tables(PyramidProtocol.uniform(12, cell))
+    assert calls == [cell]
+    assert np.all(pa1 == build(cell)[0]) and np.all(pb1 == build(cell)[1])
+    calls.clear()
+    mixed = _mixed_biases(3)
+    pa1, pb1 = protocols._node_tables(mixed)
+    assert len(calls) == 7
+    for k, node in enumerate(mixed.cells):
+        assert np.array_equal(pa1[k], build(node)[0]) and np.array_equal(pb1[k], build(node)[1])
+
+
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("kind", sorted(LAW_CELLS))
 def test_path_loop_matches_the_tree_in_law(kind, depth):
