@@ -28,7 +28,7 @@ from .protocols import (PyramidBatch, PyramidProtocol, brute_force_one_bit_optim
 from .rng import substream
 from .scores import (ConditionalScoreReport, CriticalityResult, asym_exact_score,
                      closed_form_score, conditional_score_from_records, critical_bias,
-                     critical_bias_asymptotic, critical_constant, exact_conditional_score,
+                     critical_bias_asymptotic, critical_constant, exact_scores,
                      optimize_regularized_angle, regularized_angle_utility)
 
 __version__ = "0.1.0"

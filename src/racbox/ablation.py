@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import ContingencyTable, plugin_mi
 from .info import Bits
 from .rng import substream
+from .scores import database_blocks, exact_scores
 
 _TRAIN_STREAM = 0
 
@@ -314,12 +314,6 @@ def train_strict(n_bits: int, m: int, seed: int,
 # Exact scoring and reports
 # ---------------------------------------------------------------------------
 
-# Exact scoring enumerates all 2^N databases, each asked all N queries.
-MAX_ENUMERATED_BITS = 16
-# The databases are enumerated in blocks whose tiled query matrix holds at
-# most this many bits (rows x N), so working memory does not grow with N.
-_ENUM_BLOCK_BITS = 1 << 16
-
 
 @dataclass(frozen=True)
 class AblationReport:
@@ -337,39 +331,6 @@ class AblationReport:
     code_entropy: Bits | None = None
 
 
-def check_enumerable(n_bits: int):
-    if n_bits > MAX_ENUMERATED_BITS:
-        raise ValueError(f"exact scoring enumerates 2^N databases and is limited to "
-                         f"N <= {MAX_ENUMERATED_BITS}, got N = {n_bits}")
-
-
-def _database_blocks(n_bits: int):
-    """All 2^N databases as rows, in fixed blocks; bit i of row w is bit i of w."""
-    check_enumerable(n_bits)
-    size = max(1, _ENUM_BLOCK_BITS // max(1, n_bits) ** 2)
-    for start in range(0, 1 << n_bits, size):
-        words = np.arange(start, min(start + size, 1 << n_bits))
-        yield (words[:, None] >> np.arange(n_bits)) & 1
-
-
-def exact_deterministic_score(n_bits: int, answer) -> tuple[Bits, ...]:
-    """Exact per-query information of a deterministic protocol.
-
-    ``answer(db, queries)`` returns the output bit of each row of ``db`` for
-    the query beside it.  It is called once per block of databases, on each
-    database of the block times all N queries, and the integer contingency
-    counts are summed over the blocks; so over all 2^N unbiased databases
-    the returned values are the true mutual informations, not estimates.
-    """
-    counts = np.zeros((n_bits, 2, 2), dtype=np.int64)
-    for db in _database_blocks(n_bits):
-        queries = np.repeat(np.arange(n_bits), len(db))  # query-major rows
-        outputs = np.asarray(answer(np.tile(db, (n_bits, 1)), queries)).reshape(n_bits, -1)
-        for k in range(n_bits):
-            counts[k] += ContingencyTable.from_pairs(db[:, k], outputs[k] & 1).counts
-    return tuple(plugin_mi(ContingencyTable(c)) for c in counts)
-
-
 def eval_score(net: BottleneckNet) -> AblationReport:
     """Exact I_NRAC and H(code) of a frozen net over all 2^N databases.
 
@@ -378,9 +339,9 @@ def eval_score(net: BottleneckNet) -> AblationReport:
     inequality (the answers are computed from the code) and H(code) <= m the
     capacity bound (an m-bit code has at most 2^m values).
     """
-    per_query = exact_deterministic_score(net.n_bits, net.answer)
+    per_query = exact_scores(net.n_bits, net.answer)[0]
     code_counts: dict[tuple, int] = {}
-    for db in _database_blocks(net.n_bits):
+    for _, db in database_blocks(net.n_bits):
         code = net._forward(db, np.zeros(len(db), dtype=np.int64))[1][:, : net.m]
         for row, count in zip(*np.unique(code, axis=0, return_counts=True)):
             key = tuple(row.tolist())
@@ -403,7 +364,7 @@ def query_leaky_control(n_bits: int) -> AblationReport:
     just echoes it.  Run exactly over all databases: every query is answered
     perfectly and the score is N through a nominal one-bit interface.
     """
-    per_query = exact_deterministic_score(n_bits, _queried_bit)
+    per_query = exact_scores(n_bits, _queried_bit)[0]
     return AblationReport(observed_score=float(sum(per_query)),
                           counted_capacity=1.0,
                           corrected_capacity=None,
@@ -421,8 +382,7 @@ def precision_packing_control(n_bits: int, q: int | None = None) -> AblationRepo
     if q is None:
         q = n_bits
     stored = min(n_bits, q)
-    per_query = exact_deterministic_score(
-        n_bits, lambda db, k: _queried_bit(db, k) * (k < stored))
+    per_query = exact_scores(n_bits, lambda db, k: _queried_bit(db, k) * (k < stored))[0]
     return AblationReport(observed_score=float(sum(per_query)),
                           counted_capacity=None,  # one real coordinate: no finite certificate
                           corrected_capacity=float(q),
@@ -437,7 +397,7 @@ def episode_weights_control(n_bits: int) -> AblationReport:
     answers everything exactly, so the score is N against a counted message
     budget of zero.
     """
-    per_query = exact_deterministic_score(n_bits, _queried_bit)
+    per_query = exact_scores(n_bits, _queried_bit)[0]
     return AblationReport(observed_score=float(sum(per_query)),
                           counted_capacity=0.0,
                           corrected_capacity=None,

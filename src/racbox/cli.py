@@ -149,8 +149,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{status}  {v['name']}{measured}{expected}")
     where = os.path.join(output_root(args.out), config.experiment)
     print(f"wrote {', '.join(sorted(manifest['outputs']))} and manifest.json to {where}")
-    print(f"config={manifest['config_hash']}  wall={manifest['wall_clock_s']:.2f}s  "
-          f"{'ALL PASS' if manifest['all_passed'] else 'FAILURES PRESENT'}")
+    outcome = ("ALL PASS" if manifest["all_passed"] else
+               "FAILURES PRESENT" if manifest["verdicts"] else "NO VERDICT APPLIED")
+    print(f"config={manifest['config_hash']}  wall={manifest['wall_clock_s']:.2f}s  {outcome}")
     return 0 if manifest["all_passed"] else 2
 
 

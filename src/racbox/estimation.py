@@ -50,33 +50,29 @@ class ContingencyTable:
     def empty(self) -> bool:
         return self.total == 0
 
-    @classmethod
-    def from_pairs(cls, targets, outputs) -> "ContingencyTable":
-        t = np.asarray(targets, dtype=np.int64)
-        o = np.asarray(outputs, dtype=np.int64)
-        counts = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(counts, (t, o), 1)
-        return cls(counts=counts)
 
-
-def plugin_mi(table: ContingencyTable, smoothing: float = 0.0) -> Bits:
+def plugin_mi(table: ContingencyTable | np.ndarray,
+              smoothing: float = 0.0) -> Bits | np.ndarray:
     """Plug-in mutual information of a 2x2 table, in bits.
 
-    ``smoothing`` adds a pseudocount to every cell before normalizing
-    (0.5 gives the Jeffreys prior); the default is no smoothing.
+    ``table`` is a ContingencyTable, which gives a float, or an array of
+    2x2 counts or masses of shape (..., 2, 2), which gives one value per
+    table.  ``smoothing`` adds a pseudocount to every cell before
+    normalizing (0.5 gives the Jeffreys prior); the default is no smoothing.
     """
     if smoothing < 0.0:
         raise ValueError("smoothing must be nonnegative")
-    counts = np.asarray(table.counts, dtype=float) + smoothing
-    total = counts.sum()
-    if total <= 0.0:
+    counts = np.asarray(getattr(table, "counts", table), dtype=float) + smoothing
+    total = counts.sum(axis=(-2, -1), keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("empty contingency table")
     p = counts / total
-    row = p.sum(axis=1, keepdims=True)
-    col = p.sum(axis=0, keepdims=True)
-    mask = p > 0.0
-    mi = float((p[mask] * np.log2(p[mask] / (row @ col)[mask])).sum())
-    return max(mi, 0.0)
+    outer = p.sum(axis=-1, keepdims=True) * p.sum(axis=-2, keepdims=True)
+    # an empty cell adds 0 * log2(1); NumPy sums four values in order, so
+    # the zeros leave every sum as it is over the nonempty cells alone
+    ratio = np.divide(p, outer, out=np.ones_like(p), where=p > 0.0)
+    mi = np.maximum((p * np.log2(ratio)).sum(axis=(-2, -1)), 0.0)
+    return float(mi) if isinstance(table, ContingencyTable) else mi
 
 
 # ---------------------------------------------------------------------------

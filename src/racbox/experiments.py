@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .ablation import (TrainConfig, check_enumerable, episode_weights_control, eval_score,
+from .ablation import (TrainConfig, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
 from .capacity import (gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
@@ -34,8 +34,8 @@ from .capacity import (gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_h
 from .estimation import INTERVAL_METHODS
 from .info import LN2, binary_entropy
 from .protocols import classical_avg_success_closed_form
-from .scores import (closed_form_score, critical_bias, critical_bias_asymptotic,
-                     critical_constant, optimize_regularized_angle)
+from .scores import (check_enumerable, closed_form_score, critical_bias,
+                     critical_bias_asymptotic, critical_constant, optimize_regularized_angle)
 
 DEFAULT_SEED = 20_240_817
 OUTPUT_ROOT_ENV = "RACBOX_OUT"
@@ -63,6 +63,9 @@ EXPECTED_ANGLE_SCAN = {
 }
 
 EXPECTED_CRITICAL_BIAS = {10: 0.7187, 20: 0.7131}  # tolerance 5e-4
+# Least depth from which capacity C's critical bias stays within 0.03 of
+# 1/sqrt(2), checked at every depth up to 60; other capacities go unjudged.
+TSIRELSON_WINDOW_DEPTH = {0.25: 13, 0.5: 5, 1.0: 4, 2.0: 13, 4.0: 21}
 
 MAJORITY_LIMIT = 1.0 / (math.pi * LN2)  # large-N majority-code score
 
@@ -278,13 +281,17 @@ def build_bias_scan(config: ExperimentConfig) -> Tables:
 
 def judge_bias_scan(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     rows = tables["bias_scan.csv"]
+    depth = resolve(config).depth
     at = {round(r["bias"], 9): r["score"] for r in rows}
     ts = at.get(round(TSIRELSON_BIAS, 9))
+    # The score at the Tsirelson bias is within 1e-3 of 0.721 from depth 8 on.
     verdicts = [Verdict(name="score at tsirelson bias", passed=abs(ts - 0.721) <= 1e-3,
-                        measured=ts, expected="0.721 +/- 1e-3")]
+                        measured=ts, expected="0.721 +/- 1e-3")] if depth >= 8 else []
     below = at.get(0.71)
     above = at.get(0.72)
-    if below is not None and above is not None:
+    # The one-bit critical bias lies in (0.71, 0.72) from depth 10 to 39; it
+    # is 0.7100 at depth 40.
+    if below is not None and above is not None and 10 <= depth <= 39:
         verdicts.append(Verdict(name="one-bit crossing inside (0.71, 0.72)",
                                 passed=below < 1.0 < above,
                                 measured=above, expected="score(0.71) < 1 < score(0.72)"))
@@ -295,8 +302,15 @@ def judge_bias_scan(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     return verdicts
 
 
+def _check_reachable(capacities, n_max: int):
+    if max(capacities) >= 2.0 ** n_max:
+        raise ValueError(f"capacity {max(capacities):g} is not below 2^{n_max}: "
+                         f"no depth up to {n_max} reaches it")
+
+
 def build_phase_boundary(config: ExperimentConfig) -> Tables:
     p = resolve(config)
+    _check_reachable([p.capacity], p.n_max)
     rows = []
     for n in range(1, p.n_max + 1):
         if p.capacity >= float(2 ** n):
@@ -338,6 +352,7 @@ def judge_phase_boundary(tables: Tables, config: ExperimentConfig) -> list[Verdi
 
 def build_capacity_phase(config: ExperimentConfig) -> Tables:
     p = resolve(config)
+    _check_reachable(p.capacities, p.n_max)
     rows = []
     for cap in p.capacities:
         for n in range(1, p.n_max + 1):
@@ -366,10 +381,11 @@ def judge_capacity_phase(tables: Tables, config: ExperimentConfig) -> list[Verdi
             decreasing = all(a[1] > b[1] for a, b in zip(curve, curve[1:]))
             verdicts.append(Verdict(name=f"curve C={c:g} decreases with depth",
                                     passed=decreasing, expected="strictly decreasing"))
-        last = curve[-1][1]
-        verdicts.append(Verdict(name=f"curve C={c:g} approaches tsirelson bias",
-                                passed=abs(last - TSIRELSON_BIAS) < 0.03,
-                                measured=last, expected="within 0.03 at the deepest scan"))
+        deepest, last = curve[-1]
+        if deepest >= TSIRELSON_WINDOW_DEPTH.get(c, math.inf):
+            verdicts.append(Verdict(name=f"curve C={c:g} approaches tsirelson bias",
+                                    passed=abs(last - TSIRELSON_BIAS) < 0.03, measured=last,
+                                    expected="within 0.03 at the deepest scan"))
     deepest = max(n for n, _ in curves[caps[0]])
     ordered = [dict(curves[c]).get(deepest) for c in caps]
     ordered = [v for v in ordered if v is not None]
@@ -542,10 +558,12 @@ def judge_visibility(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     worst = max(r["score"] for r in rows)
     verdicts.append(Verdict(name="entire sweep stays below one bit",
                             passed=worst <= 1.0, measured=worst, expected="<= 1"))
-    ideal_end = max((r["score"] for r in rows if r["visibility"] == 1.0))
-    verdicts.append(Verdict(name="ideal endpoint hits the critical plateau",
-                            passed=abs(ideal_end - 0.721) <= 1e-3,
-                            measured=ideal_end, expected="0.721 +/- 1e-3"))
+    ideal = [r["score"] for r in rows if r["visibility"] == 1.0]
+    # The ideal endpoint's score is within 1e-3 of 0.721 from depth 8 on.
+    if ideal and resolve(config).depth >= 8:
+        verdicts.append(Verdict(name="ideal endpoint hits the critical plateau",
+                                passed=abs(max(ideal) - 0.721) <= 1e-3,
+                                measured=max(ideal), expected="0.721 +/- 1e-3"))
     ends = {r["visibility"]: r["score"] for r in rows
             if abs(r["phi"] - math.pi / 4.0) < 1e-9}
     nus = sorted(ends)
@@ -571,18 +589,21 @@ def judge_benchmark(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     rows = tables["benchmark.csv"]
     verdicts = []
     last = rows[-1]
-    verdicts.append(Verdict(
-        name=f"majority score at N={round(last['N'])} near its limit",
-        passed=abs(last["majority_score"] - MAJORITY_LIMIT) <= 0.02 * MAJORITY_LIMIT,
-        measured=last["majority_score"], expected=f"{MAJORITY_LIMIT:.4f} +/- 2%"))
+    # Within 2% of the limit from depth 5 (N = 32) on; below 0.01 from depth 7.
+    if last["n"] >= 5:
+        verdicts.append(Verdict(
+            name=f"majority score at N={round(last['N'])} near its limit",
+            passed=abs(last["majority_score"] - MAJORITY_LIMIT) <= 0.02 * MAJORITY_LIMIT,
+            measured=last["majority_score"], expected=f"{MAJORITY_LIMIT:.4f} +/- 2%"))
     verdicts.append(Verdict(
         name="majority stays below the critical plateau",
         passed=all(r["majority_score"] < critical_constant() for r in rows),
         expected=f"< {critical_constant():.4f}"))
-    verdicts.append(Verdict(
-        name="nested classical cells decay to zero",
-        passed=last["nested_classical_score"] < 0.01,
-        measured=last["nested_classical_score"], expected="< 0.01 at the deepest scan"))
+    if last["n"] >= 7:
+        verdicts.append(Verdict(
+            name="nested classical cells decay to zero",
+            passed=last["nested_classical_score"] < 0.01,
+            measured=last["nested_classical_score"], expected="< 0.01 at the deepest scan"))
     verdicts.append(Verdict(
         name="one-bit budget never violated",
         passed=all(max(r["majority_score"], r["nested_tsirelson_score"]) <= 1.0
@@ -765,7 +786,7 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
         "version": __version__,
         "outputs": outputs,
         "verdicts": [asdict(v) for v in verdicts],
-        "all_passed": all(v.passed for v in verdicts),
+        "all_passed": bool(verdicts) and all(v.passed for v in verdicts),  # none judged: fail
         "wall_clock_s": elapsed,
         # Byte-identity rests on NumPy's generator streams; the fingerprint
         # stays out of the CSVs and the config hash.
@@ -786,7 +807,8 @@ def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:
     """Recheck output checksums and re-derive the verdicts from the files.
 
     Returns (ok, messages); ok is False on any checksum mismatch, missing
-    file, config that no longer resolves, or failed verdict.
+    file, config that no longer resolves, failed verdict, or when no
+    verdict applies.
     """
     with open(manifest_path) as fh:
         data = json.load(fh)
@@ -815,6 +837,9 @@ def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:
             messages.append(f"FAIL {exc}")
             return False, messages
         verdicts = REGISTRY[config.experiment].judge(tables, config)
+        if not verdicts:
+            ok = False
+            messages.append("FAIL no verdict applied")
         for v in verdicts:
             messages.append(f"{'PASS' if v.passed else 'FAIL'} {v.name}")
             ok = ok and v.passed

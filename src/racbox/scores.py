@@ -5,28 +5,32 @@ The central closed form is the score of the depth-n isotropic pyramid,
     score(n, E) = 2^n * (1 - h((1 + E^n) / 2)),
 
 together with its asymmetric-bias generalization, the finite-depth critical
-bias where the score exhausts a given interface capacity, the conditional
-score for correlated databases, and a small regularized optimization over
-the measurement angle of the quantum cell family.
+bias where the score exhausts a given interface capacity, and a small
+regularized optimization over the measurement angle of the quantum cell
+family.  For any code, one tally scores every query's information, with
+and without the earlier bits: exactly over a database law
+(:func:`exact_scores`) or from sampled episodes
+(:func:`conditional_score_from_records`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .boxes import iso_bias_from_angle
-from .estimation import ContingencyTable, plugin_mi
+from .estimation import plugin_mi
 from .info import LN2, Bits, binary_entropy, entropy_deficit
 
 __all__ = [
     "closed_form_score", "asym_exact_score",
     "critical_constant",
     "critical_bias", "critical_bias_asymptotic", "CriticalityResult",
+    "MAX_ENUMERATED_BITS", "check_enumerable", "database_blocks", "exact_scores",
     "ConditionalScoreReport", "conditional_score_from_records",
-    "exact_conditional_score", "regularized_angle_utility",
-    "optimize_regularized_angle", "MAX_DEPTH",
+    "regularized_angle_utility", "optimize_regularized_angle", "MAX_DEPTH",
 ]
 
 MAX_DEPTH = 60
@@ -105,8 +109,84 @@ def critical_bias(depth: int, capacity: Bits = 1.0, max_iter: int = 200) -> Crit
 
 
 # ---------------------------------------------------------------------------
-# Conditional score for non-uniform or correlated databases
+# Per-query information of a code, exactly or from sampled records
 # ---------------------------------------------------------------------------
+
+# Scores tally 2^N databases, or 2^N - 1 contexts (query K's 2^K prefixes a_<K).
+MAX_ENUMERATED_BITS = 16
+# The databases are enumerated in blocks whose tiled query matrix holds at
+# most this many bits (rows x N), so working memory does not grow with N.
+_ENUM_BLOCK_BITS = 1 << 16
+
+
+def check_enumerable(n_bits: int):
+    if n_bits > MAX_ENUMERATED_BITS:
+        raise ValueError(f"per-query scores tally 2^N databases or contexts and are "
+                         f"limited to N <= {MAX_ENUMERATED_BITS}, got N = {n_bits}")
+
+
+def database_blocks(n_bits: int):
+    """All 2^N databases in fixed blocks of (words, rows); row w holds the bits of w."""
+    check_enumerable(n_bits)
+    size = max(1, _ENUM_BLOCK_BITS // max(1, n_bits) ** 2)
+    for start in range(0, 1 << n_bits, size):
+        words = np.arange(start, min(start + size, 1 << n_bits))
+        yield words, (words[:, None] >> np.arange(n_bits)) & 1
+
+
+def _tally(masses, words, targets, queries, p_one, weight=1.0):
+    """Add each row's mass to ``masses[context, a_K, beta]`` in one bincount.
+
+    A row is a database word with its queried bit a_K, the query K,
+    Pr[beta = 1] and a weight.  Query K's context a_<K is the low K bits of
+    the word, at row 2^K - 1 + prefix of ``masses``.
+    """
+    if not ((p_one >= 0.0) & (p_one <= 1.0)).all():
+        raise ValueError("Pr[beta = 1] must lie in [0, 1]")
+    low = (1 << queries) - 1
+    cell = 4 * (low + (words & low)) + 2 * targets
+    mass = weight * p_one
+    masses += np.bincount(np.concatenate([cell, cell + 1]),
+                          np.concatenate([weight - mass, mass]),
+                          minlength=masses.size).reshape(masses.shape)
+
+
+def _information(masses, n_bits: int) -> tuple[tuple[Bits, ...], tuple[Bits, ...]]:
+    """Per query K, I(a_K : beta) and I(a_K : beta | a_<K) of the tallied masses."""
+    starts = (1 << np.arange(n_bits)) - 1  # each query's first context
+    tables = np.concatenate([masses, np.add.reduceat(masses, starts)])
+    mass = tables.sum(axis=(1, 2))
+    mi = np.zeros(len(tables))
+    mi[mass > 0] = plugin_mi(tables[mass > 0])  # an empty table carries nothing
+    context_mass, query_mass = mass[:-n_bits], mass[-n_bits:]
+    conditional = np.divide(np.add.reduceat(context_mass * mi[:-n_bits], starts), query_mass,
+                            out=np.zeros(n_bits), where=query_mass > 0)
+    return tuple(mi[-n_bits:].tolist()), tuple(conditional.tolist())
+
+
+def exact_scores(n_bits: int, answer,
+                 weights=None) -> tuple[tuple[Bits, ...], tuple[Bits, ...]]:
+    """Exact I(a_K : beta_K) and I(a_K : beta_K | a_<K) for every query K.
+
+    ``answer(db, queries)`` returns Pr[beta = 1] for each row of ``db`` and
+    the query beside it; a deterministic code returns 0 or 1.  It is called
+    once per block of databases, on each database of the block times all N
+    queries.  ``weights`` is the database law over the 2^N words (bit i of
+    word w is a_i), uniform by default; it need not sum to 1.  Everything is
+    summed exactly over the law, so the values are not estimates.
+    """
+    check_enumerable(n_bits)
+    weights = None if weights is None else np.asarray(weights, dtype=float)
+    if weights is not None and not (weights.shape == (1 << n_bits,)
+                                    and (weights >= 0.0).all() and weights.sum() > 0.0):
+        raise ValueError(f"weights must be {1 << n_bits} nonnegative numbers, not all 0")
+    masses = np.zeros(((1 << n_bits) - 1, 2, 2))
+    for words, db in database_blocks(n_bits):
+        queries = np.repeat(np.arange(n_bits), len(db))  # query-major rows
+        p_one = np.asarray(answer(np.tile(db, (n_bits, 1)), queries), dtype=float)
+        weight = 1.0 if weights is None else np.tile(weights[words], n_bits)
+        _tally(masses, np.tile(words, n_bits), db.T.reshape(-1), queries, p_one, weight)
+    return _information(masses, n_bits)
 
 
 @dataclass(frozen=True)
@@ -125,93 +205,41 @@ class ConditionalScoreReport:
     sparse_contexts: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def conditional_score_from_records(records, n_bits: int,
+def conditional_score_from_records(databases, queries, outputs,
                                    min_context_count: int = 20) -> ConditionalScoreReport:
-    """Plug-in conditional score from episode records.
+    """Plug-in conditional score from sampled episodes.
 
-    ``records`` is an iterable of (database bits, query index, output bit).
-    For each query K the records with b = K are grouped by the observed
-    prefix A_<K; each context contributes its plug-in mutual information
-    between A_K and the output, weighted by empirical context frequency.
+    Episode i asked database row ``databases[i]`` (0/1 bits) query
+    ``queries[i]`` and got ``outputs[i]``.  The episodes are tallied as
+    :func:`exact_scores` tallies its exact masses; each context a_<K then
+    contributes its plug-in information, weighted by its frequency.
     """
-    if n_bits > 12:
-        raise ValueError("context tables grow as 2^K; limited to N <= 12")
-    by_query: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(n_bits)]
-    for db, b, beta in records:
-        bits = tuple(int(v) & 1 for v in db)
-        if len(bits) != n_bits:
-            raise ValueError(f"record database has {len(bits)} bits, expected {n_bits}")
-        by_query[int(b)].append((bits, bits[int(b)], int(beta) & 1))
-
-    per_query = []
-    fano_total = 0.0
-    sparse: list[tuple[int, tuple[int, ...]]] = []
-    for k in range(n_bits):
-        recs = by_query[k]
-        if not recs:
-            per_query.append(0.0)
-            continue
-        contexts: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for bits, target, beta in recs:
-            contexts.setdefault(bits[:k], []).append((target, beta))
-        total_k = len(recs)
-        mi_k = 0.0
-        cond_entropy_k = 0.0
-        errors_k = 0
-        for ctx, pairs in contexts.items():
-            if len(pairs) < min_context_count:
-                sparse.append((k, ctx))
-            counts = [[0, 0], [0, 0]]
-            for target, beta in pairs:
-                counts[target][beta] += 1
-            table = ContingencyTable(counts=counts)
-            weight = len(pairs) / total_k
-            mi_k += weight * plugin_mi(table)
-            ones = counts[1][0] + counts[1][1]
-            cond_entropy_k += weight * binary_entropy(ones / len(pairs))
-            errors_k += counts[0][1] + counts[1][0]
-        per_query.append(mi_k)
-        fano_total += cond_entropy_k - binary_entropy(errors_k / total_k)
-    return ConditionalScoreReport(score=sum(per_query), per_query=tuple(per_query),
-                                  fano_bound=fano_total, sparse_contexts=tuple(sparse))
-
-
-def exact_conditional_score(joint: dict[tuple[int, ...], float], channel,
-                            n_bits: int) -> Bits:
-    """Conditional score for an explicit database law and decoder channel.
-
-    ``joint`` maps each database tuple to its probability; ``channel(db, K)``
-    returns Pr[output = 1 | database, query K].  Everything is enumerated
-    exactly, so N is capped at 12.
-    """
-    if n_bits > 12:
-        raise ValueError("exact enumeration limited to N <= 12")
-    total = 0.0
-    for k in range(n_bits):
-        # p[(context, a, beta)] for query K
-        ctx_mass: dict[tuple[int, ...], float] = {}
-        cell: dict[tuple[tuple[int, ...], int, int], float] = {}
-        for db, p_db in joint.items():
-            if p_db == 0.0:
-                continue
-            ctx = db[:k]
-            p1 = channel(db, k)
-            ctx_mass[ctx] = ctx_mass.get(ctx, 0.0) + p_db
-            for beta, p_beta in ((1, p1), (0, 1.0 - p1)):
-                key = (ctx, db[k], beta)
-                cell[key] = cell.get(key, 0.0) + p_db * p_beta
-        for ctx, mass in ctx_mass.items():
-            joint_ab = [[cell.get((ctx, a, beta), 0.0) / mass for beta in (0, 1)]
-                        for a in (0, 1)]
-            pa = [sum(row) for row in joint_ab]
-            pb = [joint_ab[0][bcol] + joint_ab[1][bcol] for bcol in (0, 1)]
-            mi = 0.0
-            for a, beta in product((0, 1), repeat=2):
-                pab = joint_ab[a][beta]
-                if pab > 0.0:
-                    mi += pab * math.log2(pab / (pa[a] * pb[beta]))
-            total += mass * mi
-    return total
+    databases, queries, outputs = (np.asarray(a) for a in (databases, queries, outputs))
+    n_bits = databases.shape[-1] if databases.ndim == 2 else 0
+    check_enumerable(n_bits)
+    if not (n_bits and queries.shape == outputs.shape == databases.shape[:1]
+            and np.isin(databases, (0, 1)).all() and np.isin(outputs, (0, 1)).all()
+            and np.isin(queries, np.arange(n_bits)).all()):
+        raise ValueError("records need one row of 0/1 database bits, one query in [0, N) "
+                         "and one 0/1 output per episode")
+    databases, queries = databases.astype(np.int64), queries.astype(np.int64)
+    masses = np.zeros(((1 << n_bits) - 1, 2, 2))
+    _tally(masses, databases @ (1 << np.arange(n_bits)),
+           databases[np.arange(len(queries)), queries], queries, outputs.astype(float))
+    _, per_query = _information(masses, n_bits)
+    # I(a; a) = H(a): scored on the diagonal of a_K's masses, the conditional
+    # information is H(a_K | a_<K)
+    entropy = _information(masses.sum(axis=2)[:, :, None] * np.eye(2), n_bits)[1]
+    tables = np.add.reduceat(masses, (1 << np.arange(n_bits)) - 1)
+    fano = sum(entropy) - sum(binary_entropy((t[0, 1] + t[1, 0]) / t.sum())
+                              for t in tables if t.sum() > 0)
+    counts = masses.sum(axis=(1, 2))
+    sparse = []
+    for row in np.flatnonzero((counts > 0) & (counts < min_context_count)) + 1:
+        k = int(row).bit_length() - 1  # context row + 1 is 2^K + prefix a_<K
+        sparse.append((k, tuple(int(row) >> i & 1 for i in range(k))))
+    return ConditionalScoreReport(score=sum(per_query), per_query=per_query, fano_bound=fano,
+                                  sparse_contexts=tuple(sparse))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 
 import racbox.ablation as ablation
 import racbox.experiments as experiments
+import racbox.scores as scores
 from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
-                             episode_weights_control, eval_score,
-                             exact_deterministic_score, precision_packing_control,
+                             episode_weights_control, eval_score, precision_packing_control,
                              query_leaky_control, train_strict)
 from racbox.estimation import ContingencyTable, plugin_mi
 from racbox.experiments import ExperimentConfig, build_ablations, judge_ablations
 from racbox.rng import substream
+from racbox.scores import exact_scores
 
 FAST = TrainConfig(steps=1500)
 
@@ -370,7 +371,7 @@ def test_episode_weights_control():
     assert episode_weights_control(2).observed_score == 2.0
     # the same decoder with weights frozen across episodes answers a constant
     # per query and carries nothing
-    assert sum(exact_deterministic_score(8, lambda db, k: np.zeros(len(k), np.uint8))) == 0.0
+    assert sum(exact_scores(8, lambda db, k: np.zeros(len(k), np.uint8))[0]) == 0.0
 
 
 def reference_exact_score(n_bits, answer_one):
@@ -392,7 +393,7 @@ def test_enumerator_matches_the_loop_oracle():
         return net.answer(np.array([db], dtype=float), np.array([k]))[0]
 
     expected = reference_exact_score(8, net_one)
-    assert exact_deterministic_score(8, net.answer) == expected == eval_score(net).per_query
+    assert exact_scores(8, net.answer)[0] == expected == eval_score(net).per_query
     assert precision_packing_control(8, q=5).per_query == reference_exact_score(
         8, lambda db, k: db[k] if k < 5 else 0)
 
@@ -406,7 +407,7 @@ def test_enumerator_answers_every_pair_in_one_call():
         calls.append((db.copy(), queries.copy()))
         return db[np.arange(len(queries)), queries] ^ (queries == 2)
 
-    per_query = exact_deterministic_score(5, answer)
+    per_query = exact_scores(5, answer)[0]
     assert per_query == (1.0,) * 5  # a flipped answer carries as much as the bit
     (db, queries), = calls
     assert db.shape == (32 * 5, 5) and queries.shape == (32 * 5,)
@@ -434,8 +435,8 @@ def test_blocked_enumeration_equals_one_block(monkeypatch, bits):
     # contingency counts and code counts as a single block of all 256
     net, _ = train_strict(8, 3, seed=21, config=TrainConfig(steps=300))
     whole = eval_score(net)
-    assert ablation._ENUM_BLOCK_BITS >= 8 * 8 * 256
-    monkeypatch.setattr(ablation, "_ENUM_BLOCK_BITS", bits)
+    assert scores._ENUM_BLOCK_BITS >= 8 * 8 * 256
+    monkeypatch.setattr(scores, "_ENUM_BLOCK_BITS", bits)
     blocked = eval_score(net)
     assert (blocked.per_query, blocked.code_entropy) == (whole.per_query, whole.code_entropy)
 
@@ -510,4 +511,4 @@ def test_oversized_database_fails_before_training(monkeypatch):
         build_ablations(ExperimentConfig("ablations", params={"n_bits": 17}))
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="N <= 16"):
-        exact_deterministic_score(17, lambda db, k: k)
+        exact_scores(17, lambda db, k: k)

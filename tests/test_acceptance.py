@@ -13,13 +13,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import random_no_signaling_box
+from oracles import random_no_signaling_box, table_from_pairs
 from racbox.boxes import (IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, chsh_value,
                           iso_bias_from_angle, twirl)
 from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bpsk_probe,
                              run_hard_copy_probe, run_packed_precision_probe)
-from racbox.estimation import (ContingencyTable, plugin_mi, symmetric_score_estimate,
-                               wilson_interval)
+from racbox.estimation import plugin_mi, symmetric_score_estimate, wilson_interval
 from racbox.experiments import (ANGLE_SCAN_PHIS, EXPECTED_ANGLE_SCAN,
                                 EXPECTED_SCORE_GRID, SCORE_GRID_BIASES,
                                 ExperimentConfig, read_csv_rows, run_experiment)
@@ -165,7 +164,7 @@ def test_criterion_09_estimator_coverage():
         assert hits / 1000 >= 0.93, f"criterion 9: coverage {hits / 1000} at P={p}"
     targets = rng.integers(0, 2, size=100_000)
     outputs = targets ^ (rng.random(100_000) < 0.25)
-    err = abs(plugin_mi(ContingencyTable.from_pairs(targets, outputs))
+    err = abs(plugin_mi(table_from_pairs(targets, outputs))
               - bsc_information(0.75))
     assert err < 0.01, f"criterion 9: plug-in error {err}"
     announce(9, f"Wilson coverage >= 93% at three biases; plug-in error {err:.2e} bits")

@@ -7,7 +7,7 @@ import platform
 import numpy as np
 import pytest
 
-from racbox import experiments
+from racbox import experiments, scores
 from racbox.cli import main
 from racbox.experiments import (ExperimentConfig, REGISTRY, read_csv_rows,
                                 run_experiment)
@@ -218,6 +218,12 @@ def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeyp
     (("ablations", "--grid", "seeds=0"), "ablations parameter seeds must be at least 1, got 0"),
     (("capacity-sanity", "--grid", "ms=2,-1"),
      "capacity-sanity parameter ms must be at least 0, got -1"),
+    (("phase-boundary", "--grid", "capacity=2e12"),
+     "capacity 2e+12 is not below 2^40: no depth up to 40 reaches it"),
+    (("capacity-phase", "--grid", "capacities=2e12"),
+     "capacity 2e+12 is not below 2^40: no depth up to 40 reaches it"),
+    (("capacity-phase", "--grid", "capacities=0.5,2e12", "--n-max", "12"),
+     "capacity 2e+12 is not below 2^12: no depth up to 12 reaches it"),
 ])
 def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv, error):
     # these used to end in a traceback, or in ALL PASS with nothing judged
@@ -228,14 +234,58 @@ def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatc
     assert not (tmp_path / argv[0]).exists()
 
 
+def test_a_run_with_no_verdict_fails(tmp_path, capsys):
+    # the spot checks and the Tsirelson verdict need other biases or depths
+    argv = ("run", "depth-scan", "--grid", "biases=0.6", "--grid", "n_max=3",
+            "--workers", "1", "--out", str(tmp_path))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().out.splitlines()[-1].endswith("  NO VERDICT APPLIED")
+    manifest = tmp_path / "depth-scan" / "manifest.json"
+    assert json.loads(manifest.read_text())["all_passed"] is False
+    ok, messages = experiments.verify_manifest(str(manifest))
+    assert not ok and "FAIL no verdict applied" in messages
+
+
+@pytest.mark.parametrize("argv", [
+    ("bias-scan", "--grid", "depth=3"), ("bias-scan", "--grid", "depth=40"),
+    ("visibility", "--grid", "depth=5"), ("visibility", "--grid", "visibilities=0.5"),
+    ("capacity-phase", "--grid", "n_max=12"), ("capacity-phase", "--n-max", "3"),
+    ("capacity-phase", "--grid", "capacities=0.25,0.5", "--n-max", "1"),
+    ("benchmark", "--grid", "n_max=6"), ("benchmark", "--grid", "n_max=3"),
+])
+def test_correct_runs_at_other_depths_pass(tmp_path, argv):
+    # a pinned tolerance applies only from the depth at which it holds
+    assert run_cli("run", *argv, "--workers", "1", "--out", str(tmp_path)) == 0
+    ok, messages = experiments.verify_manifest(str(tmp_path / argv[0] / "manifest.json"))
+    assert ok and any(m.startswith("PASS ") for m in messages)
+
+
+def test_a_moved_critical_bias_fails_the_tsirelson_window(monkeypatch):
+    # a closed form shifted by 0.05 in the bias moves every critical bias up
+    # by 0.05, so the window verdict must fail, not go unjudged
+    true_score = scores.closed_form_score
+    for module in (scores, experiments):
+        monkeypatch.setattr(module, "closed_form_score",
+                            lambda depth, bias: true_score(depth, max(bias - 0.05, 0.0)))
+    config = ExperimentConfig("capacity-phase", workers=1)
+    verdicts = {v.name: v.passed for v in experiments.judge_capacity_phase(
+        experiments.build_capacity_phase(config), config)}
+    for c in ("0.25", "0.5", "1", "2", "4"):
+        assert verdicts[f"curve C={c} approaches tsirelson bias"] is False
+
+
 def test_an_empty_grid_is_rejected():
     with pytest.raises(ValueError, match="^ablations parameter ms needs at least one value$"):
         experiments.resolve(ExperimentConfig("ablations", params={"ms": []}))
 
 
+# Grids that the least values must be paired with: capacities below 2^1
+REACHABLE_AT_LEAST = {"capacity-phase": {"capacities": [0.25, 0.5, 1.0]}}
+
+
 def _least_values(exp) -> dict:
     """Every bounded parameter of ``exp`` at its declared least value."""
-    least = {}
+    least = dict(REACHABLE_AT_LEAST.get(exp.name, {}))
     for key, spec in exp.params.items():
         if isinstance(spec, tuple):
             default, low = spec

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import racbox.scores as scores
 from oracles import asym_path_success
 from racbox.boxes import TSIRELSON_BIAS
-from racbox.info import LN2, binary_entropy
+from racbox.info import LN2, binary_entropy, entropy_deficit
 from racbox.rng import substream
 from racbox.scores import (asym_exact_score, closed_form_score,
                            conditional_score_from_records, critical_bias,
-                           critical_bias_asymptotic, critical_constant,
-                           exact_conditional_score, optimize_regularized_angle,
-                           regularized_angle_utility)
+                           critical_bias_asymptotic, critical_constant, exact_scores,
+                           optimize_regularized_angle, regularized_angle_utility)
 
 
 def test_closed_form_reference_values():
@@ -163,6 +163,7 @@ def test_critical_bias_residual(n, capacity):
 
 
 def _record_stream(n_bits, episodes, seed, db_sampler, channel):
+    """(databases, queries, outputs) arrays of ``episodes`` sampled records."""
     rng = substream(seed)
     out = []
     for _ in range(episodes):
@@ -170,7 +171,8 @@ def _record_stream(n_bits, episodes, seed, db_sampler, channel):
         b = int(rng.integers(0, n_bits))
         beta = channel(db, b, rng)
         out.append((db, b, beta))
-    return out
+    databases, queries, outputs = zip(*out)
+    return np.array(databases).reshape(episodes, n_bits), np.array(queries), np.array(outputs)
 
 
 def test_conditional_score_independent_perfect():
@@ -180,7 +182,7 @@ def test_conditional_score_independent_perfect():
         n, 30_000, seed=31,
         db_sampler=lambda rng: tuple(int(v) for v in rng.integers(0, 2, size=n)),
         channel=lambda db, b, rng: db[b])
-    rep = conditional_score_from_records(records, n)
+    rep = conditional_score_from_records(*records)
     assert rep.score == pytest.approx(n, abs=0.01)
     assert rep.score >= rep.fano_bound - 1e-9
 
@@ -193,25 +195,139 @@ def test_conditional_score_degenerate_database():
         n, 40_000, seed=32,
         db_sampler=lambda rng: (lambda v: (v,) * n)(int(rng.integers(0, 2))),
         channel=lambda db, b, rng: db[b])
-    rep = conditional_score_from_records(records, n)
+    rep = conditional_score_from_records(*records)
     assert rep.score == pytest.approx(1.0, abs=0.01)
     assert sum(1.0 for _ in range(n)) == n  # naive sum would be N: each branch is perfect
     assert rep.score >= rep.fano_bound - 1e-9
 
 
+def _queried(db, queries):
+    return db[np.arange(len(queries)), queries]
+
+
 def test_conditional_score_exact_mode():
     n = 4
-    identical = {tuple([v] * n): 0.5 for v in (0, 1)}
-    assert exact_conditional_score(identical, lambda db, k: float(db[k]), n) == \
-        pytest.approx(1.0, abs=1e-12)
-    independent = {db: 2.0 ** -n for db in product((0, 1), repeat=n)}
-    assert exact_conditional_score(independent, lambda db, k: float(db[k]), n) == \
-        pytest.approx(n, abs=1e-12)
+    identical = np.zeros(1 << n)
+    identical[[0, -1]] = 0.5  # all zeros or all ones
+    assert sum(exact_scores(n, _queried, identical)[1]) == pytest.approx(1.0, abs=1e-12)
+    independent = np.full(1 << n, 2.0 ** -n)
+    assert sum(exact_scores(n, _queried, independent)[1]) == pytest.approx(n, abs=1e-12)
     # a noisy channel on independent bits reduces to the symmetric closed form
     flip = 0.2
-    noisy = exact_conditional_score(
-        independent, lambda db, k: (1 - flip) if db[k] else flip, n)
-    assert noisy == pytest.approx(n * (1 - binary_entropy(1 - flip)), abs=1e-12)
+    noisy = exact_scores(n, lambda db, q: np.where(_queried(db, q) == 1, 1 - flip, flip),
+                         independent)[1]
+    assert sum(noisy) == pytest.approx(n * (1 - binary_entropy(1 - flip)), abs=1e-12)
+
+
+def reference_conditional_score(n_bits, weights, p_one):
+    """Loop oracle: sum_K sum over contexts a_<K of Pr[a_<K] I(a_K : beta | a_<K).
+
+    ``p_one[w, K]`` is Pr[beta = 1] for database word w and query K.
+    """
+    per_query = []
+    for k in range(n_bits):
+        cells = {}  # (context, a_K, beta) -> mass
+        for w in range(1 << n_bits):
+            ctx, a = w & ((1 << k) - 1), (w >> k) & 1
+            for beta, p in ((0, 1 - p_one[w, k]), (1, p_one[w, k])):
+                cells[ctx, a, beta] = cells.get((ctx, a, beta), 0.0) + weights[w] * p
+        total = 0.0
+        for ctx in range(1 << k):
+            joint = np.array([[cells[ctx, a, b] for b in (0, 1)] for a in (0, 1)])
+            if joint.sum() > 0:
+                p = joint / joint.sum()
+                outer = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
+                mi = sum(p[i, j] * math.log2(p[i, j] / outer[i, j])
+                         for i, j in product((0, 1), repeat=2) if p[i, j] > 0)
+                total += joint.sum() * mi
+        per_query.append(total / weights.sum())
+    return per_query
+
+
+def test_conditional_score_matches_the_loop_oracle():
+    # a random law with empty databases and a random stochastic code; the
+    # masses are summed in another order, so only rounding may differ
+    n = 5
+    rng = substream(37)
+    weights = rng.dirichlet(np.ones(1 << n)) * (rng.random(1 << n) < 0.8)
+    p_one = rng.random((1 << n, n)) * (rng.random((1 << n, n)) < 0.7)
+
+    def answer(db, queries):
+        return p_one[db @ (1 << np.arange(n)), queries]
+
+    conditional = exact_scores(n, answer, weights)[1]
+    assert conditional == pytest.approx(reference_conditional_score(n, weights, p_one),
+                                        abs=1e-12)
+
+
+def markov_law(n_bits, r):
+    """Pr[a] by word for a_0 uniform and a_{k+1} = a_k xor flip(r)."""
+    # bit k of w ^ (w >> 1), for k < N - 1, is set where a_{k+1} != a_k
+    changes = np.array([bin((w ^ (w >> 1)) & ((1 << (n_bits - 1)) - 1)).count("1")
+                        for w in range(1 << n_bits)])
+    return 0.5 * r ** changes * (1 - r) ** (n_bits - 1 - changes)
+
+
+def _copy_first(db, queries):
+    return db[:, 0]
+
+
+@pytest.mark.parametrize("r, unconditional", [
+    (0.0, 8.0), (0.05, 3.6814), (0.1, 2.3350), (0.25, 1.2493), (0.5, 1.0)])
+def test_markov_copy_first_code(r, unconditional):
+    # one copied bit on correlated data: every query seems informed, but
+    # given the earlier bits only the first query learns anything
+    per_query, conditional = exact_scores(8, _copy_first, markov_law(8, r))
+    assert sum(per_query) == pytest.approx(unconditional, abs=1e-4)
+    # a_K agrees with a_0 with probability (1 + (1 - 2r)^K) / 2
+    assert per_query == pytest.approx([entropy_deficit((1 - 2 * r) ** k) for k in range(8)],
+                                      abs=1e-12)
+    assert conditional == pytest.approx([1.0] + [0.0] * 7, abs=1e-12)
+
+
+def test_weighted_blocks_equal_one_block(monkeypatch):
+    # a stochastic code on the Markov law: blocks of 1 and of 37 databases
+    # (the last one short) give the values of one block of all 256; the
+    # masses are summed in another order, so only rounding may differ
+    def answer(db, queries):
+        return np.where(_queried(db, queries) == db[:, 0], 0.8, 0.3)
+
+    weights = markov_law(8, 0.1)
+    whole = exact_scores(8, answer, weights)
+    assert scores._ENUM_BLOCK_BITS >= 8 * 8 * 256
+    for bits in (8 * 8, 8 * 8 * 37):
+        monkeypatch.setattr(scores, "_ENUM_BLOCK_BITS", bits)
+        blocked = exact_scores(8, answer, weights)
+        for got, expected in zip(blocked, whole):
+            assert got == pytest.approx(expected, abs=1e-13)
+
+
+def test_records_estimate_lands_near_the_exact_conditional():
+    # a noisy copy of the queried bit (flip 0.1) on Markov data (r = 0.1),
+    # N = 6: query 0 carries 1 - h(0.1) = 0.531 bits and each later one
+    # h(0.18) - h(0.1) = 0.211 given its prefix.  At 1e6 episodes the
+    # estimate's error over seeds 30-41 spread by about 0.002 per query
+    # (0.0023 for query 0, its binomial sd) and 0.005 in the sum; the
+    # plug-in bias, 2^K / (2 n_K ln 2) summed, is 3e-4.  The tolerances
+    # are five of those spreads.
+    n, r, flip, episodes = 6, 0.1, 0.1, 1_000_000
+    rng = substream(35)
+    first = rng.integers(0, 2, (episodes, 1))
+    changes = (rng.random((episodes, n - 1)) < r).astype(np.int64)
+    databases = np.bitwise_xor.accumulate(np.concatenate([first, changes], axis=1), axis=1)
+    queries = rng.integers(0, n, episodes)
+    outputs = _queried(databases, queries) ^ (rng.random(episodes) < flip)
+    rep = conditional_score_from_records(databases, queries, outputs)
+
+    def answer(db, q):
+        return np.where(_queried(db, q) == 1, 1 - flip, flip)
+
+    exact = exact_scores(n, answer, markov_law(n, r))[1]
+    assert exact == pytest.approx([1 - binary_entropy(flip)]
+                                  + [binary_entropy(0.18) - binary_entropy(flip)] * 5)
+    assert rep.per_query == pytest.approx(exact, abs=0.012)
+    assert rep.score == pytest.approx(sum(exact), abs=0.025)
+    assert rep.score >= rep.fano_bound
 
 
 def test_conditional_score_fano_audit_randomized():
@@ -225,7 +341,7 @@ def test_conditional_score_fano_audit_randomized():
     records = _record_stream(
         n, 20_000, seed=33, db_sampler=sampler,
         channel=lambda db, b, rng: db[b] ^ int(rng.random() < 0.15))
-    rep = conditional_score_from_records(records, n)
+    rep = conditional_score_from_records(*records)
     assert rep.score >= rep.fano_bound - 1e-9
 
 
@@ -235,15 +351,50 @@ def test_conditional_score_sparse_context_warning():
         n, 60, seed=34,
         db_sampler=lambda rng: tuple(int(v) for v in rng.integers(0, 2, size=n)),
         channel=lambda db, b, rng: db[b])
-    rep = conditional_score_from_records(records, n, min_context_count=20)
+    rep = conditional_score_from_records(*records, min_context_count=20)
     assert rep.sparse_contexts  # tiny sample must flag its contexts
 
 
+def test_sparse_contexts_name_the_query_and_its_prefix():
+    databases = [[0, 1, 1], [1, 1, 0], [1, 1, 0]]
+    rep = conditional_score_from_records(databases, [2, 2, 1], [1, 0, 1], min_context_count=2)
+    # query 1 after a_0 = 1; query 2 after (a_0, a_1) = (0, 1) and (1, 1)
+    assert rep.sparse_contexts == ((1, (1,)), (2, (0, 1)), (2, (1, 1)))
+
+
 def test_conditional_score_size_guard():
-    with pytest.raises(ValueError):
-        conditional_score_from_records([], 13)
-    with pytest.raises(ValueError):
-        exact_conditional_score({}, lambda db, k: 0.5, 13)
+    with pytest.raises(ValueError, match="N <= 16"):
+        conditional_score_from_records(np.zeros((1, 17), dtype=int), [0], [0])
+    with pytest.raises(ValueError, match="N <= 16"):
+        exact_scores(17, lambda db, q: np.full(len(q), 0.5))
+
+
+def test_sixteen_bits_are_scored_on_both_paths():
+    per_query, conditional = exact_scores(16, _queried)
+    assert per_query == conditional == (1.0,) * 16
+    rng = substream(36)
+    databases = rng.integers(0, 2, (1000, 16))
+    queries = rng.integers(0, 16, 1000)
+    rep = conditional_score_from_records(databases, queries, _queried(databases, queries))
+    assert len(rep.per_query) == 16 and rep.score >= rep.fano_bound
+
+
+def test_invalid_answers_weights_and_records_are_rejected():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        exact_scores(3, lambda db, q: _queried(db, q) * 2)
+    for weights in (np.ones(7), np.zeros(8), -np.ones(8)):
+        with pytest.raises(ValueError, match="weights"):
+            exact_scores(3, _queried, weights)
+    with pytest.raises(ValueError, match="records"):
+        conditional_score_from_records([[0, 2]], [0], [0])
+    with pytest.raises(ValueError, match="records"):
+        conditional_score_from_records([[0, 1]], [2], [0])
+    with pytest.raises(ValueError, match="records"):  # an output is an observed bit
+        conditional_score_from_records([[0, 1]], [0], [0.5])
+    for databases, queries, outputs in (([[0, 1]] * 2, [0], [0]), ([[0, 1]], [0, 1], [0, 1]),
+                                        ([[0, 1]], [0], [0, 1]), ([0, 1], [0, 1], [0, 1])):
+        with pytest.raises(ValueError, match="records"):
+            conditional_score_from_records(databases, queries, outputs)
 
 
 # ---------------------------------------------------------------------------
