@@ -17,7 +17,7 @@ from .boxes import (BoxTable, Cell, CorrelatorSet, AsymmetricCell, ExplicitCell,
 from .capacity import (ProbeResult, awgn_hard_decision_score, bpsk_mutual_information,
                        gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)
-from .estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
+from .estimation import (ConfidenceInterval, ScoreReport,
                          binomial_interval, clopper_pearson_interval, hoeffding_interval,
                          normal_quantile, per_query_symmetric_score, plugin_mi,
                          score_interval_transform, symmetric_score_estimate, wilson_interval)

@@ -27,42 +27,22 @@ from .info import Bits, Probability, binary_entropy, clamp_probability
 INTERVAL_METHODS = ("wilson", "clopper_pearson", "hoeffding")
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Counts[target][output] for one query, target and output in {0, 1}."""
+def plugin_mi(counts, smoothing: float = 0.0) -> Bits | np.ndarray:
+    """Plug-in mutual information of 2x2 tables counts[target][output], in bits.
 
-    counts: object
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.shape != (2, 2):
-            raise ValueError(f"contingency table must be 2x2, got {arr.shape}")
-        if arr.min() < 0:
-            raise ValueError("negative count")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def empty(self) -> bool:
-        return self.total == 0
-
-
-def plugin_mi(table: ContingencyTable | np.ndarray,
-              smoothing: float = 0.0) -> Bits | np.ndarray:
-    """Plug-in mutual information of a 2x2 table, in bits.
-
-    ``table`` is a ContingencyTable, which gives a float, or an array of
-    2x2 counts or masses of shape (..., 2, 2), which gives one value per
-    table.  ``smoothing`` adds a pseudocount to every cell before
-    normalizing (0.5 gives the Jeffreys prior); the default is no smoothing.
+    ``counts`` holds counts or masses in shape (..., 2, 2) and gives one
+    value per table, a scalar for one table.  ``smoothing`` adds a
+    pseudocount to every cell before normalizing (0.5 gives the Jeffreys
+    prior); the default is no smoothing.
     """
     if smoothing < 0.0:
         raise ValueError("smoothing must be nonnegative")
-    counts = np.asarray(getattr(table, "counts", table), dtype=float) + smoothing
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape[-2:] != (2, 2):
+        raise ValueError(f"contingency tables must be 2x2, got shape {counts.shape}")
+    if (counts < 0.0).any():
+        raise ValueError("negative count")
+    counts = counts + smoothing
     total = counts.sum(axis=(-2, -1), keepdims=True)
     if (total <= 0.0).any():
         raise ValueError("empty contingency table")
@@ -71,8 +51,7 @@ def plugin_mi(table: ContingencyTable | np.ndarray,
     # an empty cell adds 0 * log2(1); NumPy sums four values in order, so
     # the zeros leave every sum as it is over the nonempty cells alone
     ratio = np.divide(p, outer, out=np.ones_like(p), where=p > 0.0)
-    mi = np.maximum((p * np.log2(ratio)).sum(axis=(-2, -1)), 0.0)
-    return float(mi) if isinstance(table, ContingencyTable) else mi
+    return np.maximum((p * np.log2(ratio)).sum(axis=(-2, -1)), 0.0)
 
 
 # ---------------------------------------------------------------------------

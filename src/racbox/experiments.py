@@ -33,7 +33,7 @@ from .capacity import (gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_h
                        run_packed_precision_probe)
 from .estimation import INTERVAL_METHODS
 from .info import LN2, binary_entropy
-from .protocols import classical_avg_success_closed_form
+from .protocols import MAJORITY_MAX_BITS, classical_avg_success_closed_form
 from .scores import (check_enumerable, closed_form_score, critical_bias,
                      critical_bias_asymptotic, critical_constant, optimize_regularized_angle)
 
@@ -324,24 +324,27 @@ def build_phase_boundary(config: ExperimentConfig) -> Tables:
 
 def judge_phase_boundary(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     rows = tables["phase_boundary.csv"]
+    capacity = resolve(config).capacity
     verdicts = []
     curve = [(round(r["n"]), r["e_crit"]) for r in rows]
-    decreasing = all(a[1] > b[1] for a, b in zip(curve, curve[1:]))
-    verdicts.append(Verdict(name="critical bias decreases with depth",
-                            passed=decreasing, expected="strictly decreasing"))
     by_n = dict(curve)
-    for n, expected in EXPECTED_CRITICAL_BIAS.items():
-        if n in by_n:
-            verdicts.append(Verdict(name=f"critical bias at depth {n}",
-                                    passed=abs(by_n[n] - expected) <= 5e-4,
-                                    measured=by_n[n], expected=f"{expected} +/- 5e-4"))
-    last_n, last = curve[-1]
-    if last_n >= 40:
-        # shallow scans stop far from the asymptote; the 0.006 endpoint
-        # window is calibrated for depth 40
-        verdicts.append(Verdict(name=f"endpoint near tsirelson bias (n={last_n})",
-                                passed=abs(last - TSIRELSON_BIAS) < 0.006,
-                                measured=last, expected="within 0.006 of 1/sqrt(2)"))
+    if capacity >= 1.0:  # smaller budgets cross the threshold from below
+        decreasing = all(a[1] > b[1] for a, b in zip(curve, curve[1:]))
+        verdicts.append(Verdict(name="critical bias decreases with depth",
+                                passed=decreasing, expected="strictly decreasing"))
+    if capacity == 1.0:
+        # the pinned critical biases and the 0.006 endpoint window, calibrated
+        # for depth 40, hold at unit capacity only
+        for n, expected in EXPECTED_CRITICAL_BIAS.items():
+            if n in by_n:
+                verdicts.append(Verdict(name=f"critical bias at depth {n}",
+                                        passed=abs(by_n[n] - expected) <= 5e-4,
+                                        measured=by_n[n], expected=f"{expected} +/- 5e-4"))
+        last_n, last = curve[-1]
+        if last_n >= 40:
+            verdicts.append(Verdict(name=f"endpoint near tsirelson bias (n={last_n})",
+                                    passed=abs(last - TSIRELSON_BIAS) < 0.006,
+                                    measured=last, expected="within 0.006 of 1/sqrt(2)"))
     if 20 in by_n:
         asym = next(r["e_crit_asymptotic"] for r in rows if round(r["n"]) == 20)
         rel = abs(by_n[20] - asym) / by_n[20]
@@ -574,8 +577,12 @@ def judge_visibility(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
 
 
 def build_benchmark(config: ExperimentConfig) -> Tables:
+    n_max = resolve(config).n_max
+    if 1 << n_max > MAJORITY_MAX_BITS:
+        raise ValueError(f"benchmark n_max={n_max} needs N = 2^{n_max} database bits; "
+                         f"the majority closed form takes N <= {MAJORITY_MAX_BITS:,}")
     rows = []
-    for n in range(1, resolve(config).n_max + 1):
+    for n in range(1, n_max + 1):
         big_n = 1 << n
         p_cl = classical_avg_success_closed_form(big_n)
         rows.append({"n": n, "N": big_n, "majority_success": p_cl,

@@ -9,24 +9,27 @@ along the path, so the output obeys
     output = target ^ (parity of path error bits)
 
 exactly, episode by episode.  :func:`pyramid_monte_carlo` is the only
-sampler; at depth 1 it runs the two-bit seed protocol.  It has two loops.
-When every cell's Alice marginal is 1/2, each off-path subtree sends a fair
-bit, one-time-padded by its leftmost database bit, so only the n cells on
-the query path are sampled, at O(episodes * n) cost.  Otherwise the whole
-tree is encoded, at O(episodes * 2^n).  Both run episodes in fixed chunks,
-so the working memory is fixed; only the returned batch grows with the
-episode count, at O(episodes * (depth + 11)) bytes.  Also here: the optimal
-classical one-bit majority code.  The copy baseline is
+sampler; at depth 1 it runs the two-bit seed protocol.  One core decodes
+the query path; a level source gives it each path node's cell input and
+Alice bit.  When every cell's Alice marginal is 1/2, each off-path subtree
+sends a fair bit, one-time-padded by its leftmost database bit, so the path
+source samples only the n cells on the query path, at O(episodes * n) cost.
+Otherwise the tree source encodes the whole database, at O(episodes * 2^n).
+Episodes run in fixed chunks, so the working memory is fixed; only the
+returned batch grows, at O(episodes * (depth + 11)) bytes.  Also here: the
+optimal classical one-bit majority code.  The copy baseline is
 :func:`racbox.capacity.run_hard_copy_probe`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import Generator
 
 from .boxes import Cell
 from .rng import substream
@@ -113,32 +116,33 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     not grow with ``episodes``; the returned batch takes O(episodes *
     (depth + 11)) bytes, and a batch above 2 GiB is refused up front.
 
-    Two loops give the same law of the recorded bits.  If every node's Alice
-    marginal is exactly 1/2 (isotropic, asymmetric and angle-family cells),
-    only the n cells on the query path are sampled, at O(episodes * n) cost;
-    the message is then one fair bit per episode and each target is implied
-    by the path, so targets under different pinned queries are not bits of
-    one shared database (the messages are still shared).  Any other protocol
-    encodes the whole tree of 2^n - 1 cells per episode, O(episodes * 2^n).
+    Both level sources give the same law of the recorded bits.  If every
+    node's Alice marginal is exactly 1/2 (isotropic, asymmetric and
+    angle-family cells), the path source samples only the n cells on the
+    query path, at O(episodes * n) cost; the message is then one fair bit per
+    episode and each target is implied by the path, so targets under
+    different pinned queries are not bits of one shared database (the
+    messages are still shared).  Any other protocol runs the tree source,
+    which encodes all 2^n - 1 cells per episode, O(episodes * 2^n), and is
+    refused above 2^31 cell draws.
     """
     n = protocol.depth
-    big_n = protocol.n_inputs
     t_count = int(episodes)
-    # The cell-draw count bounds the run time; the batch size bounds memory.
-    if t_count * big_n > 1 << 31:
-        raise ValueError("batch needs more than 2^31 cell draws, too many to run "
-                         "in reasonable time; reduce the episode count or the depth")
     batch_bytes = t_count * (n + 11)
     if batch_bytes > _MAX_BATCH_BYTES:
         raise ValueError(f"batch of {t_count} episodes at depth {n} needs "
                          f"{batch_bytes / 2**30:.2f} GiB, above the "
                          f"{_MAX_BATCH_BYTES / 2**30:g} GiB limit; reduce the episode count")
-    if query is not None and not 0 <= query < big_n:
+    if query is not None and not 0 <= query < protocol.n_inputs:
         raise ValueError(f"query {query} out of range")
 
     pa1, pb1 = _node_tables(protocol)
-    sample = _sample_path if np.all(pa1 == 0.5) else _sample_tree
-    return sample(pa1, pb1, t_count, seed, query)
+    levels = _path_levels if np.all(pa1 == 0.5) else _tree_levels
+    # The batch limit keeps the path's n draws per episode below 2^31, not the tree's 2^n.
+    if levels is _tree_levels and t_count * protocol.n_inputs > 1 << 31:
+        raise ValueError("batch needs more than 2^31 cell draws, too many to run "
+                         "in reasonable time; reduce the episode count or the depth")
+    return _sample(pa1, pb1, t_count, seed, query, levels)
 
 
 def _node_tables(protocol: PyramidProtocol) -> tuple[np.ndarray, np.ndarray]:
@@ -157,88 +161,81 @@ def _node_tables(protocol: PyramidProtocol) -> tuple[np.ndarray, np.ndarray]:
     return pa1, pb1
 
 
-def _empty_batch(episodes: int, n: int, query: int | None) -> PyramidBatch:
-    return PyramidBatch(
+# Chunks read each stream in order, so the rows match one unchunked draw only
+# if no generator call leaves draws behind at a chunk boundary.  random()
+# takes one 64-bit word per value and the uint32 half-word buffer of the bit
+# generator carries over between calls, but a uint8 integers() call takes 4
+# values from each uint32 and drops its byte buffer when it returns.  Chunks
+# therefore hold a multiple of 8 episodes, so that each uint8 call, of one or
+# 2^n bytes per episode, ends on a uint32 boundary.
+
+
+def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
+            query: int | None, levels: Callable) -> PyramidBatch:
+    """The sampler core: decode the query path top-down, chunk by chunk.
+
+    ``levels(pa1, queries, db_rng, alice_rngs)`` is a level source.  It
+    returns the root message, the targets (None where the path implies them)
+    and an iterator of each path node's cell input s and Alice bit a, root
+    first.  At every node Bob's bit b is drawn from his table at (s, t, a);
+    the error bit is a ^ b ^ (s & t) and the output is the message XOR every b.
+    """
+    n = len(pb1).bit_length()
+    batch = PyramidBatch(
         queries=(np.empty(episodes, dtype=np.int64) if query is None
                  else np.full(episodes, int(query))),
         targets=np.empty(episodes, dtype=np.uint8),
         outputs=np.empty(episodes, dtype=np.uint8),
         messages=np.empty(episodes, dtype=np.uint8),
         path_errors=np.empty((episodes, n), dtype=np.uint8))
-
-
-def _chunks(batch: PyramidBatch, seed: int, query: int | None, chunk: int):
-    """Yield (lo, hi, queries[lo:hi]) per chunk, drawing random queries."""
-    episodes, n = batch.path_errors.shape
     query_rng = substream(seed, _QUERY_STREAM) if query is None else None
-    for lo in range(0, episodes, chunk):
-        hi = min(lo + chunk, episodes)
-        if query_rng is not None:
-            batch.queries[lo:hi] = query_rng.integers(0, 1 << n, size=hi - lo)
-        yield lo, hi, batch.queries[lo:hi]
-
-
-# Chunks read each stream in order, so the rows match one unchunked draw only
-# if no generator call leaves draws behind at a chunk boundary.  random()
-# takes one 64-bit word per value and the uint32 half-word buffer of the bit
-# generator carries over between calls, but a uint8 integers() call takes 4
-# values from each uint32 and drops its byte buffer when it returns.  Both
-# loops therefore run a multiple of 8 episodes per chunk, so that each uint8
-# call, of one or 2^n bytes per episode, ends on a uint32 boundary.
-
-
-def _sample_tree(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
-                 query: int | None) -> PyramidBatch:
-    """Encode the full database through every cell, then decode the path."""
-    n = len(pb1).bit_length()
-    big_n = 1 << n
-    batch = _empty_batch(episodes, n, query)
     db_rng = substream(seed, _DB_STREAM)
     alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
     bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
-    chunk = max(8, _CHUNK_CELL_DRAWS // big_n // 8 * 8)
-    for lo, hi, q in _chunks(batch, seed, query, chunk):
-        size = hi - lo
-        db = db_rng.integers(0, 2, size=(size, big_n), dtype=np.uint8)
-
-        # Upward encoding.
-        x = db
-        s_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        a_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        for r in range(n - 1, -1, -1):
-            left, right = x[:, 0::2], x[:, 1::2]
-            s_vals = left ^ right
-            node_ids = (1 << r) - 1 + np.arange(1 << r)
-            p_alice = pa1[node_ids[None, :], 2 * s_vals]
-            u = alice_rngs[r].random((size, 1 << r))
-            a_vals = (u < p_alice).astype(np.uint8)
-            s_levels[r] = s_vals
-            a_levels[r] = a_vals
-            x = left ^ a_vals
-        batch.messages[lo:hi] = x[:, 0]
-
-        # Downward decoding.
-        estimate = x[:, 0].copy()
-        j = np.zeros(size, dtype=np.int64)
-        rows = np.arange(size)
-        for r in range(n):
+    # The tree holds its whole encoded database; the path draws one level at
+    # a time, about 36 bytes of temporaries per episode at any depth.
+    width = 1 << n if levels is _tree_levels else 16
+    chunk = max(8, _CHUNK_CELL_DRAWS // width // 8 * 8)
+    for lo in range(0, episodes, chunk):
+        hi = min(lo + chunk, episodes)
+        q = batch.queries[lo:hi]
+        if query_rng is not None:
+            q[:] = query_rng.integers(0, 1 << n, size=hi - lo)
+        message, target, path = levels(pa1, q, db_rng, alice_rngs)
+        implied, output = message.copy(), message.copy()
+        for r, (s_vals, a_vals) in enumerate(path):
             t_bits = ((q >> (n - 1 - r)) & 1).astype(np.uint8)
-            s_vals = s_levels[r][rows, j]
-            a_vals = a_levels[r][rows, j]
-            node_ids = (1 << r) - 1 + j
-            p_bob = pb1[node_ids, 2 * s_vals + t_bits, a_vals]
-            u = bob_rngs[r].random(size)
-            b_vals = (u < p_bob).astype(np.uint8)
-            batch.path_errors[lo:hi, r] = a_vals ^ b_vals ^ (s_vals & t_bits)
-            estimate ^= b_vals
-            j = 2 * j + t_bits
-        batch.outputs[lo:hi] = estimate
-        batch.targets[lo:hi] = db[rows, q]
+            p_bob = pb1[(1 << r) - 1 + (q >> (n - r)), 2 * s_vals + t_bits, a_vals]
+            b_vals = (bob_rngs[r].random(hi - lo) < p_bob).astype(np.uint8)
+            pad = a_vals ^ (s_vals & t_bits)
+            batch.path_errors[lo:hi, r] = pad ^ b_vals
+            implied ^= pad
+            output ^= b_vals
+        batch.messages[lo:hi] = message
+        batch.targets[lo:hi] = implied if target is None else target
+        batch.outputs[lo:hi] = output
     return batch
 
 
-def _sample_path(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
-                 query: int | None) -> PyramidBatch:
+def _tree_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: list[Generator]):
+    """Encode the full database bottom-up through every cell.  The targets are
+    the queried database bits, so the parity identity checks the encoder."""
+    n = len(alice_rngs)
+    db = x = db_rng.integers(0, 2, size=(len(q), 1 << n), dtype=np.uint8)
+    s_levels, a_levels = [None] * n, [None] * n
+    for r in range(n - 1, -1, -1):
+        left, right = x[:, 0::2], x[:, 1::2]
+        s_levels[r] = left ^ right
+        p_alice = pa1[(1 << r) - 1 + np.arange(1 << r), 2 * s_levels[r]]
+        a_levels[r] = (alice_rngs[r].random((len(q), 1 << r)) < p_alice).astype(np.uint8)
+        x = left ^ a_levels[r]
+    rows = np.arange(len(q))
+    path = ((s_levels[r][rows, q >> (n - r)], a_levels[r][rows, q >> (n - r)])
+            for r in range(n))
+    return x[:, 0], db[rows, q], path
+
+
+def _path_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: list[Generator]):
     """Sample only the query path; exact in law when every pa1 is 1/2.
 
     The message of an off-path subtree is its leftmost database bit XOR
@@ -246,41 +243,18 @@ def _sample_path(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
     pad, so the subtree sends a fair bit independent of everything outside
     it.  Hence each path node's input s_r is a fresh fair bit, as are its
     Alice bit a_r and the root message m, and the target is implied:
-    target = m ^ XOR_r (a_r ^ s_r t_r), output = m ^ XOR_r b_r.
+    target = m ^ XOR_r (a_r ^ s_r t_r).  Each level is drawn when the
+    decoder reaches it.
     """
-    n = len(pb1).bit_length()
-    batch = _empty_batch(episodes, n, query)
-    db_rng = substream(seed, _DB_STREAM)
-    alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
-    bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
-    # Levels run one at a time, so an episode holds about 36 bytes of
-    # temporaries at any depth: 2^16 episodes per chunk, about 2 MiB.
-    chunk = max(8, _CHUNK_CELL_DRAWS // 16 // 8 * 8)
-    for lo, hi, q in _chunks(batch, seed, query, chunk):
-        size = hi - lo
-        message = db_rng.integers(0, 2, size=size, dtype=np.uint8)
-        target = message.copy()
-        estimate = message.copy()
-        for r in range(n):
-            t_bits = ((q >> (n - 1 - r)) & 1).astype(np.uint8)
-            s_and_a = alice_rngs[r].integers(0, 4, size=size, dtype=np.uint8)
-            s_vals, a_vals = s_and_a >> 1, s_and_a & 1
-            node_ids = (1 << r) - 1 + (q >> (n - r))
-            p_bob = pb1[node_ids, 2 * s_vals + t_bits, a_vals]
-            b_vals = (bob_rngs[r].random(size) < p_bob).astype(np.uint8)
-            pad = a_vals ^ (s_vals & t_bits)
-            batch.path_errors[lo:hi, r] = pad ^ b_vals
-            target ^= pad
-            estimate ^= b_vals
-        batch.messages[lo:hi] = message
-        batch.targets[lo:hi] = target
-        batch.outputs[lo:hi] = estimate
-    return batch
+    path = (np.divmod(rng.integers(0, 4, size=len(q), dtype=np.uint8), 2) for rng in alice_rngs)
+    return db_rng.integers(0, 2, size=len(q), dtype=np.uint8), None, path
 
 
 # ---------------------------------------------------------------------------
 # Classical one-bit benchmark: majority encoding
 # ---------------------------------------------------------------------------
+
+MAJORITY_MAX_BITS = 1_000_000  # largest N the majority closed form evaluates
 
 
 def majority_encode(db) -> int:
@@ -296,7 +270,7 @@ def classical_avg_success_closed_form(n_bits: int) -> float:
     """
     if n_bits < 1:
         raise ValueError("need at least one database bit")
-    if n_bits > 1_000_000:
+    if n_bits > MAJORITY_MAX_BITS:
         raise OverflowError("binomial evaluation beyond the big-integer budget")
     frac = Fraction(1, 2) + Fraction(math.comb(n_bits - 1, (n_bits - 1) // 2), 2 ** n_bits)
     return float(frac)

@@ -12,7 +12,6 @@ from itertools import product
 import numpy as np
 
 from racbox.boxes import BoxTable, pr_box
-from racbox.estimation import ContingencyTable
 from racbox.info import Probability, binary_entropy, clamp_probability
 
 TSIRELSON_CHSH = 2.0 + math.sqrt(2.0)
@@ -71,9 +70,9 @@ def asym_path_success(bias0: float, bias1: float, path) -> float:
     return (1.0 + prod) / 2.0
 
 
-def table_from_pairs(targets, outputs) -> ContingencyTable:
+def table_from_pairs(targets, outputs) -> np.ndarray:
     """Tally (target, output) trial pairs into one 2x2 contingency table."""
     counts = np.zeros((2, 2), dtype=np.int64)
     t = np.asarray(targets, dtype=np.int64)
     np.add.at(counts, (t, np.asarray(outputs, dtype=np.int64)), 1)
-    return ContingencyTable(counts=counts)
+    return counts

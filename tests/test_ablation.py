@@ -11,7 +11,7 @@ import racbox.scores as scores
 from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
                              episode_weights_control, eval_score, precision_packing_control,
                              query_leaky_control, train_strict)
-from racbox.estimation import ContingencyTable, plugin_mi
+from racbox.estimation import plugin_mi
 from racbox.experiments import ExperimentConfig, build_ablations, judge_ablations
 from racbox.rng import substream
 from racbox.scores import exact_scores
@@ -382,7 +382,7 @@ def reference_exact_score(n_bits, answer_one):
         for word in range(1 << n_bits):
             db = [(word >> i) & 1 for i in range(n_bits)]
             counts[db[k], int(answer_one(db, k)) & 1] += 1
-        per_query.append(plugin_mi(ContingencyTable(counts=counts)))
+        per_query.append(plugin_mi(counts))
     return tuple(per_query)
 
 

@@ -224,10 +224,13 @@ def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeyp
      "capacity 2e+12 is not below 2^40: no depth up to 40 reaches it"),
     (("capacity-phase", "--grid", "capacities=0.5,2e12", "--n-max", "12"),
      "capacity 2e+12 is not below 2^12: no depth up to 12 reaches it"),
+    (("benchmark", "--n-max", "20"), "benchmark n_max=20 needs N = 2^20 database bits; "
+     "the majority closed form takes N <= 1,000,000"),
 ])
 def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv, error):
     # these used to end in a traceback, or in ALL PASS with nothing judged
-    for name in ("run_hard_copy_probe", "train_strict", "critical_bias", "closed_form_score"):
+    for name in ("run_hard_copy_probe", "train_strict", "critical_bias", "closed_form_score",
+                 "classical_avg_success_closed_form"):
         monkeypatch.setattr(experiments, name, _never)
     assert run_cli("run", *argv, "--workers", "1", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
@@ -252,6 +255,8 @@ def test_a_run_with_no_verdict_fails(tmp_path, capsys):
     ("capacity-phase", "--grid", "n_max=12"), ("capacity-phase", "--n-max", "3"),
     ("capacity-phase", "--grid", "capacities=0.25,0.5", "--n-max", "1"),
     ("benchmark", "--grid", "n_max=6"), ("benchmark", "--grid", "n_max=3"),
+    ("phase-boundary", "--grid", "capacity=2"), ("phase-boundary", "--grid", "capacity=4"),
+    ("phase-boundary", "--grid", "capacity=0.5"), ("phase-boundary", "--grid", "capacity=0.25"),
 ])
 def test_correct_runs_at_other_depths_pass(tmp_path, argv):
     # a pinned tolerance applies only from the depth at which it holds

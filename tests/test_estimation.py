@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import binary_channel_information, table_from_pairs
-from racbox.estimation import (ConfidenceInterval, ContingencyTable, ScoreReport,
+from racbox.estimation import (ConfidenceInterval, ScoreReport,
                                binomial_interval, clopper_pearson_interval,
                                hoeffding_interval,
                                normal_quantile, per_query_symmetric_score, plugin_mi,
@@ -28,18 +28,16 @@ def test_contingency_from_trials():
         return table_from_pairs(mine[:, 1], mine[:, 2])
 
     table = branch(0)
-    assert table.total == 3
-    assert table.counts[1, 1] == 1 and table.counts[0, 0] == 1 and table.counts[1, 0] == 1
-    empty = branch(5)
-    assert empty.empty
-    with pytest.raises(ValueError):
-        plugin_mi(empty)
+    assert table.sum() == 3
+    assert table[1, 1] == 1 and table[0, 0] == 1 and table[1, 0] == 1
+    with pytest.raises(ValueError, match="empty"):
+        plugin_mi(branch(5))
 
 
 def test_contingency_perfect_and_coin():
-    diag = ContingencyTable([[50, 0], [0, 50]])
+    diag = [[50, 0], [0, 50]]
     assert plugin_mi(diag) == pytest.approx(1.0, abs=0)
-    flat = ContingencyTable([[25, 25], [25, 25]])
+    flat = [[25, 25], [25, 25]]
     assert plugin_mi(flat) == pytest.approx(0.0, abs=0)
 
 
@@ -48,12 +46,12 @@ def test_contingency_seed_protocol_counts():
     proto = PyramidProtocol.uniform(1, IsotropicCell(0.75))
     batch = pyramid_monte_carlo(proto, 100_000, seed=40, query=0)
     table = table_from_pairs(batch.targets, batch.outputs)
-    off = (table.counts[0, 1] + table.counts[1, 0]) / table.total
-    assert abs(off - 0.125) <= 3 * math.sqrt(0.125 * 0.875 / table.total)
+    off = (table[0, 1] + table[1, 0]) / table.sum()
+    assert abs(off - 0.125) <= 3 * math.sqrt(0.125 * 0.875 / table.sum())
 
 
 def test_plugin_mi_against_formula_oracle():
-    table = ContingencyTable([[45, 5], [10, 40]])
+    table = [[45, 5], [10, 40]]
     # direct evaluation of the plug-in definition
     p = np.array([[45, 5], [10, 40]], dtype=float) / 100.0
     expected = sum(p[a, b] * math.log2(p[a, b] / (p[a].sum() * p[:, b].sum()))
@@ -67,10 +65,22 @@ def test_plugin_mi_against_formula_oracle():
 
 
 def test_plugin_smoothing():
-    table = ContingencyTable([[10, 0], [0, 10]])
+    table = [[10, 0], [0, 10]]
     assert plugin_mi(table, smoothing=0.5) < plugin_mi(table)
     with pytest.raises(ValueError):
         plugin_mi(table, smoothing=-1.0)
+
+
+@pytest.mark.parametrize("counts, error", [
+    ([[10, -1], [0, 10]], "negative count"),
+    ([[[1, 2], [3, 4]], [[5, -6], [7, 8]]], "negative count"),
+    ([10, 0, 0, 10], "must be 2x2"),
+    ([[1, 2, 3], [4, 5, 6]], "must be 2x2"),
+    (np.ones((3, 2)), "must be 2x2"),
+])
+def test_plugin_rejects_malformed_tables(counts, error):
+    with pytest.raises(ValueError, match=error):
+        plugin_mi(counts)
 
 
 @settings(max_examples=200)
@@ -79,7 +89,7 @@ def test_plugin_nonnegative(cells):
     counts = [[cells[0], cells[1]], [cells[2], cells[3]]]
     if sum(cells) == 0:
         return
-    assert plugin_mi(ContingencyTable(counts)) >= -1e-12
+    assert plugin_mi(counts) >= -1e-12
 
 
 def test_plugin_consistency_on_bsc():

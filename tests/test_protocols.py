@@ -129,13 +129,19 @@ def test_seed_chsh_identity_beyond_isotropy():
 
 
 def test_batch_size_guard():
-    proto = PyramidProtocol.uniform(20, IsotropicCell(0.5))
-    with pytest.raises(ValueError):
-        pyramid_monte_carlo(proto, 10_000_000, seed=1)
+    # the tree draws 2^n cells per episode: 600_000 episodes at depth 12 are
+    # above 2^31 draws, though their batch takes only 14 MB
+    with pytest.raises(ValueError, match="2\\^31 cell draws"):
+        pyramid_monte_carlo(PyramidProtocol.uniform(12, BIASED), 600_000, seed=1)
+    # the path draws n cells per episode, so the same count of draws does not
+    # bound it: 2^15 * 300_000 is above 2^31
+    batch = pyramid_monte_carlo(PyramidProtocol.uniform(15, IsotropicCell(0.9)), 300_000, seed=1)
+    assert batch.path_errors.shape == (300_000, 15)
+    assert batch.parity_identity_holds()
 
 
 def test_oversized_batch_fails_before_allocating():
-    # 2^28 depth-1 episodes pass the cell-draw guard but need 3 GiB of batch
+    # 2^28 depth-1 episodes need 3 GiB of batch
     proto = PyramidProtocol.uniform(1, IsotropicCell(0.5))
     tracemalloc.start()
     try:
@@ -337,8 +343,10 @@ def _path_against_tree(proto, seed, episodes=100_000):
     and the tree loop, run on separate seeds."""
     pa1, pb1 = protocols._node_tables(proto)
     depth = proto.depth
-    path = _joint_counts(protocols._sample_path(pa1, pb1, episodes, seed, None), depth)
-    tree = _joint_counts(protocols._sample_tree(pa1, pb1, episodes, seed + 10, None), depth)
+    path = _joint_counts(protocols._sample(pa1, pb1, episodes, seed, None,
+                                           protocols._path_levels), depth)
+    tree = _joint_counts(protocols._sample(pa1, pb1, episodes, seed + 10, None,
+                                           protocols._tree_levels), depth)
     seen = (path + tree) > 0
     chi2 = float(((path - tree)[seen] ** 2 / (path + tree)[seen]).sum())
     return chi2, int(seen.sum()) - 1
@@ -410,12 +418,12 @@ def test_biased_marginals_run_the_tree(monkeypatch):
     # one biased node is enough to keep the whole tree
     iso = IsotropicCell(0.7)
     mixed = PyramidProtocol(depth=3, cells=(iso,) * 5 + (BIASED, iso))
-    monkeypatch.setattr(protocols, "_sample_path", refuse)
+    monkeypatch.setattr(protocols, "_path_levels", refuse)
     for proto in (PyramidProtocol.uniform(1, BIASED), PyramidProtocol.uniform(3, BIASED), mixed):
         assert pyramid_monte_carlo(proto, 100, seed=1).parity_identity_holds()
     # and uniform marginals never run it
     monkeypatch.undo()
-    monkeypatch.setattr(protocols, "_sample_tree", refuse)
+    monkeypatch.setattr(protocols, "_tree_levels", refuse)
     for cell in (iso, AsymmetricCell(0.9, 0.3), QuantumPhiCell(math.pi / 8)):
         proto = PyramidProtocol.uniform(3, cell)
         assert pyramid_monte_carlo(proto, 100, seed=1).parity_identity_holds()
@@ -429,6 +437,24 @@ def test_biased_batches_keep_their_bytes():
     for (depth, query), digest in want.items():
         batch = pyramid_monte_carlo(PyramidProtocol.uniform(depth, BIASED), 2_000,
                                     seed=90, query=query)
+        assert _batch_digest(batch) == digest
+
+
+def test_uniform_batches_keep_their_bytes():
+    # sha256 of the path source's batches as recorded before the two loops
+    # shared one decoder; 2_003 episodes end in a partial chunk
+    want = [(PyramidProtocol.uniform(5, IsotropicCell(0.7)), 2_000, None,
+             "521dfcb60921719d4f3dc7eabc475201b3c0355dee82f5d5299178804968c483"),
+            (PyramidProtocol.uniform(4, AsymmetricCell(0.9, 0.3)), 2_000, 5,
+             "a9d1d31dd515c0734da3a66fa74c0ce09d666dd6e5434dc650491a74fd96bfd0"),
+            (PyramidProtocol.uniform(3, QuantumPhiCell(math.pi / 8, 0.9)), 2_000, None,
+             "1d442decceb65c5c63e72276f033a05393cdb3fa6e8d43971451426e32194742"),
+            (_mixed_biases(3), 2_000, None,
+             "b98ee78103a6e6e4573e142d27f42f604a8f10730b93366a0b29cbc9c4186b71"),
+            (PyramidProtocol.uniform(1, IsotropicCell(0.7)), 2_003, None,
+             "2abb4a5439db760dfa1f7450c08b9b33c07c29956b3eca71fd7604a737515a7d")]
+    for proto, episodes, query, digest in want:
+        batch = pyramid_monte_carlo(proto, episodes, seed=90, query=query)
         assert _batch_digest(batch) == digest
 
 
