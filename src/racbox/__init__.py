@@ -9,7 +9,7 @@ reproduces every table and figure of the accompanying experiment suite.
 from .ablation import (AblationReport, BottleneckNet, TrainConfig, episode_weights_control,
                        eval_score, precision_packing_control, query_leaky_control,
                        train_strict)
-from .boxes import (BoxTable, Cell, CorrelatorSet, AsymmetricCell, ExplicitCell,
+from .boxes import (BoxTable, Cell, AsymmetricCell, ExplicitCell,
                     IsotropicCell, QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
                     box_from_win_probabilities, chsh_value, iso_bias_from_angle,
                     make_isotropic, no_signaling_check, pr_box, quantum_phi_correlators,

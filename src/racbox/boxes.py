@@ -1,11 +1,13 @@
 """No-signaling correlation boxes and CHSH-type cells.
 
 A box is a conditional distribution P(A, B | s, t) over binary inputs and
-outputs.  The module provides the isotropic one-parameter family, an
-asymmetric two-bias family, the measurement-angle family with a visibility
-knob, explicit tables, the CHSH functional, and the exact isotropizing
-twirl.  Cells are immutable, hold no randomness and are safe to share across
-workers; the pyramid sampler draws from their conditional tables.
+outputs, held in one form: the 4x4 :class:`BoxTable`.  The module provides
+the isotropic one-parameter family, an asymmetric two-bias family, the
+measurement-angle family with a visibility knob, explicit tables, the CHSH
+functional, and the exact isotropizing twirl.  Every cell is its table; the
+pyramid sampler's conditional tables are derived from it in one place,
+:meth:`Cell.conditional_tables`.  Cells are immutable, hold no randomness
+and are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -32,25 +34,6 @@ class SignalingBoxError(ValueError):
 
 def _input_index(s: int, t: int) -> int:
     return 2 * s + t
-
-
-@dataclass(frozen=True)
-class CorrelatorSet:
-    """The four +/-1 correlators E_st = E[(-1)^(A+B) | s, t]."""
-
-    e00: float
-    e01: float
-    e10: float
-    e11: float
-
-    def __post_init__(self):
-        for name in ("e00", "e01", "e10", "e11"):
-            v = getattr(self, name)
-            if abs(v) > 1.0 + DIST_TOL:
-                raise ValueError(f"{name}={v!r} outside [-1, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e00, self.e01, self.e10, self.e11])
 
 
 @dataclass(frozen=True)
@@ -99,12 +82,10 @@ class BoxTable:
     def win_probabilities(self) -> np.ndarray:
         return np.array([self.win_probability(s, t) for s, t in product((0, 1), repeat=2)])
 
-    def correlators(self) -> CorrelatorSet:
-        vals = []
-        for s, t in product((0, 1), repeat=2):
-            row = self.probs[_input_index(s, t)]
-            vals.append(float(row[0] - row[1] - row[2] + row[3]))
-        return CorrelatorSet(*vals)
+    def correlators(self) -> tuple[float, float, float, float]:
+        """The four +/-1 correlators E_st = E[(-1)^(A+B) | s, t], indexed 2s+t."""
+        p = self.probs
+        return tuple(float(e) for e in p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3])
 
 
 def no_signaling_check(box: BoxTable) -> tuple[bool, float]:
@@ -150,22 +131,23 @@ def pr_box() -> BoxTable:
     return make_isotropic(1.0)
 
 
-def quantum_phi_correlators(phi: float, visibility: float = 1.0) -> CorrelatorSet:
-    """Correlators of the one-angle measurement family on a maximally
-    entangled pair, shrunk by the visibility: v*(cos phi, cos phi, sin phi,
-    -sin phi)."""
+def quantum_phi_correlators(phi: float,
+                            visibility: float = 1.0) -> tuple[float, float, float, float]:
+    """Correlators E_st, indexed 2s+t, of the one-angle measurement family on
+    a maximally entangled pair, shrunk by the visibility: v*(cos phi,
+    cos phi, sin phi, -sin phi)."""
     if not 0.0 <= phi <= math.pi / 4 + 1e-12:
         raise ValueError(f"phi={phi!r} outside [0, pi/4]")
     if not 0.0 <= visibility <= 1.0 + DIST_TOL:
         raise ValueError(f"visibility={visibility!r} outside [0, 1]")
     c, s = visibility * math.cos(phi), visibility * math.sin(phi)
-    return CorrelatorSet(c, c, s, -s)
+    return c, c, s, -s
 
 
 def iso_bias_from_angle(phi: float, visibility: float = 1.0) -> float:
     """Effective isotropic bias v*(cos phi + sin phi)/2 of the angle family."""
-    cs = quantum_phi_correlators(phi, visibility)
-    return (cs.e00 + cs.e01 + cs.e10 - cs.e11) / 4.0
+    e00, e01, e10, e11 = quantum_phi_correlators(phi, visibility)
+    return (e00 + e01 + e10 - e11) / 4.0
 
 
 def twirl(box: BoxTable) -> BoxTable:
@@ -199,40 +181,24 @@ def twirl(box: BoxTable) -> BoxTable:
 class Cell:
     """A samplable no-signaling box used as one node of a protocol.
 
-    Subclasses provide ``conditional_tables``; the pyramid sampler and the
-    table expansion both read it, so the analytic table and the sampler can
-    never disagree.
+    A cell is its table: each subclass gives only :meth:`as_table`, and the
+    sampler's conditional tables are derived from that table here, in one
+    place, so the analytic table and the sampler can never disagree.
     """
+
+    def as_table(self) -> BoxTable:
+        raise NotImplementedError
 
     def conditional_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(pA1[2s+t], pB1[2s+t, A]): Alice's marginal of 1 per input pair and
-        Bob's conditional probability of 1 given Alice's output."""
-        raise NotImplementedError
-
-    def as_table(self) -> BoxTable:
-        pa1, pb1 = self.conditional_tables()
-        table = np.empty((4, 4))
-        for s, t in product((0, 1), repeat=2):
-            i = _input_index(s, t)
-            for a in (0, 1):
-                pa = pa1[i] if a else 1.0 - pa1[i]
-                table[i, 2 * a + 1] = pa * pb1[i, a]
-                table[i, 2 * a + 0] = pa * (1.0 - pb1[i, a])
-        return BoxTable(table)
-
-
-def _uniform_alice_tables(wins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Generative model A = U, B = U ^ st ^ e with Pr[e = 0] the win probability.
-    pa1 = np.full(4, 0.5)
-    pb1 = np.empty((4, 2))
-    for s, t in product((0, 1), repeat=2):
-        i = _input_index(s, t)
-        w = wins[i]
-        st = s & t
-        for a in (0, 1):
-            # B = 1 iff e == 1 ^ a ^ st
-            pb1[i, a] = w if (1 ^ a ^ st) == 0 else 1.0 - w
-    return pa1, pb1
+        Bob's conditional probability of 1 given Alice's output, 1/2 on a
+        branch Alice never takes."""
+        p = self.as_table().probs
+        # A uniform-marginal cell wins with w >= 1/2, so 1 - w is exact and
+        # w/2 + (1 - w)/2 is exactly 1/2: the sampler's pa1 == 0.5 holds.
+        pa1 = p[:, 2] + p[:, 3]
+        alice = np.stack([1.0 - pa1, pa1], axis=1)
+        return pa1, np.divide(p[:, 1::2], alice, out=np.full((4, 2), 0.5), where=alice > 0.0)
 
 
 @dataclass(frozen=True)
@@ -245,14 +211,13 @@ class IsotropicCell(Cell):
         if not 0.0 <= self.bias <= 1.0:
             raise ValueError(f"bias={self.bias!r} outside [0, 1]")
 
-    def conditional_tables(self):
-        w = (1.0 + self.bias) / 2.0
-        return _uniform_alice_tables(np.full(4, w))
+    def as_table(self) -> BoxTable:
+        return make_isotropic(self.bias)
 
 
 @dataclass(frozen=True)
 class AsymmetricCell(Cell):
-    """Win probability (1+E_t)/2 keyed on Bob's input bit."""
+    """Uniform marginals, win probability (1+E_t)/2 keyed on Bob's input bit."""
 
     bias0: float
     bias1: float
@@ -263,10 +228,9 @@ class AsymmetricCell(Cell):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
 
-    def conditional_tables(self):
-        wins = np.array([(1.0 + (self.bias1 if t else self.bias0)) / 2.0
-                         for s, t in product((0, 1), repeat=2)])
-        return _uniform_alice_tables(wins)
+    def as_table(self) -> BoxTable:
+        w0, w1 = (1.0 + self.bias0) / 2.0, (1.0 + self.bias1) / 2.0
+        return box_from_win_probabilities([w0, w1, w0, w1])
 
 
 @dataclass(frozen=True)
@@ -283,14 +247,10 @@ class QuantumPhiCell(Cell):
     def __post_init__(self):
         quantum_phi_correlators(self.phi, self.visibility)  # range checks
 
-    def correlators(self) -> CorrelatorSet:
-        return quantum_phi_correlators(self.phi, self.visibility)
-
-    def conditional_tables(self):
-        es = self.correlators().as_array()
-        wins = np.array([(1.0 + (-1) ** (s & t) * es[_input_index(s, t)]) / 2.0
-                         for s, t in product((0, 1), repeat=2)])
-        return _uniform_alice_tables(wins)
+    def as_table(self) -> BoxTable:
+        # win probability (1 + (-1)^(s t) E_st) / 2
+        e00, e01, e10, e11 = quantum_phi_correlators(self.phi, self.visibility)
+        return box_from_win_probabilities([(1.0 + e) / 2.0 for e in (e00, e01, e10, -e11)])
 
 
 @dataclass(frozen=True)
@@ -303,19 +263,6 @@ class ExplicitCell(Cell):
         ok, dev = no_signaling_check(self.table)
         if not ok:
             raise SignalingBoxError(f"explicit cell table signals (deviation {dev:.3g})")
-
-    def conditional_tables(self):
-        pa1 = np.empty(4)
-        pb1 = np.empty((4, 2))
-        for s, t in product((0, 1), repeat=2):
-            i = _input_index(s, t)
-            pa1[i] = self.table.alice_marginal(s, t)
-            for a in (0, 1):
-                pa = pa1[i] if a else 1.0 - pa1[i]
-                joint1 = self.table.prob(a, 1, s, t)
-                # Unreachable Alice branch: any conditional works, pick 1/2.
-                pb1[i, a] = joint1 / pa if pa > 0.0 else 0.5
-        return pa1, pb1
 
     def as_table(self) -> BoxTable:
         return self.table

@@ -322,12 +322,20 @@ def build_phase_boundary(config: ExperimentConfig) -> Tables:
     return {"phase_boundary.csv": rows}
 
 
+def _closes_on_threshold(curve, name: str) -> Verdict:
+    # Budgets above the critical plateau cross from above, smaller ones from
+    # below; either way the distance to the threshold must shrink with depth.
+    dist = [abs(v - TSIRELSON_BIAS) for _, v in curve]
+    return Verdict(name=name, passed=all(a > b for a, b in zip(dist, dist[1:])),
+                   expected="distance strictly shrinking")
+
+
 def judge_phase_boundary(tables: Tables, config: ExperimentConfig) -> list[Verdict]:
     rows = tables["phase_boundary.csv"]
     capacity = resolve(config).capacity
-    verdicts = []
     curve = [(round(r["n"]), r["e_crit"]) for r in rows]
     by_n = dict(curve)
+    verdicts = [_closes_on_threshold(curve, "critical bias closes on the threshold")]
     if capacity >= 1.0:  # smaller budgets cross the threshold from below
         decreasing = all(a[1] > b[1] for a, b in zip(curve, curve[1:]))
         verdicts.append(Verdict(name="critical bias decreases with depth",
@@ -374,12 +382,7 @@ def judge_capacity_phase(tables: Tables, config: ExperimentConfig) -> list[Verdi
     curves = {c: sorted(((round(r["n"]), r["e_crit"]) for r in rows
                          if r["capacity"] == c)) for c in caps}
     for c, curve in curves.items():
-        # Budgets above the critical plateau cross from above, smaller ones
-        # from below; either way the distance to the threshold must shrink.
-        dist = [abs(v - TSIRELSON_BIAS) for _, v in curve]
-        closing = all(a > b for a, b in zip(dist, dist[1:]))
-        verdicts.append(Verdict(name=f"curve C={c:g} closes on the threshold",
-                                passed=closing, expected="distance strictly shrinking"))
+        verdicts.append(_closes_on_threshold(curve, f"curve C={c:g} closes on the threshold"))
         if c >= 1.0:
             decreasing = all(a[1] > b[1] for a, b in zip(curve, curve[1:]))
             verdicts.append(Verdict(name=f"curve C={c:g} decreases with depth",
@@ -403,16 +406,12 @@ def judge_capacity_phase(tables: Tables, config: ExperimentConfig) -> list[Verdi
 # ---------------------------------------------------------------------------
 
 
-# The probe wrappers are kept by name and looked up at call time, so that
-# rebinding the module attribute reaches every call.
-_PROBE_RUNNERS = {"hard": "run_hard_copy_probe", "packed": "run_packed_precision_probe",
-                  "awgn": "run_awgn_bpsk_probe"}
-
-
 def _probe_task(task) -> dict:
     kind, n_bits, params, episodes, seed, interface, level, method = task
-    res = globals()[_PROBE_RUNNERS[kind]](n_bits, *params, episodes, seed,
-                                          level=level, method=method)
+    # Built per call, so that a rebound module attribute reaches every call.
+    runners = {"hard": run_hard_copy_probe, "packed": run_packed_precision_probe,
+               "awgn": run_awgn_bpsk_probe}
+    res = runners[kind](n_bits, *params, episodes, seed, level=level, method=method)
     param1, param2 = (*params, 0.0)[:2]  # a hard probe's one parameter leaves param2 at 0.0
     return {"kind": kind, "param1": param1, "param2": float(param2),
             "counted": res.counted_capacity, "observed": res.observed_score,

@@ -136,29 +136,35 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     if query is not None and not 0 <= query < protocol.n_inputs:
         raise ValueError(f"query {query} out of range")
 
-    pa1, pb1 = _node_tables(protocol)
-    levels = _path_levels if np.all(pa1 == 0.5) else _tree_levels
+    # Decide the source and apply its guard from the distinct cells, before
+    # any table is stacked per node.
+    tables = _cell_tables(protocol)
+    uniform = all(np.all(pa1 == 0.5) for pa1, _ in tables.values())
     # The batch limit keeps the path's n draws per episode below 2^31, not the tree's 2^n.
-    if levels is _tree_levels and t_count * protocol.n_inputs > 1 << 31:
+    if not uniform and t_count * protocol.n_inputs > 1 << 31:
         raise ValueError("batch needs more than 2^31 cell draws, too many to run "
                          "in reasonable time; reduce the episode count or the depth")
-    return _sample(pa1, pb1, t_count, seed, query, levels)
+    pa1, pb1 = _node_tables(protocol, tables)
+    return _sample(pa1, pb1, t_count, seed, query, _path_levels if uniform else _tree_levels)
 
 
-def _node_tables(protocol: PyramidProtocol) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node conditional tables, stacked by heap index.
+def _cell_tables(protocol: PyramidProtocol) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Conditional tables of each distinct cell object, keyed by its id, so a
+    uniform protocol builds one pair for all of its 2^n - 1 nodes."""
+    tables = {}
+    for cell in protocol.cells:
+        if id(cell) not in tables:
+            tables[id(cell)] = cell.conditional_tables()
+    return tables
 
-    Each distinct cell object builds its tables once, so a uniform protocol
-    builds one pair for all of its 2^n - 1 nodes.
-    """
-    pa1 = np.empty((len(protocol.cells), 4))
-    pb1 = np.empty((len(protocol.cells), 4, 2))
-    built: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k, cell in enumerate(protocol.cells):
-        if id(cell) not in built:
-            built[id(cell)] = cell.conditional_tables()
-        pa1[k], pb1[k] = built[id(cell)]
-    return pa1, pb1
+
+def _node_tables(protocol: PyramidProtocol, tables: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node conditional tables, stacked by heap index from the distinct
+    cells' ``tables``."""
+    row = {key: k for k, key in enumerate(tables)}
+    nodes = np.fromiter((row[id(cell)] for cell in protocol.cells), np.intp, len(protocol.cells))
+    pa1s, pb1s = zip(*tables.values())
+    return np.stack(pa1s)[nodes], np.stack(pb1s)[nodes]
 
 
 # Chunks read each stream in order, so the rows match one unchunked draw only

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import TSIRELSON_CHSH, random_no_signaling_box
-from racbox.boxes import (AsymmetricCell, BoxTable, Cell, ExplicitCell, IsotropicCell,
+from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
                           box_from_win_probabilities, chsh_value, iso_bias_from_angle,
                           make_isotropic, no_signaling_check, pr_box,
@@ -43,16 +43,42 @@ def test_chsh_correlator_identity():
     rng = substream(11)
     for _ in range(50):
         box = random_no_signaling_box(rng)
-        cs = box.correlators()
-        via_corr = 2.0 + 0.5 * (cs.e00 + cs.e01 + cs.e10 - cs.e11)
+        e00, e01, e10, e11 = box.correlators()
+        via_corr = 2.0 + 0.5 * (e00 + e01 + e10 - e11)
         assert chsh_value(box) == pytest.approx(via_corr, abs=1e-10)
 
 
-def test_generative_model_equals_isotropic_table():
-    # exact table induced by (uniform U, biased error bit) matches entrywise
-    for bias in (0.0, 0.3, 1.0):
-        cell = IsotropicCell(bias)
-        assert np.allclose(cell.as_table().probs, make_isotropic(bias).probs, atol=1e-15)
+# Every cell kind over a parameter grid; the first three have uniform Alice
+# marginals, and the explicit tables add a biased one and one whose Alice
+# never outputs 1 to the random ones.
+ZERO_OUTPUTS = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))  # A = B = 0 on every input
+CELL_GRIDS = {
+    "isotropic": lambda: [IsotropicCell(float(b)) for b in np.linspace(0.0, 1.0, 101)],
+    "asymmetric": lambda: [AsymmetricCell(float(b0), float(b1))
+                           for b0 in np.linspace(0.0, 1.0, 21)
+                           for b1 in np.linspace(0.0, 1.0, 21)],
+    "angle": lambda: [QuantumPhiCell(float(phi), float(nu))
+                      for phi in np.linspace(0.0, math.pi / 4, 33)
+                      for nu in np.linspace(0.0, 1.0, 6)],
+    "explicit": lambda: [ExplicitCell(random_no_signaling_box(substream(8, k), 1.0))
+                         for k in range(200)]
+                        + [ExplicitCell(BoxTable(0.6 * pr_box().probs + 0.4 * ZERO_OUTPUTS)),
+                           ExplicitCell(BoxTable(ZERO_OUTPUTS))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_GRIDS))
+def test_conditional_tables_rebuild_the_table(kind):
+    # the sampler's tables are derived from the cell's table, and give it back
+    for cell in CELL_GRIDS[kind]():
+        pa1, pb1 = cell.conditional_tables()
+        alice = np.stack([1.0 - pa1, pa1], axis=1)
+        joint = np.stack([alice * (1.0 - pb1), alice * pb1], axis=2).reshape(4, 4)
+        assert np.allclose(joint, cell.as_table().probs, rtol=0, atol=1e-15)
+        if kind != "explicit":
+            assert np.all(pa1 == 0.5)  # exact, so the path source is chosen
+        elif not pa1.any():
+            assert np.all(pb1[:, 1] == 0.5)  # on the branch Alice never takes
 
 
 def test_win_probability_correlator_consistency_all_variants():
@@ -60,17 +86,15 @@ def test_win_probability_correlator_consistency_all_variants():
              ExplicitCell(random_no_signaling_box(substream(3)))]
     for cell in cells:
         box = cell.as_table()
-        cs = box.correlators().as_array()
+        cs = box.correlators()
         for s, t in product((0, 1), repeat=2):
             expected = (1.0 + (-1) ** (s & t) * cs[2 * s + t]) / 2.0
             assert box.win_probability(s, t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_quantum_phi_correlators_reference():
-    cs = quantum_phi_correlators(0.0, 1.0)
-    assert (cs.e00, cs.e01, cs.e10, cs.e11) == pytest.approx((1.0, 1.0, 0.0, 0.0))
-    cs = quantum_phi_correlators(math.pi / 4, 1.0)
-    for v in cs.as_array():
+    assert quantum_phi_correlators(0.0, 1.0) == pytest.approx((1.0, 1.0, 0.0, 0.0))
+    for v in quantum_phi_correlators(math.pi / 4, 1.0):
         assert abs(v) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert iso_bias_from_angle(math.pi / 8) == pytest.approx(0.6533, abs=1e-4)
     assert iso_bias_from_angle(math.pi / 16) == pytest.approx(0.5879, abs=1e-4)
@@ -175,10 +199,3 @@ def test_explicit_quantum_table_sampling_win_rate():
     wins = trials - int(depth_one_batch(cell, trials, seed=78).path_errors.sum())
     target = (1.0 + TSIRELSON_BIAS) / 2.0
     assert abs(wins / trials - target) <= 3 * math.sqrt(target * (1 - target) / trials)
-
-
-def test_explicit_cell_sampling_matches_skewed_table():
-    # the sampler reads the conditional tables, which must rebuild the table
-    raw = random_no_signaling_box(substream(8))
-    cell = ExplicitCell(raw)
-    assert np.allclose(Cell.as_table(cell).probs, raw.probs, rtol=0, atol=1e-12)

@@ -257,6 +257,7 @@ def test_a_run_with_no_verdict_fails(tmp_path, capsys):
     ("benchmark", "--grid", "n_max=6"), ("benchmark", "--grid", "n_max=3"),
     ("phase-boundary", "--grid", "capacity=2"), ("phase-boundary", "--grid", "capacity=4"),
     ("phase-boundary", "--grid", "capacity=0.5"), ("phase-boundary", "--grid", "capacity=0.25"),
+    ("phase-boundary", "--grid", "capacity=0.5", "--grid", "n_max=10"),
 ])
 def test_correct_runs_at_other_depths_pass(tmp_path, argv):
     # a pinned tolerance applies only from the depth at which it holds

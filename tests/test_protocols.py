@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,25 @@ def test_batch_size_guard():
     batch = pyramid_monte_carlo(PyramidProtocol.uniform(15, IsotropicCell(0.9)), 300_000, seed=1)
     assert batch.path_errors.shape == (300_000, 15)
     assert batch.parity_identity_holds()
+
+
+def test_an_infeasible_tree_fails_before_stacking_node_tables():
+    # the source and its draw guard are decided from the one distinct cell,
+    # so the 2^20 - 1 per-node tables (about 100 MiB) are never stacked; the
+    # time is taken untraced, since tracemalloc slows the pass over the cells
+    proto = PyramidProtocol.uniform(20, BIASED)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^31 cell draws"):
+        pyramid_monte_carlo(proto, 10_000_000, seed=1)
+    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^31 cell draws"):
+            pyramid_monte_carlo(proto, 10_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
 
 
 def test_oversized_batch_fails_before_allocating():
@@ -338,10 +358,14 @@ def _joint_counts(batch, depth):
     return np.bincount((key << depth) + errors, minlength=8 << (2 * depth))
 
 
+def _node_tables(proto):
+    return protocols._node_tables(proto, protocols._cell_tables(proto))
+
+
 def _path_against_tree(proto, seed, episodes=100_000):
     """Two-sample chi-square (statistic, degrees of freedom) between the path
     and the tree loop, run on separate seeds."""
-    pa1, pb1 = protocols._node_tables(proto)
+    pa1, pb1 = _node_tables(proto)
     depth = proto.depth
     path = _joint_counts(protocols._sample(pa1, pb1, episodes, seed, None,
                                            protocols._path_levels), depth)
@@ -382,12 +406,12 @@ def test_node_tables_are_built_once_per_distinct_cell(monkeypatch):
 
     monkeypatch.setattr(IsotropicCell, "conditional_tables", counted)
     cell = IsotropicCell(0.7)
-    pa1, pb1 = protocols._node_tables(PyramidProtocol.uniform(12, cell))
+    pa1, pb1 = _node_tables(PyramidProtocol.uniform(12, cell))
     assert calls == [cell]
     assert np.all(pa1 == build(cell)[0]) and np.all(pb1 == build(cell)[1])
     calls.clear()
     mixed = _mixed_biases(3)
-    pa1, pb1 = protocols._node_tables(mixed)
+    pa1, pb1 = _node_tables(mixed)
     assert len(calls) == 7
     for k, node in enumerate(mixed.cells):
         assert np.array_equal(pa1[k], build(node)[0]) and np.array_equal(pb1[k], build(node)[1])
@@ -399,7 +423,7 @@ def test_path_loop_matches_the_tree_in_law(kind, depth):
     # two-sample chi-square over the joint of every recorded bit; the tree
     # loop, which encodes the whole database, is the reference
     proto = LAW_CELLS[kind](depth)
-    pa1, _ = protocols._node_tables(proto)
+    pa1, _ = _node_tables(proto)
     assert np.all(pa1 == 0.5)
     chi2, df = _path_against_tree(proto, seed=60 + depth)
     assert chi2 < _chi2_upper(df, 1e-4), f"chi2 {chi2:.1f} over {df} degrees of freedom"
