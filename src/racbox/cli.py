@@ -25,9 +25,11 @@ import configparser
 import os
 import sys
 
-from .experiments import (DEFAULT_SEED, OUTPUT_ROOT_ENV, REGISTRY, RUN_FIELDS,
-                          ExperimentConfig, output_root, parse_scalar, rebuild_manifest,
-                          run_experiment, verify_manifest)
+from .estimation import INTERVAL_METHODS
+from .experiments import (OUTPUT_ROOT_ENV, REGISTRY, RUN_FIELDS, ExperimentConfig, output_root,
+                          parse_scalar, rebuild_manifest, run_experiment, verify_manifest)
+
+INTERVAL_SHORTHANDS = {"cp": "clopper_pearson"}  # accepted by --interval and the INI file
 
 
 def _parse_grid_item(item: str) -> tuple[str, object]:
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="episode count for stochastic experiments")
     run.add_argument("--out", default=None,
                      help=f"output root (default ${OUTPUT_ROOT_ENV} or ./results)")
-    run.add_argument("--interval", choices=["wilson", "cp", "hoeffding"], default=None)
+    run.add_argument("--interval", choices=[*INTERVAL_METHODS, *INTERVAL_SHORTHANDS],
+                     default=None)
     run.add_argument("--level", type=float, default=None, help="confidence level")
     run.add_argument("--workers", type=int, default=None,
                      help="worker pool size (default: CPU count)")
@@ -91,26 +94,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args) -> ExperimentConfig:
-    file_params = _load_config_file(args.config, args.experiment) if args.config else {}
-
-    def pick(flag, key, default):
-        value = file_params.pop(key, default)
-        return value if flag is None else flag
-
-    seed = pick(args.seed, "seed", DEFAULT_SEED)
-    episodes = pick(args.episodes, "episodes", None)
-    interval = pick(args.interval, "interval", "wilson")
-    level = pick(args.level, "level", 0.95)
-    workers = pick(args.workers, "workers", os.cpu_count() or 1)
-    params = dict(file_params)  # remaining file keys are experiment parameters
+    # A run field that neither a flag nor the file gives keeps ExperimentConfig's
+    # default; workers defaults to the CPU count here.
+    params = _load_config_file(args.config, args.experiment) if args.config else {}
+    run = {"workers": os.cpu_count() or 1}
+    for name in (*RUN_FIELDS, "workers"):
+        if name in params:
+            run[name] = params.pop(name)  # remaining file keys are experiment parameters
+        if getattr(args, name) is not None:
+            run[name] = getattr(args, name)
+    if isinstance(run.get("interval"), str):
+        run["interval"] = INTERVAL_SHORTHANDS.get(run["interval"], run["interval"])
     if args.n_max is not None:
         params["n_max"] = args.n_max
     for item in args.grid:
         key, value = _parse_grid_item(item)
         params[key] = value
-    interval = {"cp": "clopper_pearson"}.get(interval, interval)
-    return ExperimentConfig(experiment=args.experiment, seed=seed, episodes=episodes,
-                            interval=interval, level=level, workers=workers, params=params)
+    return ExperimentConfig(experiment=args.experiment, params=params, **run)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,7 +123,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
-        ok, messages = verify_manifest(args.manifest)
+        try:
+            ok, messages = verify_manifest(args.manifest)
+        except ValueError as exc:  # a file that is not a readable manifest
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if args.rebuild:
             try:
                 rebuilt_ok, rebuilt_messages = rebuild_manifest(args.manifest)

@@ -27,22 +27,17 @@ from .info import Bits, Probability, binary_entropy, clamp_probability
 INTERVAL_METHODS = ("wilson", "clopper_pearson", "hoeffding")
 
 
-def plugin_mi(counts, smoothing: float = 0.0) -> Bits | np.ndarray:
+def plugin_mi(counts) -> Bits | np.ndarray:
     """Plug-in mutual information of 2x2 tables counts[target][output], in bits.
 
     ``counts`` holds counts or masses in shape (..., 2, 2) and gives one
-    value per table, a scalar for one table.  ``smoothing`` adds a
-    pseudocount to every cell before normalizing (0.5 gives the Jeffreys
-    prior); the default is no smoothing.
+    value per table, a scalar for one table.
     """
-    if smoothing < 0.0:
-        raise ValueError("smoothing must be nonnegative")
     counts = np.asarray(counts, dtype=float)
     if counts.shape[-2:] != (2, 2):
         raise ValueError(f"contingency tables must be 2x2, got shape {counts.shape}")
     if (counts < 0.0).any():
         raise ValueError("negative count")
-    counts = counts + smoothing
     total = counts.sum(axis=(-2, -1), keepdims=True)
     if (total <= 0.0).any():
         raise ValueError("empty contingency table")
@@ -267,7 +262,7 @@ def binomial_interval(successes: int, trials: int, level: float = 0.95,
                       method: str = "wilson") -> ConfidenceInterval:
     if method == "wilson":
         return wilson_interval(successes, trials, level)
-    if method in ("clopper_pearson", "cp"):
+    if method == "clopper_pearson":
         return clopper_pearson_interval(successes, trials, level)
     if method == "hoeffding":
         return hoeffding_interval(successes, trials, level)

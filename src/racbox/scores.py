@@ -74,6 +74,9 @@ def critical_bias_asymptotic(depth: int, capacity: Bits = 1.0) -> float:
     return (2.0 * capacity * LN2) ** (1.0 / (2.0 * depth)) / math.sqrt(2.0)
 
 
+_MAX_BISECTIONS = 200  # a cap only; the 1e-12 bracket takes about 40
+
+
 @dataclass(frozen=True)
 class CriticalityResult:
     depth: int
@@ -83,7 +86,7 @@ class CriticalityResult:
     iterations: int
 
 
-def critical_bias(depth: int, capacity: Bits = 1.0, max_iter: int = 200) -> CriticalityResult:
+def critical_bias(depth: int, capacity: Bits = 1.0) -> CriticalityResult:
     """Bias at which the closed-form score first reaches ``capacity``.
 
     The score is strictly increasing in E at fixed depth, so plain bisection
@@ -96,7 +99,7 @@ def critical_bias(depth: int, capacity: Bits = 1.0, max_iter: int = 200) -> Crit
         raise ValueError(f"no root: capacity {capacity!r} outside (0, 2^{depth})")
     lo, hi = 0.0, 1.0
     iterations = 0
-    while hi - lo > 1e-12 and iterations < max_iter:
+    while hi - lo > 1e-12 and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
         if closed_form_score(depth, mid) < capacity:
             lo = mid

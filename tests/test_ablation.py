@@ -12,7 +12,7 @@ from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
                              episode_weights_control, eval_score, precision_packing_control,
                              query_leaky_control, train_strict)
 from racbox.estimation import plugin_mi
-from racbox.experiments import ExperimentConfig, build_ablations, judge_ablations
+from racbox.experiments import ExperimentConfig, build_ablations, judge_ablations, resolve
 from racbox.rng import substream
 from racbox.scores import exact_scores
 
@@ -465,9 +465,9 @@ def strict_verdicts(monkeypatch, m, mutate):
         return net, curve
 
     monkeypatch.setattr(experiments, "train_strict", train_then_mutate)
-    config = ExperimentConfig("ablations", params={"seeds": 1, "ms": [m], "steps": 300})
-    tables = build_ablations(config)
-    verdicts = judge_ablations(tables, config)
+    p = resolve(ExperimentConfig("ablations", params={"seeds": 1, "ms": [m], "steps": 300}))
+    tables = build_ablations(p)
+    verdicts = judge_ablations(tables, p)
     (row,) = [r for r in tables["ablations.csv"] if r["mode"] == "strict"]
     return row, {kind: [v.passed for v in verdicts if f" {kind}: " in v.name]
                  for kind in ("embedding", "capacity")}
@@ -508,7 +508,7 @@ def test_oversized_database_fails_before_training(monkeypatch):
     monkeypatch.setattr(experiments, "train_strict", never)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="N <= 16"):
-        build_ablations(ExperimentConfig("ablations", params={"n_bits": 17}))
+        build_ablations(resolve(ExperimentConfig("ablations", params={"n_bits": 17})))
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="N <= 16"):
         exact_scores(17, lambda db, k: k)

@@ -8,7 +8,7 @@ from racbox import capacity
 from racbox.capacity import (awgn_hard_decision_score, bpsk_mutual_information, gaussian_cdf,
                              probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                              run_packed_precision_probe)
-from racbox.experiments import REGISTRY, ExperimentConfig, run_experiment
+from racbox.experiments import REGISTRY, ExperimentConfig, resolve, run_experiment
 from racbox.info import binary_entropy
 from racbox.rng import substream
 
@@ -84,7 +84,7 @@ def test_awgn_probe_rejects_more_coordinates_than_bits():
     config = ExperimentConfig("capacity-sanity", episodes=1_000,
                               params={"d": 10, "ms": [1], "packed": ["1x8"], "snrs": [1.0]})
     with pytest.raises(ValueError, match="d=10"):
-        REGISTRY["capacity-sanity"].build(config)
+        REGISTRY["capacity-sanity"].build(resolve(config))
 
 
 @pytest.mark.parametrize("chunk", [8, 64])

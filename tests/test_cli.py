@@ -63,8 +63,8 @@ def test_verify_rebuild_catches_a_drifted_build(tmp_path, capsys, monkeypatch):
     # the files on disk still match their checksums: only a rebuild sees it
     exp = REGISTRY["table1"]
 
-    def drifted(config):
-        rows = exp.build(config)["table1.csv"]
+    def drifted(p):
+        rows = exp.build(p)["table1.csv"]
         first = dict(rows[0], score=math.nextafter(rows[0]["score"], 1.0))
         return {"table1.csv": [first] + rows[1:]}
 
@@ -159,7 +159,6 @@ def test_every_declared_parameter_is_read(monkeypatch):
     # reading an undeclared value fails by construction; this checks the
     # converse, that no declared parameter or run field goes unread
     read = set()
-    resolve = experiments.resolve
 
     class Recorder:
         def __init__(self, values):
@@ -169,13 +168,12 @@ def test_every_declared_parameter_is_read(monkeypatch):
             read.add(key)
             return getattr(self.values, key)
 
-    monkeypatch.setattr(experiments, "resolve", lambda config: Recorder(resolve(config)))
     small = {"capacity-sanity": dict(episodes=1_000),
              "ablations": dict(params={"steps": 10, "seeds": 1, "ms": [1]})}
     for name, exp in REGISTRY.items():
         read.clear()
-        config = ExperimentConfig(name, **small.get(name, {}))
-        exp.judge(exp.build(config), config)
+        p = Recorder(experiments.resolve(ExperimentConfig(name, **small.get(name, {}))))
+        exp.judge(exp.build(p), p)
         assert read - {"workers"} == {*exp.params, *exp.run}, name
 
 
@@ -226,6 +224,12 @@ def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeyp
      "capacity 2e+12 is not below 2^12: no depth up to 12 reaches it"),
     (("benchmark", "--n-max", "20"), "benchmark n_max=20 needs N = 2^20 database bits; "
      "the majority closed form takes N <= 1,000,000"),
+    # a repeated grid point would run twice and write its rows twice
+    (("capacity-phase", "--grid", "capacities=1,1", "--n-max", "10"),
+     "capacity-phase parameter capacities repeats a value: [1.0, 1.0]"),
+    (("ablations", "--grid", "ms=1,1.0"), "ablations parameter ms repeats a value: [1, 1]"),
+    (("capacity-sanity", "--grid", "packed=1x8,2x2,1x8"),
+     "capacity-sanity parameter packed repeats a value: ['1x8', '2x2', '1x8']"),
 ])
 def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv, error):
     # these used to end in a traceback, or in ALL PASS with nothing judged
@@ -273,9 +277,9 @@ def test_a_moved_critical_bias_fails_the_tsirelson_window(monkeypatch):
     for module in (scores, experiments):
         monkeypatch.setattr(module, "closed_form_score",
                             lambda depth, bias: true_score(depth, max(bias - 0.05, 0.0)))
-    config = ExperimentConfig("capacity-phase", workers=1)
+    p = experiments.resolve(ExperimentConfig("capacity-phase", workers=1))
     verdicts = {v.name: v.passed for v in experiments.judge_capacity_phase(
-        experiments.build_capacity_phase(config), config)}
+        experiments.build_capacity_phase(p), p)}
     for c in ("0.25", "0.5", "1", "2", "4"):
         assert verdicts[f"curve C={c} approaches tsirelson bias"] is False
 
@@ -306,8 +310,8 @@ def test_every_experiment_at_its_least_values_yields_a_verdict(name):
         if isinstance(spec, tuple):  # each default respects its own bound
             default, low = spec
             assert min(default if isinstance(default, list) else [default]) >= low, key
-    config = ExperimentConfig(name, workers=1, params=_least_values(exp))
-    assert exp.judge(exp.build(config), config), config.params
+    p = experiments.resolve(ExperimentConfig(name, workers=1, params=_least_values(exp)))
+    assert exp.judge(exp.build(p), p), _least_values(exp)
 
 
 @pytest.mark.parametrize("field, value, error", [
@@ -379,8 +383,47 @@ def test_manifest_records_the_environment_outside_the_hash(tmp_path, capsys):
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("run", "nonesuch", "--out", str(tmp_path))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown experiment 'nonesuch'; known: ablations, "):
         run_experiment(ExperimentConfig(experiment="nonesuch"), out_root=str(tmp_path))
+
+
+def test_verify_fails_cleanly_on_a_bad_manifest(tmp_path, capsys):
+    # each of these used to end in a traceback
+    missing = tmp_path / "missing.json"
+    assert run_cli("verify", str(missing)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read manifest {missing}: No such file or directory"]
+    for text in ("{bad", "[]", '{"outputs": [], "config": {}}',
+                 '{"outputs": {}, "config": {"experiment": "table1", "typo": 1}}'):
+        (tmp_path / "bad.json").write_text(text)
+        assert run_cli("verify", "--rebuild", str(tmp_path / "bad.json")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bad.json" in err[0]
+    manifest = tmp_path / "table1" / "manifest.json"
+    assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
+    data = json.loads(manifest.read_text())
+    data["config"]["experiment"] = "nonesuch"
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "--rebuild", str(manifest)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3].startswith("FAIL unknown experiment 'nonesuch'; known: ablations, ")
+    assert out[-2].startswith("REBUILD FAILED unknown experiment 'nonesuch'; known: ")
+    assert out[-1] == "VERIFY: FAIL"
+
+
+def test_interval_takes_its_full_name_or_cp(tmp_path):
+    hashes = set()
+    for interval in ("cp", "clopper_pearson"):
+        out = str(tmp_path / interval)
+        assert run_cli("run", "capacity-sanity", "--interval", interval, "--episodes", "2000",
+                       "--grid", "ms=1", "--grid", "packed=1x8", "--grid", "snrs=1",
+                       "--workers", "1", "--out", out) == 0
+        manifest = json.loads((tmp_path / interval / "capacity-sanity" / "manifest.json")
+                              .read_text())
+        assert manifest["config"]["interval"] == "clopper_pearson"
+        hashes.add(manifest["config_hash"])
+    assert len(hashes) == 1
 
 
 def test_grid_override_changes_config(tmp_path):
@@ -455,8 +498,9 @@ def test_every_judge_passes_then_fails_on_a_perturbed_column(name):
     else:
         config = ExperimentConfig(name)
     exp = REGISTRY[name]
-    tables = exp.build(config)
-    assert all(v.passed for v in exp.judge(tables, config))
+    p = experiments.resolve(config)
+    tables = exp.build(p)
+    assert all(v.passed for v in exp.judge(tables, p))
     fname, column, factor = JUDGE_PERTURBATIONS[name]
     rows = [dict(row, **{column: row[column] * factor}) for row in tables[fname]]
-    assert not all(v.passed for v in exp.judge({**tables, fname: rows}, config))
+    assert not all(v.passed for v in exp.judge({**tables, fname: rows}, p))

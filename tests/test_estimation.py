@@ -64,13 +64,6 @@ def test_plugin_mi_against_formula_oracle():
                                              abs=1e-12)
 
 
-def test_plugin_smoothing():
-    table = [[10, 0], [0, 10]]
-    assert plugin_mi(table, smoothing=0.5) < plugin_mi(table)
-    with pytest.raises(ValueError):
-        plugin_mi(table, smoothing=-1.0)
-
-
 @pytest.mark.parametrize("counts, error", [
     ([[10, -1], [0, 10]], "negative count"),
     ([[[1, 2], [3, 4]], [[5, -6], [7, 8]]], "negative count"),
@@ -201,7 +194,7 @@ def test_normal_quantile_against_scipy():
 
 def test_binomial_interval_dispatch():
     assert binomial_interval(10, 20, method="wilson").method == "wilson"
-    assert binomial_interval(10, 20, method="cp").method == "clopper_pearson"
+    assert binomial_interval(10, 20, method="clopper_pearson").method == "clopper_pearson"
     assert binomial_interval(10, 20, method="hoeffding").method == "hoeffding"
     with pytest.raises(ValueError):
         binomial_interval(10, 20, method="exactly")
