@@ -15,16 +15,15 @@ from .boxes import (BoxTable, Cell, AsymmetricCell, ExplicitCell,
                     make_isotropic, no_signaling_check, pr_box, quantum_phi_correlators,
                     twirl)
 from .capacity import (ProbeResult, awgn_hard_decision_score, bpsk_mutual_information,
-                       gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
+                       probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)
 from .estimation import (ConfidenceInterval, ScoreReport,
                          binomial_interval, clopper_pearson_interval, hoeffding_interval,
                          normal_quantile, per_query_symmetric_score, plugin_mi,
                          score_interval_transform, symmetric_score_estimate, wilson_interval)
-from .info import Bits, Probability, binary_entropy, bsc_information, entropy_deficit
-from .protocols import (PyramidBatch, PyramidProtocol, brute_force_one_bit_optimum,
-                        classical_avg_success_closed_form, majority_average_success,
-                        majority_encode, pyramid_monte_carlo)
+from .info import Bits, Probability, binary_entropy, entropy_deficit, gaussian_cdf
+from .protocols import (PyramidBatch, PyramidProtocol, classical_avg_success_closed_form,
+                        pyramid_monte_carlo)
 from .rng import substream
 from .scores import (ConditionalScoreReport, CriticalityResult, asym_exact_score,
                      closed_form_score, conditional_score_from_records, critical_bias,

@@ -88,11 +88,6 @@ class BottleneckNet:
     v2: np.ndarray
     c2: np.ndarray
 
-    @classmethod
-    def init(cls, n_bits: int, m: int, hidden: int, rng: np.random.Generator) -> "BottleneckNet":
-        """A fresh net whose weight arrays are views of one flat vector."""
-        return cls(n_bits=n_bits, m=m, **_initial_params(n_bits, m, hidden, rng)[1])
-
     def _forward(self, x: np.ndarray, queries: np.ndarray, binarize: bool = True,
                  work: "_Workspace | None" = None):
         """Returns (h1, d_in, h2, logit); the encoder never reads ``queries``."""
@@ -186,7 +181,7 @@ class _Workspace:
     """Every temporary of a pass over one batch size, allocated once.
 
     ``grad`` is one flat vector laid out as the weights of
-    ``BottleneckNet.init`` are, and ``grads`` its per-parameter views; a
+    ``_initial_params`` are, and ``grads`` its per-parameter views; a
     forward-only workspace has neither.
     """
 
@@ -357,6 +352,15 @@ def _queried_bit(db: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return db[np.arange(len(queries)), queries]
 
 
+def _control(n_bits: int, answer, counted: Bits | None, corrected: Bits | None,
+             diagnosis: str) -> AblationReport:
+    """A leaky control's exact score over all databases, with its budgets."""
+    per_query = exact_scores(n_bits, answer)[0]
+    return AblationReport(observed_score=float(sum(per_query)), counted_capacity=counted,
+                          corrected_capacity=corrected, diagnosis=diagnosis,
+                          per_query=per_query)
+
+
 def query_leaky_control(n_bits: int) -> AblationReport:
     """Encoder that is handed the query and transmits the answer bit.
 
@@ -364,12 +368,8 @@ def query_leaky_control(n_bits: int) -> AblationReport:
     just echoes it.  Run exactly over all databases: every query is answered
     perfectly and the score is N through a nominal one-bit interface.
     """
-    per_query = exact_scores(n_bits, _queried_bit)[0]
-    return AblationReport(observed_score=float(sum(per_query)),
-                          counted_capacity=1.0,
-                          corrected_capacity=None,
-                          diagnosis="query separation broken: encoder read the query",
-                          per_query=per_query)
+    return _control(n_bits, _queried_bit, 1.0, None,
+                    "query separation broken: encoder read the query")
 
 
 def precision_packing_control(n_bits: int, q: int | None = None) -> AblationReport:
@@ -382,12 +382,9 @@ def precision_packing_control(n_bits: int, q: int | None = None) -> AblationRepo
     if q is None:
         q = n_bits
     stored = min(n_bits, q)
-    per_query = exact_scores(n_bits, lambda db, k: _queried_bit(db, k) * (k < stored))[0]
-    return AblationReport(observed_score=float(sum(per_query)),
-                          counted_capacity=None,  # one real coordinate: no finite certificate
-                          corrected_capacity=float(q),
-                          diagnosis=f"finite precision must be counted: {q} bits per coordinate",
-                          per_query=per_query)
+    # counted None: one real coordinate carries no finite certificate
+    return _control(n_bits, lambda db, k: _queried_bit(db, k) * (k < stored), None, float(q),
+                    f"finite precision must be counted: {q} bits per coordinate")
 
 
 def episode_weights_control(n_bits: int) -> AblationReport:
@@ -397,9 +394,4 @@ def episode_weights_control(n_bits: int) -> AblationReport:
     answers everything exactly, so the score is N against a counted message
     budget of zero.
     """
-    per_query = exact_scores(n_bits, _queried_bit)[0]
-    return AblationReport(observed_score=float(sum(per_query)),
-                          counted_capacity=0.0,
-                          corrected_capacity=None,
-                          diagnosis="weights are data-dependent memory",
-                          per_query=per_query)
+    return _control(n_bits, _queried_bit, 0.0, None, "weights are data-dependent memory")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import per_query_symmetric_score
-from .info import Bits, binary_entropy
+from .estimation import _score_map, per_query_symmetric_score
+from .info import Bits, gaussian_cdf
 from .rng import substream
 
 _PROBE_DB_STREAM = 0
@@ -38,10 +38,6 @@ _PROBE_COIN_STREAM = 3
 # coins.  The queries read uint32 halves whose spare half the bit generator
 # keeps between calls, and the noise reads whole 64-bit words.
 _CHUNK_EPISODES = 1 << 16
-
-
-def gaussian_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def run_awgn_bpsk_probe(n_bits: int, d: int, snr: float, episodes: int,
 
 def awgn_hard_decision_score(d: int, snr: float) -> Bits:
     """Analytic score d (1 - h(Phi(sqrt(snr)))) of the threshold decoder."""
-    return d * (1.0 - binary_entropy(gaussian_cdf(math.sqrt(snr))))
+    return _score_map(gaussian_cdf(math.sqrt(snr)), d)
 
 
 @functools.lru_cache(maxsize=4)

@@ -12,7 +12,8 @@ experiment); command-line flags override the file.  A parameter the
 experiment cannot run, one it does not read, a non-integral value for an
 integer parameter (``--grid ms=1.5``) or a value below the parameter's
 declared least one (``--grid points=1``) stops ``run`` with a one-line
-``error: ...`` and exit status 1; keys of the shared ``[defaults]`` section
+``error: ...`` and exit status 1, as does a malformed ``--grid`` item or a
+config file that cannot be read or parsed; keys of the shared ``[defaults]`` section
 that the experiment does not read are dropped instead.  In the same way a
 run flag the experiment does not read (``--episodes`` on ``table1``) is
 echoed in the manifest but enters the config hash at its default.
@@ -34,28 +35,32 @@ INTERVAL_SHORTHANDS = {"cp": "clopper_pearson"}  # accepted by --interval and th
 
 def _parse_grid_item(item: str) -> tuple[str, object]:
     if "=" not in item:
-        raise argparse.ArgumentTypeError(f"grid items look like key=v1,v2 (got {item!r})")
+        raise ValueError(f"grid items look like key=v1,v2 (got {item!r})")
     key, _, raw = item.partition("=")
     values = [parse_scalar(v) for v in raw.split(",") if v != ""]
     if not values:
-        raise argparse.ArgumentTypeError(f"grid item {item!r} has no values")
+        raise ValueError(f"grid item {item!r} has no values")
     return key.strip().replace("-", "_"), values if len(values) > 1 else values[0]
 
 
 def _load_config_file(path: str, experiment: str) -> dict:
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
     # [defaults] is shared by every experiment, so a key there that this
     # experiment does not read is dropped; its own section is taken whole.
     shared = {*RUN_FIELDS, "workers", *REGISTRY[experiment].params}
+    parser = configparser.ConfigParser()
     merged: dict = {}
-    for section in ("defaults", experiment):
-        if parser.has_section(section):
-            for key, raw in parser.items(section):
-                key, value = _parse_grid_item(f"{key}={raw}")
-                if section == experiment or key in shared:
-                    merged[key] = value
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        for section in ("defaults", experiment):
+            if parser.has_section(section):
+                for key, raw in parser.items(section):
+                    key, value = _parse_grid_item(f"{key}={raw}")
+                    if section == experiment or key in shared:
+                        merged[key] = value
+    except (OSError, configparser.Error, ValueError) as exc:  # one line naming the file
+        reason = getattr(exc, "strerror", None) or str(exc).replace("\n", " ")
+        raise ValueError(f"cannot read config {path}: {reason}") from None
     return merged
 
 

@@ -2,17 +2,18 @@
 
 Per-query results are tallied into 2x2 contingency tables; scores come out
 either through the plug-in mutual-information estimator or, for symmetric
-channels, through the empirical accuracy mapped by N(1 - h(.)).  Binomial
+channels, through the empirical accuracy mapped by N(1 - h(.)) in
+``_score_map``, the one map of a success rate into bits.  Binomial
 uncertainty is reported as Wilson (default), Clopper-Pearson, or Hoeffding
 intervals and pushed through the score map by monotonicity.
 
-The Clopper-Pearson interval bisects exact binomial tail sums.  Three things
-keep it cheap without moving a bit of its endpoints: the log-binomial
-coefficients are read from one lgamma table per process, extended on
-demand; each bisection stops once a step leaves its bracket unchanged; and
-each step decides its sign from the few thousand terms around the mode,
-summing every term only when that windowed value lies within a margin of
-zero that bounds the terms it drops (see ``clopper_pearson_interval``).
+Every root, here and in ``scores``, comes from one bisection, ``bisect_root``.
+Two things keep the Clopper-Pearson endpoints cheap without moving a bit:
+the log-binomial coefficients are read from one lgamma table per process,
+extended on demand, and each step decides its sign from the few thousand
+terms around the mode, summing every term only when that windowed value
+lies within a margin of zero that bounds the terms it drops (see
+``clopper_pearson_interval``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import Bits, Probability, binary_entropy, clamp_probability
+from .info import Bits, Probability, binary_entropy, clamp_probability, gaussian_cdf
 
 INTERVAL_METHODS = ("wilson", "clopper_pearson", "hoeffding")
 
@@ -58,33 +59,40 @@ def plugin_mi(counts) -> Bits | np.ndarray:
 class ConfidenceInterval:
     lo: float
     hi: float
-    level: float
-    method: str
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level={self.level!r} outside (0, 1)")
         if self.lo > self.hi + 1e-12:
             raise ValueError("interval endpoints out of order")
-        if self.method not in INTERVAL_METHODS:
-            raise ValueError(f"unknown interval method {self.method!r}")
+
+
+def bisect_root(below, lo: float, hi: float, steps: int,
+                width: float = 0.0) -> tuple[float, float, int]:
+    """Halve [lo, hi] toward the point where ``below(x)`` turns False.
+
+    Returns (lo, hi, halvings).  It stops after ``steps`` halvings, once
+    hi - lo <= ``width``, or once a halving leaves the bracket unchanged,
+    because every later halving would repeat it.
+    """
+    halvings = 0
+    while halvings < steps and hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        step = (mid, hi) if below(mid) else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
+        halvings += 1
+    return lo, hi, halvings
 
 
 def normal_quantile(q: float) -> float:
     """Standard normal quantile by bisection on the erf-based CDF.
 
-    Avoids any dependence on an external special-function library; 80
+    Avoids any dependence on an external special-function library; 100
     halvings of [-40, 40] pin the quantile far below the 1e-12 needed here.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument {q!r} outside (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, _ = bisect_root(lambda x: gaussian_cdf(x) < q, -40.0, 40.0, 100)
     return 0.5 * (lo + hi)
 
 
@@ -106,8 +114,7 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> Confide
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     margin = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
-    return ConfidenceInterval(lo=max(0.0, center - margin), hi=min(1.0, center + margin),
-                              level=level, method="wilson")
+    return ConfidenceInterval(lo=max(0.0, center - margin), hi=min(1.0, center + margin))
 
 
 # _LGAMMA[j] = lgamma(j + 1), built on first use and extended on demand.
@@ -192,8 +199,7 @@ def clopper_pearson_interval(successes: int, trials: int,
     The lower endpoint solves P[X >= successes | p] = alpha/2 and the upper
     solves P[X <= successes | p] = alpha/2; no incomplete-beta function is
     involved, only direct tail sums.  Each endpoint halves [0, 1] up to 80
-    times and stops early once a step leaves the bracket unchanged, because
-    every later step would repeat it.
+    times through ``bisect_root``.
 
     A step first sums the window of terms around the mode that
     ``_cdf_window`` picks.  It sums all of 0..k, as a direct evaluation
@@ -221,32 +227,30 @@ def clopper_pearson_interval(successes: int, trials: int,
     alpha = 1.0 - level
     terms = _binomial_log_cdf_terms(trials)
 
-    def bisect(k, target, decreasing):
+    def root(k, target, decreasing):
         """Root in p of target(P[X <= k | p])."""
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            window = _cdf_window(k, mid, terms[0])
-            val = 0.0 if window is None else target(_binomial_cdf(k, mid, terms, *window))
+
+        def below(p):
+            window = _cdf_window(k, p, terms[0])
+            val = 0.0 if window is None else target(_binomial_cdf(k, p, terms, *window))
             if abs(val) <= _SIGN_MARGIN:
-                val = target(_binomial_cdf(k, mid, terms))
-            step = (mid, hi) if (val > 0.0) == decreasing else (lo, mid)
-            if step == (lo, hi):
-                break
-            lo, hi = step
+                val = target(_binomial_cdf(k, p, terms))
+            return (val > 0.0) == decreasing
+
+        lo, hi, _ = bisect_root(below, 0.0, 1.0, 80)
         return 0.5 * (lo + hi)
 
     if successes == 0:
         lo = 0.0
     else:
         # P[X >= s | p] grows with p; root of alpha/2 - tail
-        lo = bisect(successes - 1, lambda cdf: (1.0 - cdf) - alpha / 2.0, decreasing=False)
+        lo = root(successes - 1, lambda cdf: (1.0 - cdf) - alpha / 2.0, decreasing=False)
     if successes == trials:
         hi = 1.0
     else:
         # P[X <= s | p] falls with p
-        hi = bisect(successes, lambda cdf: cdf - alpha / 2.0, decreasing=True)
-    return ConfidenceInterval(lo=lo, hi=hi, level=level, method="clopper_pearson")
+        hi = root(successes, lambda cdf: cdf - alpha / 2.0, decreasing=True)
+    return ConfidenceInterval(lo=lo, hi=hi)
 
 
 def hoeffding_interval(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:
@@ -254,19 +258,15 @@ def hoeffding_interval(successes: int, trials: int, level: float = 0.95) -> Conf
     _check_binomial(successes, trials, level)
     phat = successes / trials
     eps = math.sqrt(math.log(2.0 / (1.0 - level)) / (2.0 * trials))
-    return ConfidenceInterval(lo=max(0.0, phat - eps), hi=min(1.0, phat + eps),
-                              level=level, method="hoeffding")
+    return ConfidenceInterval(lo=max(0.0, phat - eps), hi=min(1.0, phat + eps))
 
 
 def binomial_interval(successes: int, trials: int, level: float = 0.95,
                       method: str = "wilson") -> ConfidenceInterval:
-    if method == "wilson":
-        return wilson_interval(successes, trials, level)
-    if method == "clopper_pearson":
-        return clopper_pearson_interval(successes, trials, level)
-    if method == "hoeffding":
-        return hoeffding_interval(successes, trials, level)
-    raise ValueError(f"unknown interval method {method!r}")
+    if method not in INTERVAL_METHODS:
+        raise ValueError(f"unknown interval method {method!r}")
+    # looked up per call, so that a rebound module attribute reaches every call
+    return globals()[f"{method}_interval"](successes, trials, level)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +276,9 @@ def binomial_interval(successes: int, trials: int, level: float = 0.95,
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """A score value together with how it was obtained."""
+    """A score value with its interval."""
 
     score: Bits
-    method: str  # "symmetric_estimate", set by symmetric_score_estimate
     interval: tuple[Bits, Bits] | None = None
 
     def __post_init__(self):
@@ -292,6 +291,7 @@ class ScoreReport:
 
 
 def _score_map(p: Probability, n_bits: int) -> Bits:
+    """N (1 - h(p)): the information of N symmetric channels of success rate p."""
     return n_bits * (1.0 - binary_entropy(p))
 
 
@@ -306,11 +306,8 @@ def score_interval_transform(interval: ConfidenceInterval, n_bits: int) -> Confi
     lo_p = clamp_probability(interval.lo, "interval.lo")
     hi_p = clamp_probability(interval.hi, "interval.hi")
     values = [_score_map(lo_p, n_bits), _score_map(hi_p, n_bits)]
-    lo = min(values)
-    if lo_p < 0.5 < hi_p:
-        lo = 0.0  # interior minimum of the deficit map
-    return ConfidenceInterval(lo=lo, hi=max(values), level=interval.level,
-                              method=interval.method)
+    lo = 0.0 if lo_p < 0.5 < hi_p else min(values)  # 0: interior minimum of the map
+    return ConfidenceInterval(lo=lo, hi=max(values))
 
 
 def symmetric_score_estimate(successes: int, trials: int, n_bits: int,
@@ -318,13 +315,13 @@ def symmetric_score_estimate(successes: int, trials: int, n_bits: int,
     """Score estimate N(1 - h(phat)) from pooled random-query successes.
 
     Valid when the protocol is query-symmetric with a symmetric conditional
-    channel, which makes the pooled accuracy sufficient.
+    channel, which makes the pooled accuracy sufficient.  It is N times the
+    one-query :func:`per_query_symmetric_score`, bit for bit, since the map
+    and both interval ends scale with N.
     """
-    _check_binomial(successes, trials, level)
-    phat = successes / trials
-    ci = score_interval_transform(binomial_interval(successes, trials, level, method), n_bits)
-    return ScoreReport(score=_score_map(phat, n_bits), method="symmetric_estimate",
-                       interval=(ci.lo, ci.hi))
+    _check_binomial(successes, trials, level)  # the per-query sum skips an empty query
+    score, (lo, hi) = per_query_symmetric_score([successes], [trials], level, method)
+    return ScoreReport(score=n_bits * score, interval=(n_bits * lo, n_bits * hi))
 
 
 def per_query_symmetric_score(success_counts, totals, level: float = 0.95,
@@ -336,9 +333,7 @@ def per_query_symmetric_score(success_counts, totals, level: float = 0.95,
     protocols whose per-query channels are symmetric but whose accuracies
     differ across queries.
     """
-    score = 0.0
-    lo = 0.0
-    hi = 0.0
+    score = lo = hi = 0.0
     for wins, total in zip(success_counts, totals):
         if total == 0:
             continue

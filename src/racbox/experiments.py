@@ -30,10 +30,10 @@ from . import __version__
 from .ablation import (TrainConfig, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
-from .capacity import (gaussian_cdf, probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
+from .capacity import (probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)
-from .estimation import INTERVAL_METHODS
-from .info import LN2, binary_entropy
+from .estimation import INTERVAL_METHODS, _score_map
+from .info import LN2, gaussian_cdf
 from .protocols import MAJORITY_MAX_BITS, classical_avg_success_closed_form
 from .scores import (check_enumerable, closed_form_score, critical_bias,
                      critical_bias_asymptotic, critical_constant, optimize_regularized_angle)
@@ -77,7 +77,6 @@ class Verdict:
     passed: bool
     measured: float | None = None
     expected: str = ""
-    detail: str = ""
 
 
 # The ExperimentConfig fields that can change the numbers; workers never does.
@@ -202,9 +201,10 @@ def resolve(config: ExperimentConfig) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 
 
-def _against_capacity(depth: int, bias: float, capacity: float) -> dict:
+def _against_one_bit(depth: int, bias: float) -> dict:
+    # Every verdict on these rows compares against one bit, so the budget is fixed.
     score = closed_form_score(depth, bias)
-    return {"capacity": capacity, "score": score, "exceeds_capacity": int(score > capacity)}
+    return {"capacity": 1.0, "score": score, "exceeds_capacity": int(score > 1.0)}
 
 
 def _score_grid_checks(rows, prefix: str, tolerance_note: str = "") -> list[Verdict]:
@@ -260,7 +260,7 @@ def judge_table3(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
 
 
 def build_depth_scan(p: SimpleNamespace) -> Tables:
-    rows = [{"n": n, "bias": e, **_against_capacity(n, e, p.capacity)}
+    rows = [{"n": n, "bias": e, **_against_one_bit(n, e)}
             for e in p.biases for n in range(1, p.n_max + 1)]
     return {"depth_scan.csv": rows}
 
@@ -274,7 +274,7 @@ def judge_depth_scan(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
 
 def build_bias_scan(p: SimpleNamespace) -> Tables:
     biases = sorted([k / (p.points - 1) for k in range(p.points)] + [TSIRELSON_BIAS])
-    rows = [{"n": p.depth, "bias": e, **_against_capacity(p.depth, e, p.capacity)}
+    rows = [{"n": p.depth, "bias": e, **_against_one_bit(p.depth, e)}
             for e in biases]
     return {"bias_scan.csv": rows}
 
@@ -523,7 +523,7 @@ def build_visibility(p: SimpleNamespace) -> Tables:
             phi = k * math.pi / 4.0 / (p.points - 1)
             e_eff = iso_bias_from_angle(phi, nu)
             rows.append({"n": p.depth, "phi": phi, "visibility": nu, "e_eff": e_eff,
-                         **_against_capacity(p.depth, e_eff, p.capacity)})
+                         **_against_one_bit(p.depth, e_eff)})
     return {"visibility.csv": rows}
 
 
@@ -551,7 +551,7 @@ def build_benchmark(p: SimpleNamespace) -> Tables:
         big_n = 1 << n
         p_cl = classical_avg_success_closed_form(big_n)
         rows.append({"n": n, "N": big_n, "majority_success": p_cl,
-                     "majority_score": big_n * (1.0 - binary_entropy(p_cl)),
+                     "majority_score": _score_map(p_cl, big_n),
                      "nested_classical_score": closed_form_score(n, 0.5),
                      "nested_tsirelson_score": closed_form_score(n, TSIRELSON_BIAS)})
     return {"benchmark.csv": rows}
@@ -647,9 +647,9 @@ REGISTRY: dict[str, Experiment] = {exp.name: exp for exp in (
                build_table3, judge_table3),
     Experiment("depth-scan", "score versus depth for representative biases",
                build_depth_scan, judge_depth_scan,
-               {"n_max": (40, 1), "biases": list(SCORE_GRID_BIASES), "capacity": 1.0}),
+               {"n_max": (40, 1), "biases": list(SCORE_GRID_BIASES)}),
     Experiment("bias-scan", "score versus bias at fixed depth 10", build_bias_scan,
-               judge_bias_scan, {"depth": (10, 1), "points": (101, 2), "capacity": 1.0}),
+               judge_bias_scan, {"depth": (10, 1), "points": (101, 2)}),
     Experiment("phase-boundary", "critical bias versus depth at unit capacity",
                build_phase_boundary, judge_phase_boundary,
                {"n_max": (40, 1), "capacity": 1.0}),
@@ -668,20 +668,13 @@ REGISTRY: dict[str, Experiment] = {exp.name: exp for exp in (
                run=("seed",)),
     Experiment("visibility", "angle sweep under visibility loss at depth 10",
                build_visibility, judge_visibility,
-               {"depth": (10, 1), "points": (33, 2), "capacity": 1.0,
-                "visibilities": [1.0, 0.95, 0.9, 0.8]}),
+               {"depth": (10, 1), "points": (33, 2), "visibilities": [1.0, 0.95, 0.9, 0.8]}),
     Experiment("benchmark", "classical one-bit majority code versus nested cells",
                build_benchmark, judge_benchmark, {"n_max": (10, 1)}),
     Experiment("angle-opt", "regularized optimization of the cell angle",
                build_angle_opt, judge_angle_opt,
                {"depth": (10, 1), "penalties": [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]}),
 )}
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _write_csv(path: str, rows: list[dict], header_comment: str):
@@ -692,8 +685,8 @@ def _write_csv(path: str, rows: list[dict], header_comment: str):
         fieldnames = list(rows[0].keys())
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_format_value(row[k]) for k in fieldnames])
+        # csv.writer writes a NumPy scalar as its plain number, as it does a float
+        writer.writerows([row[k] for k in fieldnames] for row in rows)
 
 
 def parse_scalar(text: str):

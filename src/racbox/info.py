@@ -39,6 +39,11 @@ def clamp_probability(p: float, name: str = "p") -> Probability:
     return p
 
 
+def gaussian_cdf(x: float) -> float:
+    """Standard normal CDF, from math.erf."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
 def binary_entropy(p: Probability) -> Bits:
     """Entropy h(p) = -p log p - (1-p) log(1-p) of a biased coin."""
     p = clamp_probability(p)
@@ -74,10 +79,3 @@ def entropy_deficit(delta: float) -> Bits:
         term *= d2 * (2 * k - 3) / (2 * k - 1) * ((2 * k - 2) / (2 * k))
         total += term
     return total / LN2
-
-
-def bsc_information(p: Probability) -> Bits:
-    """Mutual information 1 - h(p) of a binary symmetric channel with
-    success probability p and an unbiased input bit."""
-    p = clamp_probability(p)
-    return entropy_deficit(2.0 * p - 1.0)

@@ -263,12 +263,6 @@ def _path_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: 
 MAJORITY_MAX_BITS = 1_000_000  # largest N the majority closed form evaluates
 
 
-def majority_encode(db) -> int:
-    """Majority bit of the database; ties on even N break to 0."""
-    bits = [int(v) & 1 for v in db]
-    return int(sum(bits) * 2 > len(bits))
-
-
 def classical_avg_success_closed_form(n_bits: int) -> float:
     """Optimal classical one-bit average success 1/2 + 2^-N C(N-1, floor((N-1)/2)).
 
@@ -280,36 +274,3 @@ def classical_avg_success_closed_form(n_bits: int) -> float:
         raise OverflowError("binomial evaluation beyond the big-integer budget")
     frac = Fraction(1, 2) + Fraction(math.comb(n_bits - 1, (n_bits - 1) // 2), 2 ** n_bits)
     return float(frac)
-
-
-def majority_average_success(n_bits: int) -> float:
-    """Average success of the majority code by exhaustive enumeration."""
-    total = 0
-    for word in range(1 << n_bits):
-        db = [(word >> i) & 1 for i in range(n_bits)]
-        x = majority_encode(db)
-        total += sum(x == db[q] for q in range(n_bits))
-    return total / (n_bits << n_bits)
-
-
-def brute_force_one_bit_optimum(n_bits: int) -> float:
-    """Best average success over all deterministic one-bit encoders, each
-    paired with its optimal per-query deterministic decoder.
-
-    Exhaustive over the 2^(2^N) encoders; feasible for N <= 4.  Constant
-    decoders achieve exactly 1/2 on unbiased bits, so the optimal decoder
-    per query is whichever of {x, 1-x} agrees with the target more often.
-    """
-    if n_bits > 4:
-        raise ValueError("exhaustive encoder search is intended for N <= 4")
-    size = 1 << n_bits
-    dbs = [[(word >> i) & 1 for i in range(n_bits)] for word in range(size)]
-    best = 0.0
-    for enc in range(1 << size):
-        f = [(enc >> w) & 1 for w in range(size)]
-        total = 0
-        for q in range(n_bits):
-            agree = sum(f[w] == dbs[w][q] for w in range(size))
-            total += max(agree, size - agree)
-        best = max(best, total / (n_bits * size))
-    return best

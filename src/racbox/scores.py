@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import iso_bias_from_angle
-from .estimation import plugin_mi
+from .estimation import bisect_root, plugin_mi
 from .info import LN2, Bits, binary_entropy, entropy_deficit
 
 __all__ = [
@@ -97,17 +97,9 @@ def critical_bias(depth: int, capacity: Bits = 1.0) -> CriticalityResult:
         raise ValueError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     if not 0.0 < capacity < float(2 ** depth):
         raise ValueError(f"no root: capacity {capacity!r} outside (0, 2^{depth})")
-    lo, hi = 0.0, 1.0
-    iterations = 0
-    while hi - lo > 1e-12 and iterations < _MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        if closed_form_score(depth, mid) < capacity:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    root = 0.5 * (lo + hi)
-    return CriticalityResult(depth=depth, capacity=capacity, critical_bias=root,
+    lo, hi, iterations = bisect_root(lambda e: closed_form_score(depth, e) < capacity,
+                                     0.0, 1.0, _MAX_BISECTIONS, width=1e-12)
+    return CriticalityResult(depth=depth, capacity=capacity, critical_bias=0.5 * (lo + hi),
                              bracket=(lo, hi), iterations=iterations)
 
 

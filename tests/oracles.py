@@ -43,7 +43,8 @@ def binary_channel_information(q: Probability, r: Probability) -> float:
 
     ``q`` and ``r`` are the probabilities of output 1 given input 0 and
     input 1 respectively; the value is h((q+r)/2) - h(q)/2 - h(r)/2 and
-    reduces to ``bsc_information(p)`` when q = 1-p, r = p.
+    reduces to the symmetric channel's 1 - h(p) = ``entropy_deficit(2p - 1)``
+    when q = 1-p, r = p.
     """
     q = clamp_probability(q, "q")
     r = clamp_probability(r, "r")
@@ -76,3 +77,42 @@ def table_from_pairs(targets, outputs) -> np.ndarray:
     t = np.asarray(targets, dtype=np.int64)
     np.add.at(counts, (t, np.asarray(outputs, dtype=np.int64)), 1)
     return counts
+
+
+def majority_encode(db) -> int:
+    """Majority bit of the database; ties on even N break to 0."""
+    bits = [int(v) & 1 for v in db]
+    return int(sum(bits) * 2 > len(bits))
+
+
+def majority_average_success(n_bits: int) -> float:
+    """Average success of the majority code by exhaustive enumeration."""
+    total = 0
+    for word in range(1 << n_bits):
+        db = [(word >> i) & 1 for i in range(n_bits)]
+        x = majority_encode(db)
+        total += sum(x == db[q] for q in range(n_bits))
+    return total / (n_bits << n_bits)
+
+
+def brute_force_one_bit_optimum(n_bits: int) -> float:
+    """Best average success over all deterministic one-bit encoders, each
+    paired with its optimal per-query deterministic decoder.
+
+    Exhaustive over the 2^(2^N) encoders; feasible for N <= 4.  Constant
+    decoders achieve exactly 1/2 on unbiased bits, so the optimal decoder
+    per query is whichever of {x, 1-x} agrees with the target more often.
+    """
+    if n_bits > 4:
+        raise ValueError("exhaustive encoder search is intended for N <= 4")
+    size = 1 << n_bits
+    dbs = [[(word >> i) & 1 for i in range(n_bits)] for word in range(size)]
+    best = 0.0
+    for enc in range(1 << size):
+        f = [(enc >> w) & 1 for w in range(size)]
+        total = 0
+        for q in range(n_bits):
+            agree = sum(f[w] == dbs[w][q] for w in range(size))
+            total += max(agree, size - agree)
+        best = max(best, total / (n_bits * size))
+    return best

@@ -19,6 +19,12 @@ from racbox.scores import exact_scores
 FAST = TrainConfig(steps=1500)
 
 
+def fresh_net(n_bits, m, hidden, rng):
+    """An untrained net as train_strict builds one, its weights views of one flat vector."""
+    return BottleneckNet(n_bits=n_bits, m=m,
+                         **ablation._initial_params(n_bits, m, hidden, rng)[1])
+
+
 # Reference oracle: the plain out-of-place train step.  The shipped step
 # reuses buffers and fuses temporaries; it must stay bit-identical to this.
 def reference_forward(net, x, queries, binarize=True):
@@ -53,7 +59,7 @@ def reference_loss_and_grads(net, x, queries, targets, binarize=True):
 
 def reference_train(n_bits, m, seed, config):
     rng = substream(seed, ablation._TRAIN_STREAM)
-    net = BottleneckNet.init(n_bits, m, config.hidden, rng)
+    net = fresh_net(n_bits, m, config.hidden, rng)
     curve = []
     for step in range(config.steps):
         x = rng.integers(0, 2, size=(config.batch, n_bits)).astype(float)
@@ -97,7 +103,7 @@ def test_train_step_is_bit_identical_to_the_reference(m, n_bits, config):
 def test_gradients_returned_outside_training_do_not_alias():
     # a caller may keep the gradients of one call while making the next
     rng = substream(86)
-    net = BottleneckNet.init(4, 2, 6, rng)
+    net = fresh_net(4, 2, 6, rng)
     x = rng.integers(0, 2, size=(12, 4)).astype(float)
     q = rng.integers(0, 4, size=12)
     y = x[np.arange(12), q]
@@ -227,7 +233,7 @@ def identity_multiplexer_net(n_bits: int, gain: float = 20.0) -> BottleneckNet:
 def test_gradient_check_against_finite_differences():
     # binarizer replaced by identity: backprop must match central differences
     rng = substream(80)
-    net = BottleneckNet.init(4, 2, 6, rng)
+    net = fresh_net(4, 2, 6, rng)
     x = rng.integers(0, 2, size=(12, 4)).astype(float)
     q = rng.integers(0, 4, size=12)
     y = x[np.arange(12), q]
@@ -252,7 +258,7 @@ def test_gradient_check_against_finite_differences():
 
 def test_straight_through_passes_gradient_to_preactivations():
     rng = substream(81)
-    net = BottleneckNet.init(4, 2, 6, rng)
+    net = fresh_net(4, 2, 6, rng)
     x = rng.integers(0, 2, size=(12, 4)).astype(float)
     q = rng.integers(0, 4, size=12)
     y = x[np.arange(12), q]
@@ -322,7 +328,7 @@ def test_strict_small_budget_respects_bound():
 
 
 def test_database_independent_output_scores_zero():
-    net = BottleneckNet.init(8, 1, 8, substream(83))
+    net = fresh_net(8, 1, 8, substream(83))
     for name, value in vars(net).items():
         if isinstance(value, np.ndarray):
             setattr(net, name, np.zeros_like(value))
@@ -336,7 +342,7 @@ def test_database_independent_output_scores_zero():
 def test_untrained_net_stays_below_its_budget():
     # a frozen random net is still a fixed one-bit-bottleneck protocol, so
     # whatever incidental information it carries respects the budget
-    net = BottleneckNet.init(8, 1, 8, substream(83))
+    net = fresh_net(8, 1, 8, substream(83))
     rep = eval_score(net)
     assert rep.observed_score < 1.0
     assert rep.observed_score <= rep.code_entropy + 1e-12 <= 1.0 + 2e-12
@@ -419,7 +425,7 @@ def test_enumerator_answers_every_pair_in_one_call():
 def test_eval_score_memory_is_bounded():
     # exact scoring answers 2^8 x 8 = 2,048 rows in one call; its traced
     # peak is about 1.4 MB and does not depend on any episode count
-    net = BottleneckNet.init(8, 3, 32, substream(84))
+    net = fresh_net(8, 3, 32, substream(84))
     tracemalloc.start()
     try:
         eval_score(net)
@@ -445,7 +451,7 @@ def test_exact_scorer_memory_does_not_grow_with_n():
     # whole 2^N x N enumerations peaked at 7.3 MiB at N = 10 and 36.4 MiB at
     # N = 12; blocks of databases hold the working set fixed
     def peak(n_bits):
-        net = BottleneckNet.init(n_bits, 3, 32, substream(84))
+        net = fresh_net(n_bits, 3, 32, substream(84))
         tracemalloc.start()
         try:
             eval_score(net)

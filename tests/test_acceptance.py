@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import random_no_signaling_box, table_from_pairs
+from oracles import brute_force_one_bit_optimum, random_no_signaling_box, table_from_pairs
 from racbox.boxes import (IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, chsh_value,
                           iso_bias_from_angle, twirl)
 from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bpsk_probe,
@@ -22,9 +22,9 @@ from racbox.estimation import plugin_mi, symmetric_score_estimate, wilson_interv
 from racbox.experiments import (ANGLE_SCAN_PHIS, EXPECTED_ANGLE_SCAN,
                                 EXPECTED_SCORE_GRID, SCORE_GRID_BIASES,
                                 ExperimentConfig, read_csv_rows, run_experiment)
-from racbox.info import LN2, binary_entropy, bsc_information, entropy_deficit
-from racbox.protocols import (PyramidProtocol, brute_force_one_bit_optimum,
-                              classical_avg_success_closed_form, pyramid_monte_carlo)
+from racbox.info import LN2, binary_entropy, entropy_deficit
+from racbox.protocols import (PyramidProtocol, classical_avg_success_closed_form,
+                              pyramid_monte_carlo)
 from racbox.rng import substream
 from racbox.scores import (asym_exact_score, closed_form_score, critical_bias,
                            critical_bias_asymptotic, critical_constant)
@@ -165,7 +165,7 @@ def test_criterion_09_estimator_coverage():
     targets = rng.integers(0, 2, size=100_000)
     outputs = targets ^ (rng.random(100_000) < 0.25)
     err = abs(plugin_mi(table_from_pairs(targets, outputs))
-              - bsc_information(0.75))
+              - entropy_deficit(2 * 0.75 - 1))
     assert err < 0.01, f"criterion 9: plug-in error {err}"
     announce(9, f"Wilson coverage >= 93% at three biases; plug-in error {err:.2e} bits")
 

@@ -19,7 +19,6 @@ from racbox.cli import main
 SRC = os.path.dirname(os.path.realpath(racbox.__file__))
 
 NEVER_ENTERED = set("""
-ablation:BottleneckNet.init
 boxes:AsymmetricCell.__post_init__
 boxes:AsymmetricCell.as_table
 boxes:BoxTable.__post_init__
@@ -46,7 +45,6 @@ boxes:pr_box
 boxes:twirl
 estimation:ScoreReport.__post_init__
 estimation:symmetric_score_estimate
-info:bsc_information
 protocols:PyramidBatch.parity_identity_holds
 protocols:PyramidBatch.per_query_counts
 protocols:PyramidBatch.success_count
@@ -59,9 +57,6 @@ protocols:_node_tables
 protocols:_path_levels
 protocols:_sample
 protocols:_tree_levels
-protocols:brute_force_one_bit_optimum
-protocols:majority_average_success
-protocols:majority_encode
 protocols:pyramid_monte_carlo
 scores:asym_exact_score
 scores:conditional_score_from_records

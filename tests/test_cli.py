@@ -126,6 +126,29 @@ def test_unread_parameter_fails_an_experiment_without_parameters(tmp_path, capsy
         "error: table1 has no parameter n_max; known: none"]
     assert run_cli("run", "table1", "--grid", "typo=3", "--out", str(tmp_path)) == 1
     assert not (tmp_path / "table1").exists()
+    capsys.readouterr()
+    # every verdict of the one-bit scans compares against one bit, so a budget is no parameter
+    assert run_cli("run", "visibility", "--grid", "capacity=-1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: visibility has no parameter capacity; known: depth, points, visibilities"]
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file or directory"),
+    ("seed = 7\n", "File contains no section headers."),
+    ("[defaults]\nseed = 7\n[defaults]\nseed = 8\n", "section 'defaults' already exists"),
+    ("[defaults]\nseed =\n", "grid item 'seed=' has no values"),
+    ("[defaults]\nseed = 7%\n", "'%' must be followed by '%' or '('"),
+])
+def test_unreadable_config_fails_in_one_line(tmp_path, capsys, text, reason):
+    # each of these used to end in a traceback
+    ini = tmp_path / "run.ini"
+    if text is not None:
+        ini.write_text(text)
+    assert run_cli("run", "table1", "--config", str(ini), "--out", str(tmp_path)) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: cannot read config {ini}: ") and reason in err
+    assert not (tmp_path / "table1").exists()
 
 
 def test_shared_defaults_drop_keys_the_experiment_does_not_read(tmp_path):
@@ -230,6 +253,8 @@ def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeyp
     (("ablations", "--grid", "ms=1,1.0"), "ablations parameter ms repeats a value: [1, 1]"),
     (("capacity-sanity", "--grid", "packed=1x8,2x2,1x8"),
      "capacity-sanity parameter packed repeats a value: ['1x8', '2x2', '1x8']"),
+    (("table1", "--grid", "typo"), "grid items look like key=v1,v2 (got 'typo')"),
+    (("depth-scan", "--grid", "n_max="), "grid item 'n_max=' has no values"),
 ])
 def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv, error):
     # these used to end in a traceback, or in ALL PASS with nothing judged
@@ -378,6 +403,14 @@ def test_manifest_records_the_environment_outside_the_hash(tmp_path, capsys):
     path.write_text(json.dumps(manifest))
     assert run_cli("verify", "--rebuild", str(path)) == 0
     assert "VERIFY: PASS" in capsys.readouterr().out
+
+
+def test_numpy_scalars_are_written_as_plain_numbers(tmp_path):
+    # a repr() of np.float64 would read back as the string "np.float64(0.1)"
+    path = str(tmp_path / "rows.csv")
+    experiments._write_csv(path, [{"x": np.float64(0.1), "k": np.int64(3)}], "test")
+    assert open(path).read().splitlines()[1:] == ["x,k", "0.1,3"]
+    assert read_csv_rows(path) == [{"x": 0.1, "k": 3}]
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import binary_channel_information, table_from_pairs
-from racbox.estimation import (ConfidenceInterval, ScoreReport,
+from racbox.estimation import (ConfidenceInterval, ScoreReport, bisect_root,
                                binomial_interval, clopper_pearson_interval,
                                hoeffding_interval,
                                normal_quantile, per_query_symmetric_score, plugin_mi,
                                score_interval_transform, symmetric_score_estimate,
                                wilson_interval)
-from racbox.info import binary_entropy, bsc_information
+from racbox.info import binary_entropy, entropy_deficit
 from racbox.protocols import PyramidProtocol, pyramid_monte_carlo
 from racbox.boxes import IsotropicCell
 from racbox.rng import substream
@@ -92,7 +92,7 @@ def test_plugin_consistency_on_bsc():
     flips = rng.random(100_000) < 0.25
     outputs = targets ^ flips
     table = table_from_pairs(targets, outputs)
-    assert abs(plugin_mi(table) - bsc_information(0.75)) < 0.01
+    assert abs(plugin_mi(table) - entropy_deficit(2 * 0.75 - 1)) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,25 @@ def test_clopper_pearson_against_beta_quantiles():
         assert ci.hi == pytest.approx(hi, abs=1e-7)
 
 
+def test_bisect_root_stops_at_each_of_its_three_limits():
+    # steps: 10 halvings of [0, 1] toward sqrt(1/2)
+    lo, hi, halvings = bisect_root(lambda x: x * x < 0.5, 0.0, 1.0, 10)
+    assert (halvings, hi - lo) == (10, 2.0 ** -10) and lo < math.sqrt(0.5) <= hi
+    # width: the bracket stops once it is no wider than 1e-6
+    lo, hi, halvings = bisect_root(lambda x: x * x < 0.5, 0.0, 1.0, 200, width=1e-6)
+    assert (halvings, hi - lo) == (20, 2.0 ** -20)
+    # an unchanged bracket: once the ends are adjacent floats, the 53rd
+    # halving would repeat, so it stops long before 200
+    lo, hi, halvings = bisect_root(lambda x: x < 1.5, 1.0, 2.0, 200)
+    assert (lo, hi, halvings) == (math.nextafter(1.5, 1.0), 1.5, 52)
+    assert bisect_root(lambda x: True, 0.0, 1.0, 0) == (0.0, 1.0, 0)
+
+
+def test_confidence_interval_rejects_endpoints_out_of_order():
+    with pytest.raises(ValueError, match="out of order"):
+        ConfidenceInterval(0.6, 0.5)
+
+
 def test_normal_quantile_against_scipy():
     stats = pytest.importorskip("scipy.stats")
     for q in (0.01, 0.025, 0.2, 0.5, 0.9, 0.975, 0.999):
@@ -193,9 +212,10 @@ def test_normal_quantile_against_scipy():
 
 
 def test_binomial_interval_dispatch():
-    assert binomial_interval(10, 20, method="wilson").method == "wilson"
-    assert binomial_interval(10, 20, method="clopper_pearson").method == "clopper_pearson"
-    assert binomial_interval(10, 20, method="hoeffding").method == "hoeffding"
+    for method, interval in (("wilson", wilson_interval),
+                             ("clopper_pearson", clopper_pearson_interval),
+                             ("hoeffding", hoeffding_interval)):
+        assert binomial_interval(10, 20, 0.9, method) == interval(10, 20, 0.9)
     with pytest.raises(ValueError):
         binomial_interval(10, 20, method="exactly")
 
@@ -279,19 +299,18 @@ def test_clopper_pearson_coverage():
 
 
 def test_score_interval_transform_cases():
-    level = 0.95
-    point = ConfidenceInterval(0.5, 0.5, level, "wilson")
+    point = ConfidenceInterval(0.5, 0.5)
     out = score_interval_transform(point, 8)
     assert (out.lo, out.hi) == (0.0, 0.0)
-    mono = score_interval_transform(ConfidenceInterval(0.51, 0.53, level, "wilson"), 8)
+    mono = score_interval_transform(ConfidenceInterval(0.51, 0.53), 8)
     assert mono.lo == pytest.approx(8 * (1 - binary_entropy(0.51)), abs=1e-12)
     assert mono.hi == pytest.approx(8 * (1 - binary_entropy(0.53)), abs=1e-12)
     # an interval straddling 1/2 has an interior minimum of zero
-    wide = score_interval_transform(ConfidenceInterval(0.49, 0.53, level, "wilson"), 8)
+    wide = score_interval_transform(ConfidenceInterval(0.49, 0.53), 8)
     assert wide.lo == 0.0
     assert wide.hi == pytest.approx(8 * (1 - binary_entropy(0.53)), abs=1e-12)
     # entirely below 1/2 the map is decreasing
-    low = score_interval_transform(ConfidenceInterval(0.40, 0.45, level, "wilson"), 8)
+    low = score_interval_transform(ConfidenceInterval(0.40, 0.45), 8)
     assert low.lo == pytest.approx(8 * (1 - binary_entropy(0.45)), abs=1e-12)
     assert low.hi == pytest.approx(8 * (1 - binary_entropy(0.40)), abs=1e-12)
 
@@ -301,8 +320,17 @@ def test_symmetric_score_estimate_reference():
     assert rep.score == pytest.approx(8.0)
     rep = symmetric_score_estimate(500, 1000, 8)
     assert rep.score == pytest.approx(0.0)
-    assert rep.method == "symmetric_estimate"
     assert rep.interval[0] <= rep.score <= rep.interval[1]
+
+
+def test_symmetric_score_estimate_is_n_times_the_one_query_sum():
+    for method in ("wilson", "clopper_pearson", "hoeffding"):
+        for successes, trials in ((0, 10), (480, 1000), (731, 1000), (1000, 1000)):
+            rep = symmetric_score_estimate(successes, trials, 8, 0.9, method)
+            score, (lo, hi) = per_query_symmetric_score([successes], [trials], 0.9, method)
+            assert (rep.score, rep.interval) == (8 * score, (8 * lo, 8 * hi))
+    with pytest.raises(ValueError, match="at least one trial"):
+        symmetric_score_estimate(0, 0, 8)  # the per-query sum alone would skip it
 
 
 def test_symmetric_score_pyramid_recovers_closed_form():
@@ -323,9 +351,9 @@ def test_per_query_symmetric_score():
 
 def test_score_report_validation():
     with pytest.raises(ValueError):
-        ScoreReport(score=-0.5, method="plug_in")
+        ScoreReport(score=-0.5)
     with pytest.raises(ValueError):
-        ScoreReport(score=2.0, method="plug_in", interval=(0.0, 1.0))
+        ScoreReport(score=2.0, interval=(0.0, 1.0))
 
 
 def test_sample_complexity_near_criticality():

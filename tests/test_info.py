@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import binary_channel_information
-from racbox.info import LN2, binary_entropy, bsc_information, entropy_deficit
+from racbox.info import LN2, binary_entropy, entropy_deficit
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -39,12 +39,13 @@ def test_entropy_symmetry_dense_grid():
 
 
 def test_bsc_reference_points():
-    assert bsc_information(0.5) == 0.0
-    assert bsc_information(1.0) == 1.0
-    assert bsc_information(0.0) == 1.0
+    # a symmetric channel of success p carries entropy_deficit(2p - 1) bits
+    assert entropy_deficit(2 * 0.5 - 1) == 0.0
+    assert entropy_deficit(2 * 1.0 - 1) == 1.0
+    assert entropy_deficit(2 * 0.0 - 1) == 1.0
     # Tsirelson seed success probability
     p = (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
-    val = bsc_information(p)
+    val = entropy_deficit(2 * p - 1)
     assert val == pytest.approx(0.3991239633, abs=1e-9)
     assert 2.0 * val == pytest.approx(0.798, abs=1e-3)
 
@@ -74,7 +75,7 @@ def test_binary_channel_against_joint_enumeration():
 @given(probs)
 def test_binary_channel_reduces_to_bsc(p):
     assert binary_channel_information(1.0 - p, p) == pytest.approx(
-        bsc_information(p), abs=1e-12)
+        entropy_deficit(2 * p - 1), abs=1e-12)
 
 
 def test_quadratic_deficit_lower_bound_dense_grid():

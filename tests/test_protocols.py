@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import asym_path_success, pyramid_success_closed_form
+from oracles import (asym_path_success, brute_force_one_bit_optimum, majority_average_success,
+                     majority_encode, pyramid_success_closed_form)
 from racbox import protocols
 from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, pr_box)
 from racbox.capacity import run_hard_copy_probe
 from racbox.estimation import normal_quantile
-from racbox.protocols import (PyramidProtocol, brute_force_one_bit_optimum,
-                              classical_avg_success_closed_form, majority_average_success,
-                              majority_encode, pyramid_monte_carlo)
+from racbox.protocols import (PyramidProtocol, classical_avg_success_closed_form,
+                              pyramid_monte_carlo)
 from racbox.rng import substream
 
 CHI2_CRIT_DF1_ALPHA01 = 6.635  # chi-square critical value, df=1, alpha=0.01
