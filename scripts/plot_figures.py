@@ -11,7 +11,7 @@ import os
 import sys
 from collections import defaultdict
 
-from racbox.experiments import read_csv_rows
+from racbox.experiments import read_table
 
 try:
     import matplotlib
@@ -26,7 +26,7 @@ ONE_BIT = 1.0
 
 def _load(results, experiment, fname):
     path = os.path.join(results, experiment, fname)
-    return read_csv_rows(path) if os.path.exists(path) else None
+    return read_table(path)[1] if os.path.exists(path) else None
 
 
 def _group(rows, key):

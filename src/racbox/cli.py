@@ -4,11 +4,14 @@
     racbox run <experiment> [--seed S] [--episodes T] [--out DIR] [...]
     racbox verify [--rebuild] <manifest.json>
 
-``run`` writes plot-ready CSVs plus a manifest with checksums and pass/fail
-verdicts; ``verify`` rechecks both, and with ``--rebuild`` also re-runs the
-manifest's config and compares the new CSVs' checksums with the recorded
-ones.  Defaults can be kept in an INI config file (one section per
-experiment); command-line flags override the file.  A parameter the
+``run`` writes plot-ready CSVs, judges the rows it reads back from them and
+writes a manifest with checksums and pass/fail verdicts; ``verify`` rechecks
+both the same way, and with ``--rebuild`` also re-runs the manifest's config
+and compares the new CSVs' checksums with the recorded ones.  An output
+folder that cannot be written ends ``run``, after the build, with one
+``error: cannot write results to ...`` line and exit status 1.  Defaults
+can be kept in an INI config file (one section per experiment);
+command-line flags override the file.  A parameter the
 experiment cannot run, one it does not read, a non-integral value for an
 integer parameter (``--grid ms=1.5``) or a value below the parameter's
 declared least one (``--grid points=1``) stops ``run`` with a one-line
@@ -28,7 +31,7 @@ import sys
 
 from .estimation import INTERVAL_METHODS
 from .experiments import (OUTPUT_ROOT_ENV, REGISTRY, RUN_FIELDS, ExperimentConfig, output_root,
-                          parse_scalar, rebuild_manifest, run_experiment, verify_manifest)
+                          parse_scalar, run_experiment, verify_manifest)
 
 INTERVAL_SHORTHANDS = {"cp": "clopper_pearson"}  # accepted by --interval and the INI file
 
@@ -129,34 +132,30 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         try:
-            ok, messages = verify_manifest(args.manifest)
+            ok, messages = verify_manifest(args.manifest, rebuild=args.rebuild)
         except ValueError as exc:  # a file that is not a readable manifest
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if args.rebuild:
-            try:
-                rebuilt_ok, rebuilt_messages = rebuild_manifest(args.manifest)
-            except ValueError as exc:  # e.g. a parameter no experiment reads any more
-                rebuilt_ok, rebuilt_messages = False, [f"REBUILD FAILED {exc}"]
-            ok = ok and rebuilt_ok
-            messages += rebuilt_messages
         for msg in messages:
             print(msg)
         print("VERIFY:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
+    where = os.path.join(output_root(args.out), args.experiment)
     try:
         config = _assemble_config(args)
         manifest = run_experiment(config, out_root=output_root(args.out))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # raised after the build, which has already run
+        print(f"error: cannot write results to {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     for v in manifest["verdicts"]:
         status = "PASS" if v["passed"] else "FAIL"
         measured = "" if v["measured"] is None else f"  measured={v['measured']:.6g}"
         expected = f"  expected={v['expected']}" if v["expected"] else ""
         print(f"{status}  {v['name']}{measured}{expected}")
-    where = os.path.join(output_root(args.out), config.experiment)
     print(f"wrote {', '.join(sorted(manifest['outputs']))} and manifest.json to {where}")
     outcome = ("ALL PASS" if manifest["all_passed"] else
                "FAILURES PRESENT" if manifest["verdicts"] else "NO VERDICT APPLIED")

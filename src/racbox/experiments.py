@@ -3,21 +3,26 @@
 A config is resolved once per run into the values it runs with (``resolve``:
 every declared parameter given or defaulted, typed and checked, a repeated
 grid value refused).  Each experiment builds a set of CSV tables from those
-values alone, then judges them against pinned expected values; ``run``
-writes the tables plus a JSON manifest with checksums and verdicts, and
-``verify`` re-derives both from the files on disk.  All randomness descends
-from the config seed, so a rerun with the same config is byte-identical.
+values alone.  ``run`` writes them, reads each file back once (its sha256
+and its rows), judges the rows it read against pinned expected values and
+writes a JSON manifest with the checksums, the verdicts, the time per stage
+and the peak RSS; ``verify`` judges the files on disk through the same
+reader, so both see the same rows, and ``verify --rebuild`` also re-runs the
+config.  All randomness descends from the config seed, so a rerun with the
+same config is byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import numbers
 import os
 import platform
+import resource
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -145,16 +150,18 @@ def resolve(config: ExperimentConfig) -> SimpleNamespace:
     These are each parameter its experiment declares, given or defaulted
     and of its default's type (a scalar given for a grid becomes a
     one-point grid), each run field it declares, and ``workers``; anything
-    else is not there to read.  Raises ValueError on an unknown parameter,
-    a value of the wrong type (a list for a scalar parameter, a non-integral
-    number for an integer one), a value below its declared least value, an
-    empty grid or one that repeats a value, an invalid run field, or an
-    unknown experiment.
+    else is not there to read.  Raises ValueError on params that are not a
+    dict, an unknown parameter, a value of the wrong type (a list for a
+    scalar parameter, a non-integral number for an integer one), a value
+    below its declared least value, an empty grid or one that repeats a
+    value, an invalid run field, or an unknown experiment.
     """
     if config.experiment not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ValueError(f"unknown experiment {config.experiment!r}; known: {known}")
     exp = REGISTRY[config.experiment]
+    if not isinstance(config.params, dict):  # a manifest may hold any JSON value here
+        raise ValueError(f"params={config.params!r} is not a dict of parameter values")
     unknown = sorted(set(config.params) - set(exp.params))
     if unknown:
         raise ValueError(f"{config.experiment} has no parameter {', '.join(unknown)}; "
@@ -212,7 +219,7 @@ def _score_grid_checks(rows, prefix: str, tolerance_note: str = "") -> list[Verd
     verdicts = []
     for n, expected_row in EXPECTED_SCORE_GRID.items():
         for e, expected in zip(SCORE_GRID_BIASES, expected_row):
-            match = [r["score"] for r in rows if round(r["n"]) == n and abs(r["bias"] - e) < 1e-9]
+            match = [r["score"] for r in rows if r["n"] == n and abs(r["bias"] - e) < 1e-9]
             if match:
                 verdicts.append(Verdict(
                     name=f"{prefix}score(n={n}, E={e:.4f})", passed=_close(match[0], expected),
@@ -338,7 +345,7 @@ def build_phase_boundary(p: SimpleNamespace) -> Tables:
 
 def judge_phase_boundary(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
     rows = tables["phase_boundary.csv"]
-    curve = [(round(r["n"]), r["e_crit"]) for r in rows]
+    curve = [(r["n"], r["e_crit"]) for r in rows]
     by_n = dict(curve)
     verdicts = _curve_verdicts(curve, p.capacity, "critical bias")
     if p.capacity == 1.0:
@@ -355,7 +362,7 @@ def judge_phase_boundary(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
                                     passed=abs(last - TSIRELSON_BIAS) < 0.006,
                                     measured=last, expected="within 0.006 of 1/sqrt(2)"))
     if 20 in by_n:
-        asym = next(r["e_crit_asymptotic"] for r in rows if round(r["n"]) == 20)
+        asym = next(r["e_crit_asymptotic"] for r in rows if r["n"] == 20)
         rel = abs(by_n[20] - asym) / by_n[20]
         verdicts.append(Verdict(name="asymptotic boundary agreement at depth 20",
                                 passed=rel < 0.01, measured=rel, expected="rel err < 1%"))
@@ -370,7 +377,7 @@ def judge_capacity_phase(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
     rows = tables["capacity_phase.csv"]
     verdicts = []
     caps = sorted({r["capacity"] for r in rows})
-    curves = {c: sorted(((round(r["n"]), r["e_crit"]) for r in rows
+    curves = {c: sorted(((r["n"], r["e_crit"]) for r in rows
                          if r["capacity"] == c)) for c in caps}
     for c, curve in curves.items():
         verdicts += _curve_verdicts(curve, c, f"curve C={c:g}")
@@ -433,16 +440,16 @@ def judge_capacity_sanity(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
     for r in tables["capacity_sanity.csv"]:
         if r["kind"] == "hard":
             verdicts.append(Verdict(
-                name=f"hard copy m={round(r['param1'])} within interval of m",
+                name=f"hard copy m={r['param1']} within interval of m",
                 passed=r["lo"] <= r["analytic"] <= r["hi"] or r["observed"] == r["analytic"],
                 measured=r["observed"], expected=f"interval contains {r['analytic']:g}"))
         elif r["kind"] == "packed":
             verdicts.append(Verdict(
-                name=f"packed d={round(r['param1'])} q={round(r['param2'])} saturates",
+                name=f"packed d={r['param1']} q={round(r['param2'])} saturates",
                 passed=abs(r["observed"] - r["analytic"]) <= max(0.02, 3 * (r["hi"] - r["lo"])),
                 measured=r["observed"], expected=f"{r['analytic']:g}"))
         else:
-            sigma = _awgn_score_sigma(round(r["param1"]), r["param2"], p.episodes / p.n_bits)
+            sigma = _awgn_score_sigma(r["param1"], r["param2"], p.episodes / p.n_bits)
             below = r["observed"] <= r["counted"] + 1e-9
             matches = abs(r["observed"] - r["analytic"]) <= 3 * sigma + 1e-6
             verdicts.append(Verdict(
@@ -494,7 +501,7 @@ def judge_ablations(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
     verdicts = []
     for r in tables["ablations.csv"]:
         if r["mode"] == "strict":
-            label = f"strict m={round(r['m'])} seed={round(r['seed'])}"
+            label = f"strict m={r['m']} seed={r['seed']}"
             verdicts.append(Verdict(
                 name=f"{label} embedding: I_NRAC <= H(code)",
                 passed=r["observed"] <= r["code_entropy"] + EXACT_TOLERANCE,
@@ -564,7 +571,7 @@ def judge_benchmark(tables: Tables, p: SimpleNamespace) -> list[Verdict]:
     # Within 2% of the limit from depth 5 (N = 32) on; below 0.01 from depth 7.
     if last["n"] >= 5:
         verdicts.append(Verdict(
-            name=f"majority score at N={round(last['N'])} near its limit",
+            name=f"majority score at N={last['N']} near its limit",
             passed=abs(last["majority_score"] - MAJORITY_LIMIT) <= 0.02 * MAJORITY_LIMIT,
             measured=last["majority_score"], expected=f"{MAJORITY_LIMIT:.4f} +/- 2%"))
     verdicts.append(Verdict(
@@ -699,18 +706,15 @@ def parse_scalar(text: str):
     return text
 
 
-def read_csv_rows(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return [{k: parse_scalar(v) for k, v in raw.items()} for raw in csv.DictReader(lines)]
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+def read_table(path: str) -> tuple[str, list[dict]]:
+    """A CSV file's sha256 and its rows, ``#`` lines skipped, from one read of its bytes."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        data = fh.read()
+    # A damaged file still parses (its checksum reports it) instead of raising.
+    text = data.decode(errors="replace")
+    lines = [ln for ln in io.StringIO(text, newline="") if not ln.startswith("#")]
+    rows = [{k: parse_scalar(v) for k, v in raw.items()} for raw in csv.DictReader(lines)]
+    return hashlib.sha256(data).hexdigest(), rows
 
 
 def output_root(override: str | None = None) -> str:
@@ -718,26 +722,29 @@ def output_root(override: str | None = None) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dict:
-    """Build, judge, and persist one experiment; returns the manifest.
+    """Build and write one experiment, then judge the files it wrote; returns the manifest.
 
-    Raises ValueError, before anything is built, on a config that
-    ``resolve`` rejects.
+    The judge reads each table back from its CSV, as ``verify_manifest``
+    does, so a run and a verify see the same rows.  Raises ValueError,
+    before anything is built, on a config that ``resolve`` rejects, and
+    OSError, after the build, when the output folder cannot be written.
     """
     p = resolve(config)
     exp = REGISTRY[config.experiment]
     start = time.perf_counter()
     tables = exp.build(p)
-    verdicts = exp.judge(tables, p)
-    elapsed = time.perf_counter() - start
-
+    built = time.perf_counter()
     out_dir = os.path.join(output_root(out_root), config.experiment)
     os.makedirs(out_dir, exist_ok=True)
     comment = f"racbox experiment={config.experiment} config={config.hash()}"
-    outputs = {}
+    outputs, written = {}, {}
     for fname, rows in tables.items():
         path = os.path.join(out_dir, fname)
         _write_csv(path, rows, comment)
-        outputs[fname] = _sha256(path)
+        outputs[fname], written[fname] = read_table(path)
+    wrote = time.perf_counter()
+    verdicts = exp.judge(written, p)
+    judged = time.perf_counter()
 
     manifest = {
         "experiment": config.experiment,
@@ -748,7 +755,13 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
         "outputs": outputs,
         "verdicts": [asdict(v) for v in verdicts],
         "all_passed": bool(verdicts) and all(v.passed for v in verdicts),  # none judged: fail
-        "wall_clock_s": elapsed,
+        "wall_clock_s": judged - start,
+        # write: the CSVs written and read back for the judge
+        "stage_s": {"build": built - start, "write": wrote - built, "judge": judged - wrote},
+        # Peaks over the life of the process and of the largest pool worker it
+        # has reaped so far, not of this run alone; ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": {"process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                        "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024},
         # Byte-identity rests on NumPy's generator streams; the fingerprint
         # stays out of the CSVs and the config hash.
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
@@ -760,83 +773,63 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
     return manifest
 
 
-def _read_manifest(path: str) -> tuple[dict, ExperimentConfig]:
-    # The recorded outputs and config; ValueError, not a traceback, on a file
-    # that cannot be read or is not a racbox manifest.
+def verify_manifest(manifest_path: str, rebuild: bool = False) -> tuple[bool, list[str]]:
+    """Recheck a manifest's files, judge the rows read from them, and optionally rebuild.
+
+    Each recorded file gets ``MISSING``, ``CHECKSUM MISMATCH`` or ``checksum
+    ok``.  If every one is ok, its rows are judged as ``run_experiment``
+    judges them: ``PASS`` or ``FAIL`` per verdict, ``FAIL no verdict
+    applied``, or ``FAIL <error>`` when the config no longer resolves or the
+    judge needs a table the manifest does not list.  ``rebuild`` then re-runs
+    the config in a temporary folder and compares each CSV's sha256 with the
+    recorded one (``rebuild ok``, ``REBUILD MISMATCH`` or ``REBUILD FAILED
+    <error>``), which catches nondeterminism and library drift that
+    re-hashing cannot.  Returns (ok, messages), ok only when no line reports
+    a failure.  Raises ValueError on a file that is not a readable manifest.
+    """
     try:
-        with open(path) as fh:
+        with open(manifest_path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # a JSON syntax error is a ValueError
-        raise ValueError(f"cannot read manifest {path}: {getattr(exc, 'strerror', exc)}") from None
+        raise ValueError(f"cannot read manifest {manifest_path}: "
+                         f"{getattr(exc, 'strerror', exc)}") from None
     try:
-        if not isinstance(data["outputs"], dict):
+        recorded = data["outputs"]
+        if not isinstance(recorded, dict):
             raise TypeError("outputs is not an object")
-        return data["outputs"], ExperimentConfig(**data["config"])
+        config = ExperimentConfig(**data["config"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not a racbox manifest: {exc}") from None
-
-
-def verify_manifest(manifest_path: str) -> tuple[bool, list[str]]:
-    """Recheck output checksums and re-derive the verdicts from the files.
-
-    Returns (ok, messages); ok is False on any checksum mismatch, missing
-    file, config that no longer resolves, failed verdict, or when no
-    verdict applies.  Raises ValueError on a file that is not a readable
-    manifest.
-    """
-    outputs, config = _read_manifest(manifest_path)
+        raise ValueError(f"{manifest_path} is not a racbox manifest: {exc}") from None
     base = os.path.dirname(os.path.abspath(manifest_path))
-    messages = []
-    ok = True
-    tables = {}
-    for fname, recorded in outputs.items():
+    messages, tables = [], {}
+    for fname, digest in recorded.items():
         path = os.path.join(base, fname)
         if not os.path.exists(path):
-            ok = False
             messages.append(f"MISSING {fname}")
             continue
-        actual = _sha256(path)
-        if actual != recorded:
-            ok = False
-            messages.append(f"CHECKSUM MISMATCH {fname}")
-            continue
-        messages.append(f"checksum ok {fname}")
-        tables[fname] = read_csv_rows(path)
-    if ok:
+        actual, tables[fname] = read_table(path)
+        messages.append(f"checksum ok {fname}" if actual == digest else
+                        f"CHECKSUM MISMATCH {fname}")
+    if all(m.startswith("checksum ok ") for m in messages):
         try:
             p = resolve(config)
+            lines = [f"{'PASS' if v.passed else 'FAIL'} {v.name}"
+                     for v in REGISTRY[config.experiment].judge(tables, p)]
         except ValueError as exc:
-            messages.append(f"FAIL {exc}")
-            return False, messages
-        verdicts = REGISTRY[config.experiment].judge(tables, p)
-        if not verdicts:
-            ok = False
-            messages.append("FAIL no verdict applied")
-        for v in verdicts:
-            messages.append(f"{'PASS' if v.passed else 'FAIL'} {v.name}")
-            ok = ok and v.passed
-    return ok, messages
-
-
-def rebuild_manifest(manifest_path: str) -> tuple[bool, list[str]]:
-    """Re-run a manifest's config in a temporary directory and compare checksums.
-
-    Unlike ``verify_manifest``, which re-hashes the files on disk, this
-    re-executes the experiment, so nondeterminism or a drifted library shows
-    up as a mismatch.  Returns (ok, messages); ok is False when any CSV's
-    sha256 differs from the manifest's, or a CSV is missing on either side.
-    Raises ValueError on an unreadable manifest or a config that no longer
-    resolves.
-    """
-    recorded, config = _read_manifest(manifest_path)
-    with tempfile.TemporaryDirectory() as tmp:
-        rebuilt = run_experiment(config, out_root=tmp)["outputs"]
-    ok = True
-    messages = []
-    for fname in sorted(recorded.keys() | rebuilt.keys()):
-        if recorded.get(fname) == rebuilt.get(fname):
-            messages.append(f"rebuild ok {fname}")
+            lines = [f"FAIL {exc}"]
+        except KeyError as exc:  # a judge reads tables[<name>.csv], then row[<column>]
+            if not str(exc.args[0]).endswith(".csv"):
+                raise
+            lines = [f"FAIL manifest lists no {exc.args[0]}"]
+        messages += lines or ["FAIL no verdict applied"]
+    if rebuild:
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                rebuilt = run_experiment(config, out_root=tmp)["outputs"]
+        except ValueError as exc:  # e.g. a parameter no experiment reads any more
+            messages.append(f"REBUILD FAILED {exc}")
         else:
-            ok = False
-            messages.append(f"REBUILD MISMATCH {fname}")
-    return ok, messages
+            for fname in sorted(recorded.keys() | rebuilt.keys()):
+                same = recorded.get(fname) == rebuilt.get(fname)
+                messages.append(f"{'rebuild ok' if same else 'REBUILD MISMATCH'} {fname}")
+    return all(m.startswith(("checksum ok ", "PASS ", "rebuild ok ")) for m in messages), messages

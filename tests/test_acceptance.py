@@ -21,7 +21,7 @@ from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bp
 from racbox.estimation import plugin_mi, symmetric_score_estimate, wilson_interval
 from racbox.experiments import (ANGLE_SCAN_PHIS, EXPECTED_ANGLE_SCAN,
                                 EXPECTED_SCORE_GRID, SCORE_GRID_BIASES,
-                                ExperimentConfig, read_csv_rows, run_experiment)
+                                ExperimentConfig, read_table, run_experiment)
 from racbox.info import LN2, binary_entropy, entropy_deficit
 from racbox.protocols import (PyramidProtocol, classical_avg_success_closed_form,
                               pyramid_monte_carlo)
@@ -201,7 +201,7 @@ def test_criterion_11_ablations(tmp_path):
     elapsed = time.perf_counter() - start
     failed = [v["name"] for v in manifest["verdicts"] if not v["passed"]]
     assert manifest["verdicts"] and not failed, f"criterion 11: failed verdicts {failed}"
-    rows = read_csv_rows(str(tmp_path / "ablations" / "ablations.csv"))
+    rows = read_table(str(tmp_path / "ablations" / "ablations.csv"))[1]
     strict = [r for r in rows if r["mode"] == "strict"]
     assert len(strict) == 10, f"criterion 11: {len(strict)} strict runs"
     for mode, expected_tag in (("query_leaky", "query"), ("precision_packing", "precision"),

@@ -9,7 +9,7 @@ import pytest
 
 from racbox import experiments, scores
 from racbox.cli import main
-from racbox.experiments import (ExperimentConfig, REGISTRY, read_csv_rows,
+from racbox.experiments import (ExperimentConfig, REGISTRY, read_table,
                                 run_experiment)
 
 
@@ -149,6 +149,15 @@ def test_unreadable_config_fails_in_one_line(tmp_path, capsys, text, reason):
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: cannot read config {ini}: ") and reason in err
     assert not (tmp_path / "table1").exists()
+
+
+def test_unwritable_out_fails_in_one_line(tmp_path, capsys):
+    # a regular file where the output folder goes used to end in a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run_cli("run", "table1", "--out", str(afile)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write results to {afile / 'table1'}: Not a directory"]
 
 
 def test_shared_defaults_drop_keys_the_experiment_does_not_read(tmp_path):
@@ -329,14 +338,20 @@ def _least_values(exp) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_every_experiment_at_its_least_values_yields_a_verdict(name):
+def test_every_experiment_at_its_least_values_yields_a_verdict(name, tmp_path):
     exp = REGISTRY[name]
     for key, spec in exp.params.items():
         if isinstance(spec, tuple):  # each default respects its own bound
             default, low = spec
             assert min(default if isinstance(default, list) else [default]) >= low, key
-    p = experiments.resolve(ExperimentConfig(name, workers=1, params=_least_values(exp)))
-    assert exp.judge(exp.build(p), p), _least_values(exp)
+    config = ExperimentConfig(name, workers=1, params=_least_values(exp))
+    manifest = run_experiment(config, out_root=str(tmp_path))
+    assert manifest["verdicts"], _least_values(exp)
+    # verify re-derives from the files exactly the verdicts the run recorded
+    ok, messages = experiments.verify_manifest(str(tmp_path / name / "manifest.json"))
+    assert [m for m in messages if m.startswith(("PASS ", "FAIL "))] == [
+        f"{'PASS' if v['passed'] else 'FAIL'} {v['name']}" for v in manifest["verdicts"]]
+    assert ok == manifest["all_passed"]
 
 
 @pytest.mark.parametrize("field, value, error", [
@@ -395,11 +410,17 @@ def test_manifest_records_the_environment_outside_the_hash(tmp_path, capsys):
     env = manifest["environment"]
     assert set(env) == {"python", "numpy", "platform"}
     assert env["numpy"] == np.__version__ and env["python"] == platform.python_version()
+    stages, rss = manifest["stage_s"], manifest["peak_rss_mb"]
+    assert set(stages) == {"build", "write", "judge"} and min(stages.values()) >= 0.0
+    assert math.isclose(sum(stages.values()), manifest["wall_clock_s"])
+    assert set(rss) == {"process", "children"} and rss["process"] > 0 <= rss["children"]
     assert manifest["config_hash"] == ExperimentConfig("table1").hash()
     csv_text = (tmp_path / "table1" / "table1.csv").read_text()
     assert env["platform"] not in csv_text and env["numpy"] not in csv_text
-    # manifests written before the fingerprint existed still verify and rebuild
-    del manifest["environment"]
+    # manifests written before the fingerprint and the stage and RSS records
+    # existed still verify and rebuild
+    for key in ("environment", "stage_s", "peak_rss_mb"):
+        del manifest[key]
     path.write_text(json.dumps(manifest))
     assert run_cli("verify", "--rebuild", str(path)) == 0
     assert "VERIFY: PASS" in capsys.readouterr().out
@@ -410,7 +431,26 @@ def test_numpy_scalars_are_written_as_plain_numbers(tmp_path):
     path = str(tmp_path / "rows.csv")
     experiments._write_csv(path, [{"x": np.float64(0.1), "k": np.int64(3)}], "test")
     assert open(path).read().splitlines()[1:] == ["x,k", "0.1,3"]
-    assert read_csv_rows(path) == [{"x": 0.1, "k": 3}]
+    assert read_table(path)[1] == [{"x": 0.1, "k": 3}]
+
+
+def test_judges_see_plain_cells_under_run_and_verify(tmp_path, monkeypatch):
+    # a run judges the rows it read back from its files, as verify does, so a
+    # NumPy scalar in a built row reaches neither judge
+    seen = []
+    exp = REGISTRY["table1"]
+
+    def recording(tables, p):
+        seen.append({type(v) for rows in tables.values() for row in rows for v in row.values()})
+        return exp.judge(tables, p)
+
+    true_score = experiments.closed_form_score
+    monkeypatch.setattr(experiments, "closed_form_score",
+                        lambda depth, bias: np.float64(true_score(depth, bias)))
+    monkeypatch.setitem(REGISTRY, "table1", dataclasses.replace(exp, judge=recording))
+    assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
+    assert run_cli("verify", str(tmp_path / "table1" / "manifest.json")) == 0
+    assert len(seen) == 2 and all(types <= {int, float, str} for types in seen), seen
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -443,6 +483,24 @@ def test_verify_fails_cleanly_on_a_bad_manifest(tmp_path, capsys):
     assert out[-3].startswith("FAIL unknown experiment 'nonesuch'; known: ablations, ")
     assert out[-2].startswith("REBUILD FAILED unknown experiment 'nonesuch'; known: ")
     assert out[-1] == "VERIFY: FAIL"
+    # a manifest that lists no table the judge needs, or params that are no dict
+    data["config"]["experiment"] = "table1"
+    data["outputs"] = {}
+    manifest.write_text(json.dumps(data))
+    assert run_cli("verify", str(manifest)) == 1
+    assert capsys.readouterr().out.splitlines() == ["FAIL manifest lists no table1.csv",
+                                                    "VERIFY: FAIL"]
+    assert run_cli("verify", "--rebuild", str(manifest)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL manifest lists no table1.csv", "REBUILD MISMATCH table1.csv", "VERIFY: FAIL"]
+    data["outputs"] = {"table1.csv": read_table(str(tmp_path / "table1" / "table1.csv"))[0]}
+    for params in ([1], None):
+        data["config"]["params"] = params
+        manifest.write_text(json.dumps(data))
+        assert run_cli("verify", "--rebuild", str(manifest)) == 1
+        error = f"params={params!r} is not a dict of parameter values"
+        assert capsys.readouterr().out.splitlines() == [
+            "checksum ok table1.csv", f"FAIL {error}", f"REBUILD FAILED {error}", "VERIFY: FAIL"]
 
 
 def test_interval_takes_its_full_name_or_cp(tmp_path):
@@ -462,7 +520,7 @@ def test_interval_takes_its_full_name_or_cp(tmp_path):
 def test_grid_override_changes_config(tmp_path):
     assert run_cli("run", "phase-boundary", "--n-max", "6",
                    "--out", str(tmp_path)) == 0
-    rows = read_csv_rows(str(tmp_path / "phase-boundary" / "phase_boundary.csv"))
+    rows = read_table(str(tmp_path / "phase-boundary" / "phase_boundary.csv"))[1]
     assert [r["n"] for r in rows] == [1, 2, 3, 4, 5, 6]
 
 
