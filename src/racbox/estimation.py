@@ -8,12 +8,15 @@ uncertainty is reported as Wilson (default), Clopper-Pearson, or Hoeffding
 intervals and pushed through the score map by monotonicity.
 
 Every root, here and in ``scores``, comes from one bisection, ``bisect_root``.
-Two things keep the Clopper-Pearson endpoints cheap without moving a bit:
-the log-binomial coefficients are read from one lgamma table per process,
-extended on demand, and each step decides its sign from the few thousand
-terms around the mode, summing every term only when that windowed value
-lies within a margin of zero that bounds the terms it drops (see
-``clopper_pearson_interval``).
+The Clopper-Pearson endpoints keep every bit of a cold 80-halving bisection
+of [0, 1] while making a fraction of its CDF sums (see
+``clopper_pearson_interval``): the log-binomial coefficients are read from
+one lgamma table per process, extended on demand; a few Newton steps start
+each bisection on the dyadic cell the cold one would reach, once both of its
+ends are certified; each step decides its sign from the few thousand terms
+around the mode, summing all of 0..k only when that windowed value lies
+within a margin of zero that bounds the terms it drops; and such a sum
+takes exp only of the terms that do not underflow.
 """
 
 from __future__ import annotations
@@ -120,16 +123,25 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> Confide
 # _LGAMMA[j] = lgamma(j + 1), built on first use and extended on demand.
 _LGAMMA = np.zeros(0)
 
-# The window of a Clopper-Pearson step spans this many binomial standard
-# deviations, plus a constant for the Poisson-like tails of a small variance,
-# on each side of the mode.  It is only used when the terms at its clipped
-# edges lie _WINDOW_EDGE_DROP below the term at its centre (in natural log).
+# A window of terms spans this many binomial standard deviations, plus a
+# constant for the Poisson-like tails of a small variance, on each side of
+# the mode.  The sign test's window is used only when the terms at its
+# clipped edges lie _WINDOW_EDGE_DROP below the term at its centre (in
+# natural log), a full-range sum's only when they lie _UNDERFLOW_DROP below;
+# a Gaussian-shaped pmf drops 800 nats at sqrt(2 * 800) = 40 deviations.
 _WINDOW_SIGMAS = 16.0
 _WINDOW_EXTRA = 32
 _WINDOW_EDGE_DROP = 64.0
+_UNDERFLOW_SIGMAS = 40.0
+_UNDERFLOW_DROP = 800.0
 # A windowed step value further than this from zero has the sign of the
 # full sum; clopper_pearson_interval derives the bound.
-_SIGN_MARGIN = 1e-12
+_SIGN_MARGIN = 1e-13
+# A warm bracket's ends are accepted when their values lie this far on the
+# expected side of zero (at least 512 ulps of lgamma(trials + 1)), and
+# Newton's method gets this many steps to find the root approximately.
+_WARM_MARGIN = 1e-6
+_NEWTON_STEPS = 12
 
 
 def _binomial_log_cdf_terms(trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,47 +161,123 @@ def _binomial_log_cdf_terms(trials: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return table[trials] - (table[: trials + 1] + table[trials::-1]), index, trials - index
 
 
-def _binomial_cdf(k: int, p: float, terms, start: int = 0, stop: int | None = None) -> float:
-    """P[X <= k] for X ~ Binomial(trials, p), summed stably in log space.
-
-    ``terms`` is ``_binomial_log_cdf_terms(trials)``.  ``start`` and ``stop``
-    restrict the sum to the terms i in [start, stop); by default it runs
-    over 0..k.
-    """
-    log_binom, index, rest = terms
-    if p <= 0.0:
-        return 1.0
-    if p >= 1.0:
-        return 0.0 if k < len(index) - 1 else 1.0
-    part = slice(start, k + 1 if stop is None else stop)
-    logs = log_binom[part] + index[part] * math.log(p) + rest[part] * math.log1p(-p)
-    top = logs.max()
-    return float(min(1.0, math.exp(top) * np.exp(logs - top).sum()))
+def _mode_span(k: int, p: float, trials: int, sigmas: float) -> tuple[int, int, int]:
+    """(centre, start, last): the mode of the terms 0..k at p, and the
+    span of ``sigmas`` standard deviations plus _WINDOW_EXTRA around it,
+    clipped to 0..k."""
+    half = int(sigmas * math.sqrt(trials * p * (1.0 - p))) + _WINDOW_EXTRA
+    centre = min(k, int((trials + 1) * p))
+    return centre, max(0, centre - half), min(k, centre + half)
 
 
-def _cdf_window(k: int, p: float, log_binom: np.ndarray) -> tuple[int, int] | None:
+def _mode_window(k: int, p: float, log_binom: np.ndarray, sigmas: float, drop: float,
+                 most: float) -> tuple[int, int] | None:
     """Terms [start, stop) of P[X <= k] around the mode that hold its mass.
 
-    None when the window would hold half of 0..k or more, or when a clipped
-    edge's term is not _WINDOW_EDGE_DROP below the term at its centre.
+    None when the window would hold more than ``most`` terms, or when a
+    clipped edge's term is not ``drop`` below the term at its centre.  The
+    pmf is log-concave, hence unimodal, so every term outside an accepted
+    window lies at least ``drop`` below the largest one.
     """
     trials = len(log_binom) - 1
     if not 0.0 < p < 1.0:
         return None
-    half = int(_WINDOW_SIGMAS * math.sqrt(trials * p * (1.0 - p))) + _WINDOW_EXTRA
-    centre = min(k, int((trials + 1) * p))
-    start, last = max(0, centre - half), min(k, centre + half)
-    if 2 * (last + 1 - start) > k + 1:
+    centre, start, last = _mode_span(k, p, trials, sigmas)
+    if last + 1 - start > most:
         return None
     lp, lq = math.log(p), math.log1p(-p)
 
     def log_term(i):
         return float(log_binom[i]) + i * lp + (trials - i) * lq
 
-    floor = log_term(centre) - _WINDOW_EDGE_DROP
+    floor = log_term(centre) - drop
     if (start > 0 and log_term(start) > floor) or (last < k and log_term(last) > floor):
         return None
     return start, last + 1
+
+
+def _binomial_cdf(k: int, p: float, terms, window: tuple[int, int] | None = None) -> float:
+    """P[X <= k] for X ~ Binomial(trials, p), summed stably in log space.
+
+    ``terms`` is ``_binomial_log_cdf_terms(trials)``.  A ``window`` (start,
+    stop) restricts the sum to the terms i in [start, stop).  Without one it
+    runs over all of 0..k, but takes exp only of the terms within
+    _UNDERFLOW_DROP of the largest one and leaves the rest at zero: their
+    exp would underflow to zero anyway, so the sum keeps its bits.
+    """
+    log_binom, index, rest = terms
+    if p <= 0.0:
+        return 1.0
+    if p >= 1.0:
+        return 0.0 if k < len(index) - 1 else 1.0
+    cut = None
+    if window is None:
+        cut = _mode_window(k, p, log_binom, _UNDERFLOW_SIGMAS, _UNDERFLOW_DROP, k)
+    part = slice(*(window or cut or (0, k + 1)))
+    logs = log_binom[part] + index[part] * math.log(p) + rest[part] * math.log1p(-p)
+    top = logs.max()
+    scaled = np.exp(logs - top)
+    if cut is not None:
+        padded = np.zeros(k + 1)  # summed in NumPy's pairwise order over 0..k
+        padded[part] = scaled
+        scaled = padded
+    return float(min(1.0, math.exp(top) * scaled.sum()))
+
+
+def _warm_bracket(k: int, target, decreasing: bool, value, terms) -> tuple[float, float, int]:
+    """(lo, hi, j): the dyadic bracket [i 2^-j, (i + 1) 2^-j] that a cold
+    bisection of [0, 1] reaches after j halvings, or (0, 1, 0).
+
+    Newton's method on the windowed value, safeguarded by the bracket its
+    signs build, finds the root of ``target(P[X <= k | p])`` approximately.
+    The deepest dyadic cell around it whose ends lie a few certification
+    distances away is accepted only when ``value`` at each end inside (0, 1)
+    lies on the expected side of zero by more than the certification margin
+    (see ``clopper_pearson_interval``).
+    """
+    log_binom = terms[0]
+    trials = len(log_binom) - 1
+    margin = max(_WARM_MARGIN, 512 * math.ulp(math.lgamma(trials + 1)))
+    if min(target(0.0), target(1.0)) >= -margin:  # -alpha/2: no value lies below it
+        return 0.0, 1.0, 0
+    lo, hi = 0.0, 1.0
+    p = (k + 0.5) / trials
+    for _ in range(_NEWTON_STEPS):
+        _, start, last = _mode_span(k, p, trials, _WINDOW_SIGMAS)
+        val = target(_binomial_cdf(k, p, terms, (start, last + 1)))
+        if (val > 0.0) == decreasing:
+            lo = p
+        else:
+            hi = p
+        # d/dp P[X <= k | p] = -(trials - k) C(trials, k) p^k (1 - p)^(trials - k - 1)
+        slope = math.exp(math.log(trials - k) + float(log_binom[k]) + k * math.log(p)
+                         + (trials - k - 1) * math.log1p(-p))
+        guess = 0.5 * (lo + hi)  # where Newton leaves the bracket or the slope underflows
+        if slope > 0.0:
+            newton = p + val / slope if decreasing else p - val / slope
+            if lo < newton < hi:
+                guess = newton
+        step, p = abs(guess - p), guess
+        if slope > 0.0 and step * slope <= margin:
+            break
+    else:
+        return 0.0, 1.0, 0
+    # the value moves by the margin over margin / slope; the last step bounds
+    # how far p may still lie from the root
+    distance = 2.0 * (margin / slope + step)
+    for j in range(min(80, int(-math.log2(2.0 * distance))), 0, -1):
+        i = math.floor(math.ldexp(p, j))
+        a, b = math.ldexp(i, -j), math.ldexp(i + 1, -j)
+        if p - a >= distance and b - p >= distance:
+            break
+    else:
+        return 0.0, 1.0, 0
+    for end, side in ((a, True), (b, False)):
+        if 0.0 < end < 1.0:
+            val = value(end)
+            if abs(val) <= margin or ((val > 0.0) == decreasing) != side:
+                return 0.0, 1.0, 0
+    return a, b, j
 
 
 def clopper_pearson_interval(successes: int, trials: int,
@@ -198,15 +286,37 @@ def clopper_pearson_interval(successes: int, trials: int,
 
     The lower endpoint solves P[X >= successes | p] = alpha/2 and the upper
     solves P[X <= successes | p] = alpha/2; no incomplete-beta function is
-    involved, only direct tail sums.  Each endpoint halves [0, 1] up to 80
-    times through ``bisect_root``.
+    involved, only direct tail sums.  Each endpoint is the midpoint of the
+    bracket that up to 80 halvings of [0, 1] through ``bisect_root`` leave.
+    Three things make this cheap without moving a bit of either endpoint.
 
-    A step first sums the window of terms around the mode that
-    ``_cdf_window`` picks.  It sums all of 0..k, as a direct evaluation
-    does, only when there is no window or the windowed value lies within
-    _SIGN_MARGIN = 1e-12 of zero.  Only the sign of a step's value steers
-    the bisection, so the endpoints are bit for bit those of the full sum at
-    every step, as long as the two values differ by less than the margin:
+    *Warm start.*  ``_warm_bracket`` finds the root approximately by Newton
+    steps on windowed sums and accepts the dyadic cell [a, b] =
+    [i 2^-j, (i + 1) 2^-j] around it only when the step value at a and b
+    lies on the expected side of zero by more than a margin.  The margin
+    covers the rounding of a step value: every log term is a sum of lgamma
+    table entries and of i log p and (trials - i) log(1 - p), none larger
+    in magnitude than lgamma(trials + 1), so it carries an absolute error
+    of about 3 ulps of lgamma(trials + 1), 6e-9 at trials = 10^6.  That is
+    the relative error of each term, of the sum and of the CDF, and, as the
+    CDF is at most 1, the absolute error of the value.  The margin is
+    max(1e-6, 512 ulps of lgamma(trials + 1)), over 150 times that error.
+    The exact value is monotone in p, so every dyadic midpoint a cold
+    bisection visits on its way to [a, b] lies beyond a or b and has the
+    sign certified there; the cold run reaches [a, b] after exactly j
+    halvings, and ``bisect_root(below, a, b, 80 - j)`` then visits the very
+    midpoints it would.  An uncertified cell falls back to [0, 1].  When
+    alpha/2 is below the margin, one side can never certify, so intervals
+    at such levels bisect cold.
+
+    *Sign margin.*  A step first sums the window of terms around the mode
+    that ``_mode_window`` picks.  It sums all of 0..k, as a direct
+    evaluation does, only when there is no window (it would hold more than
+    half of 0..k, or its edges are not 64 nats below its centre) or the
+    windowed value lies within _SIGN_MARGIN = 1e-13 of zero.  Only the sign
+    of a step's value steers the bisection, so the endpoints are bit for bit
+    those of the full sum at every step, as long as the two values differ
+    by less than the margin:
 
     * The binomial pmf is log-concave, hence unimodal, and the terms at the
       window's clipped edges are at most e^-64 times the term at its
@@ -217,11 +327,15 @@ def clopper_pearson_interval(successes: int, trials: int,
       NumPy adds nonnegative terms pairwise, with a relative error below
       64 u (u = 2^-53) for any length that fits in memory, so with the few
       scalar roundings after the sums the two values differ by less than
-      2e-14.
+      2e-14, five times below the margin.
 
-    Both are far below 1e-12.  The log-binomial coefficients come from a
-    per-process lgamma table, with the same operands and order of addition
-    as a direct evaluation.
+    *Underflow cut.*  A full-range sum takes exp only of the terms within
+    800 nats of the largest one, again certified at the window's edges by
+    log-concavity, and sums them in a zero array over 0..k.  Any other
+    term's exp would be below e^-745, which rounds to zero, so the array
+    and NumPy's pairwise sum over it keep every bit.  The log-binomial
+    coefficients come from a per-process lgamma table, with the same
+    operands and order of addition as a direct evaluation.
     """
     _check_binomial(successes, trials, level)
     alpha = 1.0 - level
@@ -230,14 +344,19 @@ def clopper_pearson_interval(successes: int, trials: int,
     def root(k, target, decreasing):
         """Root in p of target(P[X <= k | p])."""
 
-        def below(p):
-            window = _cdf_window(k, p, terms[0])
-            val = 0.0 if window is None else target(_binomial_cdf(k, p, terms, *window))
+        def value(p):
+            window = _mode_window(k, p, terms[0], _WINDOW_SIGMAS, _WINDOW_EDGE_DROP,
+                                  (k + 1) / 2)
+            val = 0.0 if window is None else target(_binomial_cdf(k, p, terms, window))
             if abs(val) <= _SIGN_MARGIN:
                 val = target(_binomial_cdf(k, p, terms))
-            return (val > 0.0) == decreasing
+            return val
 
-        lo, hi, _ = bisect_root(below, 0.0, 1.0, 80)
+        def below(p):
+            return (value(p) > 0.0) == decreasing
+
+        lo, hi, depth = _warm_bracket(k, target, decreasing, value, terms)
+        lo, hi, _ = bisect_root(below, lo, hi, 80 - depth)
         return 0.5 * (lo + hi)
 
     if successes == 0:

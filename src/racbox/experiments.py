@@ -5,11 +5,12 @@ every declared parameter given or defaulted, typed and checked, a repeated
 grid value refused).  Each experiment builds a set of CSV tables from those
 values alone.  ``run`` writes them, reads each file back once (its sha256
 and its rows), judges the rows it read against pinned expected values and
-writes a JSON manifest with the checksums, the verdicts, the time per stage
-and the peak RSS; ``verify`` judges the files on disk through the same
-reader, so both see the same rows, and ``verify --rebuild`` also re-runs the
-config.  All randomness descends from the config seed, so a rerun with the
-same config is byte-identical.
+writes a JSON manifest with the checksums, the verdicts, the time per stage,
+the peak RSS and the environment (Python, NumPy, its BLAS, platform);
+``verify`` judges the files on disk through the same reader, so both see
+the same rows, and ``verify --rebuild`` also re-runs the config.  All
+randomness descends from the config seed, so a rerun with the same config
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -721,6 +722,16 @@ def output_root(override: str | None = None) -> str:
     return override or os.environ.get(OUTPUT_ROOT_ENV) or "results"
 
 
+def _blas_build() -> str:
+    """NumPy's BLAS as "name version", or "unknown" before NumPy 1.25, whose
+    ``show_config`` cannot return it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dict:
     """Build and write one experiment, then judge the files it wrote; returns the manifest.
 
@@ -765,7 +776,7 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
         # Byte-identity rests on NumPy's generator streams; the fingerprint
         # stays out of the CSVs and the config hash.
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "platform": platform.platform()},
+                        "blas": _blas_build(), "platform": platform.platform()},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -779,10 +790,10 @@ def verify_manifest(manifest_path: str, rebuild: bool = False) -> tuple[bool, li
     Each recorded file gets ``MISSING``, ``CHECKSUM MISMATCH`` or ``checksum
     ok``.  If every one is ok, its rows are judged as ``run_experiment``
     judges them: ``PASS`` or ``FAIL`` per verdict, ``FAIL no verdict
-    applied``, or ``FAIL <error>`` when the config no longer resolves or the
-    judge needs a table the manifest does not list.  ``rebuild`` then re-runs
-    the config in a temporary folder and compares each CSV's sha256 with the
-    recorded one (``rebuild ok``, ``REBUILD MISMATCH`` or ``REBUILD FAILED
+    applied``, or ``FAIL <error>`` when the config no longer resolves, the
+    judge needs a table the manifest does not list, or a listed table lacks a
+    column the judge reads.  ``rebuild`` then re-runs the config in a
+    temporary folder and compares each CSV's sha256 with the recorded one (``rebuild ok``, ``REBUILD MISMATCH`` or ``REBUILD FAILED
     <error>``), which catches nondeterminism and library drift that
     re-hashing cannot.  Returns (ok, messages), ok only when no line reports
     a failure.  Raises ValueError on a file that is not a readable manifest.
@@ -818,9 +829,14 @@ def verify_manifest(manifest_path: str, rebuild: bool = False) -> tuple[bool, li
         except ValueError as exc:
             lines = [f"FAIL {exc}"]
         except KeyError as exc:  # a judge reads tables[<name>.csv], then row[<column>]
-            if not str(exc.args[0]).endswith(".csv"):
-                raise
-            lines = [f"FAIL manifest lists no {exc.args[0]}"]
+            key = exc.args[0]
+            if str(key).endswith(".csv"):
+                lines = [f"FAIL manifest lists no {key}"]
+            else:
+                lines = [f"FAIL {fname} lacks column {key!r}" for fname, rows in tables.items()
+                         if any(key not in row for row in rows)]
+                if not lines:
+                    raise
         messages += lines or ["FAIL no verdict applied"]
     if rebuild:
         try:

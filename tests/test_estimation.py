@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import binary_channel_information, table_from_pairs
+from racbox import estimation
 from racbox.estimation import (ConfidenceInterval, ScoreReport, bisect_root,
                                binomial_interval, clopper_pearson_interval,
                                hoeffding_interval,
@@ -267,18 +268,86 @@ def reference_clopper_pearson(successes, trials, level):
     return lo, hi
 
 
-CP_BATTERY = [(s, t, level)
-              for t in (1, 2, 37, 1000, 25_000)
-              for s in sorted({0, 1, t - 1, t})
-              for level in (0.5, 0.95, 1.0 - 1e-6)] + [(600_000, 1_000_000, 0.95)]
+CP_LEVELS = (0.5, 0.95, 1.0 - 1e-6)
+# the boundary counts at every size, then mid-range counts at large T, where
+# the warm start skips the most halvings
+CP_BATTERY = ([(s, t, level)
+               for t in (1, 2, 37, 1000, 25_000)
+               for s in sorted({0, 1, t - 1, t})
+               for level in CP_LEVELS]
+              + [(s, t, level)
+                 for s, t in ((750, 1000), (12_403, 24_864), (22_500, 25_000))
+                 for level in CP_LEVELS]
+              + [(600_000, 1_000_000, 0.95)])
 
 
 def test_clopper_pearson_equals_the_direct_construction():
-    # the windowed sign test, the early stop and the lgamma table must not
-    # move a single bit of either endpoint
+    # the warm start, the windowed sign test, the underflow cut, the early
+    # stop and the lgamma table must not move a single bit of either endpoint
     for s, t, level in CP_BATTERY:
         ci = clopper_pearson_interval(s, t, level)
         assert (ci.lo, ci.hi) == reference_clopper_pearson(s, t, level), (s, t, level)
+
+
+def test_clopper_pearson_counts_its_cdf_sums(monkeypatch):
+    # a cold bisection with the 1e-12 sign margin made 134 evaluations for
+    # this interval, 25 of them over all of 0..k; the warm start removes
+    # about 20 halvings per endpoint and the 1e-13 margin about half of the
+    # full-range sums
+    calls = []
+    cdf = estimation._binomial_cdf
+
+    def counted(k, p, terms, window=None):
+        calls.append(window is None)
+        return cdf(k, p, terms, window)
+
+    monkeypatch.setattr(estimation, "_binomial_cdf", counted)
+    clopper_pearson_interval(12_403, 24_864, 0.95)
+    assert (len(calls), sum(calls)) == (98, 13)
+
+
+def test_underflow_cut_keeps_every_bit_of_a_full_range_sum():
+    # the terms the cut leaves out would underflow to zero, so the sum over a
+    # zero array keeps the bits of the sum that takes exp of every term
+    rng = substream(44)
+    cut = 0
+    for trials in (1000, 25_000, 1_000_000):
+        terms = estimation._binomial_log_cdf_terms(trials)
+        for _ in range(40):
+            k = int(rng.integers(trials))
+            # within a few deviations of k / trials, where the bisection sums
+            p = k / trials + rng.normal(0.0, 3.0) * math.sqrt(k * (trials - k)) / trials ** 1.5
+            p = min(max(p, 1e-9), 1.0 - 1e-9)
+            assert estimation._binomial_cdf(k, p, terms) == estimation._binomial_cdf(
+                k, p, terms, (0, k + 1)), (k, trials, p)
+            cut += estimation._mode_window(k, p, terms[0], estimation._UNDERFLOW_SIGMAS,
+                                           estimation._UNDERFLOW_DROP, k) is not None
+    assert cut >= 60  # most sums leave terms out
+
+
+def test_warm_bracket_is_kept_only_when_both_ends_certify():
+    k, trials = 12_403, 24_864
+    terms = estimation._binomial_log_cdf_terms(trials)
+
+    def target(cdf):
+        return cdf - 0.025
+
+    def value(p):
+        return target(estimation._binomial_cdf(k, p, terms))
+
+    lo, hi, depth = estimation._warm_bracket(k, target, True, value, terms)
+    # a dyadic cell of a cold bisection of [0, 1], around the upper endpoint
+    assert depth >= 16 and hi - lo == 2.0 ** -depth and (lo * 2.0 ** depth).is_integer()
+    assert lo < clopper_pearson_interval(k, trials, 0.95).hi < hi
+    # an end whose value lies within the 1e-6 margin or on the wrong side of
+    # zero sends the bisection back to [0, 1]
+    for end, wrong in ((lo, 5e-7), (hi, -5e-7), (lo, -1.0), (hi, 1.0)):
+        def shaken(p, end=end, wrong=wrong):
+            return wrong if p == end else value(p)
+
+        assert estimation._warm_bracket(k, target, True, shaken, terms) == (0.0, 1.0, 0)
+    # no value lies below -alpha/2, so at alpha/2 below the margin one end can never certify
+    assert estimation._warm_bracket(k, lambda cdf: cdf - 5e-7, True, value, terms) == (0.0, 1.0, 0)
 
 
 def test_clopper_pearson_coverage():
