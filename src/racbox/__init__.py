@@ -11,9 +11,8 @@ from .ablation import (AblationReport, BottleneckNet, TrainConfig, episode_weigh
                        train_strict)
 from .boxes import (BoxTable, Cell, AsymmetricCell, ExplicitCell,
                     IsotropicCell, QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
-                    box_from_win_probabilities, chsh_value, iso_bias_from_angle,
-                    make_isotropic, no_signaling_check, pr_box, quantum_phi_correlators,
-                    twirl)
+                    box_from_win_probabilities, iso_bias_from_angle, make_isotropic,
+                    no_signaling_check, pr_box, quantum_phi_correlators)
 from .capacity import (ProbeResult, awgn_hard_decision_score, bpsk_mutual_information,
                        probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
                        run_packed_precision_probe)

@@ -3,11 +3,10 @@
 A box is a conditional distribution P(A, B | s, t) over binary inputs and
 outputs, held in one form: the 4x4 :class:`BoxTable`.  The module provides
 the isotropic one-parameter family, an asymmetric two-bias family, the
-measurement-angle family with a visibility knob, explicit tables, the CHSH
-functional, and the exact isotropizing twirl.  Every cell is its table; the
-pyramid sampler's conditional tables are derived from it in one place,
-:meth:`Cell.conditional_tables`.  Cells are immutable, hold no randomness
-and are safe to share across workers.
+measurement-angle family with a visibility knob and explicit tables.  Every
+cell is its table; the pyramid sampler's conditional tables are derived
+from it in one place, :meth:`Cell.conditional_tables`.  Cells are
+immutable, hold no randomness and are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -98,11 +97,6 @@ def no_signaling_check(box: BoxTable) -> tuple[bool, float]:
     return dev <= NS_TOL, dev
 
 
-def chsh_value(box: BoxTable) -> float:
-    """CHSH functional: the sum over inputs of the winning probability."""
-    return float(box.win_probabilities().sum())
-
-
 def box_from_win_probabilities(wins) -> BoxTable:
     """Uniform-marginal box with the given per-input winning probabilities."""
     wins = [clamp_probability(w, "win probability") for w in wins]
@@ -148,29 +142,6 @@ def iso_bias_from_angle(phi: float, visibility: float = 1.0) -> float:
     """Effective isotropic bias v*(cos phi + sin phi)/2 of the angle family."""
     e00, e01, e10, e11 = quantum_phi_correlators(phi, visibility)
     return (e00 + e01 + e10 - e11) / 4.0
-
-
-def twirl(box: BoxTable) -> BoxTable:
-    """Exact isotropization by local shared randomness.
-
-    Averages over the 8 assignments of shared bits (u, v, w): inputs are
-    shifted to (s^u, t^v) and the outputs corrected as A' = A^w^(s&v)^(u&v),
-    B' = B^w^(u&t).  The result is isotropic with the same CHSH value.
-    Signaling inputs are rejected because the construction presumes a valid
-    shared-randomness protocol.
-    """
-    ok, dev = no_signaling_check(box)
-    if not ok:
-        raise SignalingBoxError(f"cannot twirl a signaling table (deviation {dev:.3g})")
-    out = np.zeros((4, 4))
-    for u, v, w in product((0, 1), repeat=3):
-        for s, t in product((0, 1), repeat=2):
-            row = box.probs[_input_index(s ^ u, t ^ v)]
-            for a, b in product((0, 1), repeat=2):
-                ap = a ^ w ^ (s & v) ^ (u & v)
-                bp = b ^ w ^ (u & t)
-                out[_input_index(s, t), 2 * ap + bp] += row[2 * a + b] / 8.0
-    return BoxTable(out)
 
 
 # ---------------------------------------------------------------------------

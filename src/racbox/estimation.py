@@ -157,8 +157,10 @@ def _binomial_log_cdf_terms(trials: int) -> tuple[np.ndarray, np.ndarray, np.nda
         grown = np.fromiter(map(math.lgamma, range(have + 1, trials + 2)), float,
                             count=trials + 1 - have)
         table = _LGAMMA = np.concatenate([table, grown])
+    log_binom = np.add(table[: trials + 1], table[trials::-1])
+    np.subtract(table[trials], log_binom, out=log_binom)
     index = np.arange(trials + 1, dtype=float)
-    return table[trials] - (table[: trials + 1] + table[trials::-1]), index, trials - index
+    return log_binom, index, index[::-1]  # trials - i, exactly, for i = 0..trials
 
 
 def _mode_span(k: int, p: float, trials: int, sigmas: float) -> tuple[int, int, int]:

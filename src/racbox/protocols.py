@@ -14,9 +14,13 @@ the query path; a level source gives it each path node's cell input and
 Alice bit.  When every cell's Alice marginal is 1/2, each off-path subtree
 sends a fair bit, one-time-padded by its leftmost database bit, so the path
 source samples only the n cells on the query path, at O(episodes * n) cost.
-Otherwise the tree source encodes the whole database, at O(episodes * 2^n).
-Episodes run in fixed chunks, so the working memory is fixed; only the
-returned batch grows, at O(episodes * (depth + 11)) bytes.  Also here: the
+Otherwise the tree source encodes the whole database, at O(episodes * 2^n);
+it draws each Alice bit by comparing one uniform with the node's two
+thresholds, for s = 0 and s = 1, and selecting bitwise by s.  Bob's bit is
+read from one flat (node, t, s, a) table, whose node and t together are the
+query prefix decoded so far, so each level makes one gather.  Episodes run
+in fixed chunks, so the working memory is fixed; only the returned batch
+grows, at O(episodes * (depth + 11)) bytes.  Also here: the
 optimal classical one-bit majority code.  The copy baseline is
 :func:`racbox.capacity.run_hard_copy_probe`.
 """
@@ -96,8 +100,10 @@ class PyramidBatch:
 
     def parity_identity_holds(self) -> bool:
         """output == target ^ parity(path errors) on every episode."""
-        parity = self.path_errors.sum(axis=1) % 2
-        return bool(np.array_equal(self.outputs, self.targets ^ parity))
+        parity = self.targets ^ self.path_errors[:, 0]
+        for column in self.path_errors.T[1:]:
+            parity ^= column
+        return bool(np.array_equal(self.outputs, parity))
 
     def per_query_counts(self, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
         """(success count, trial count) per query index."""
@@ -185,6 +191,9 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
     and an iterator of each path node's cell input s and Alice bit a, root
     first.  At every node Bob's bit b is drawn from his table at (s, t, a);
     the error bit is a ^ b ^ (s & t) and the output is the message XOR every b.
+    Bob's tables are laid out once per call, flat in (node, t, s, a) order:
+    level r's nodes start at entry 8 (2^r - 1), and the query's first r + 1
+    bits, read as a number p, pick the entry 4 p + 2 s + a from there.
     """
     n = len(pb1).bit_length()
     batch = PyramidBatch(
@@ -199,9 +208,11 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
     alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
     bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
     # The tree holds its whole encoded database; the path draws one level at
-    # a time, about 36 bytes of temporaries per episode at any depth.
+    # a time, about 36 bytes of temporaries per episode at any depth (the
+    # table index, Bob's probabilities and his uniforms, 8 bytes each).
     width = 1 << n if levels is _tree_levels else 16
     chunk = max(8, _CHUNK_CELL_DRAWS // width // 8 * 8)
+    bob = pb1.reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
     for lo in range(0, episodes, chunk):
         hi = min(lo + chunk, episodes)
         q = batch.queries[lo:hi]
@@ -210,11 +221,14 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
         message, target, path = levels(pa1, q, db_rng, alice_rngs)
         implied, output = message.copy(), message.copy()
         for r, (s_vals, a_vals) in enumerate(path):
-            t_bits = ((q >> (n - 1 - r)) & 1).astype(np.uint8)
-            p_bob = pb1[(1 << r) - 1 + (q >> (n - r)), 2 * s_vals + t_bits, a_vals]
-            b_vals = (bob_rngs[r].random(hi - lo) < p_bob).astype(np.uint8)
+            at = q >> (n - 1 - r)  # the query prefix read so far, then its table entry
+            t_bits = at.astype(np.uint8) & 1
+            at <<= 2
+            at += 2 * s_vals + a_vals
+            p_bob = bob[8 * ((1 << r) - 1):].take(at)  # from level r's first node
+            b_vals = np.less(bob_rngs[r].random(hi - lo), p_bob).view(np.uint8)
             pad = a_vals ^ (s_vals & t_bits)
-            batch.path_errors[lo:hi, r] = pad ^ b_vals
+            np.bitwise_xor(pad, b_vals, out=batch.path_errors[lo:hi, r])
             implied ^= pad
             output ^= b_vals
         batch.messages[lo:hi] = message
@@ -231,14 +245,20 @@ def _tree_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: 
     s_levels, a_levels = [None] * n, [None] * n
     for r in range(n - 1, -1, -1):
         left, right = x[:, 0::2], x[:, 1::2]
-        s_levels[r] = left ^ right
-        p_alice = pa1[(1 << r) - 1 + np.arange(1 << r), 2 * s_levels[r]]
-        a_levels[r] = (alice_rngs[r].random((len(q), 1 << r)) < p_alice).astype(np.uint8)
-        x = left ^ a_levels[r]
+        s = s_levels[r] = left ^ right
+        nodes = slice((1 << r) - 1, (2 << r) - 1)
+        u = alice_rngs[r].random((len(q), 1 << r))
+        # a = u < pa1[node, 2s], selected bitwise as lo ^ ((lo ^ hi) & s)
+        lo = np.less(u, pa1[nodes, 0]).view(np.uint8)
+        a = a_levels[r] = np.less(u, pa1[nodes, 2]).view(np.uint8)
+        a ^= lo
+        a &= s
+        a ^= lo
+        x = left ^ a
     rows = np.arange(len(q))
-    path = ((s_levels[r][rows, q >> (n - r)], a_levels[r][rows, q >> (n - r)])
-            for r in range(n))
-    return x[:, 0], db[rows, q], path
+    path = ((s.take(at), a.take(at)) for s, a, at in
+            zip(s_levels, a_levels, ((q >> (n - r)) + (rows << r) for r in range(n))))
+    return x[:, 0], db.take(q + (rows << n)), path
 
 
 def _path_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: list[Generator]):
@@ -252,7 +272,8 @@ def _path_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: 
     target = m ^ XOR_r (a_r ^ s_r t_r).  Each level is drawn when the
     decoder reaches it.
     """
-    path = (np.divmod(rng.integers(0, 4, size=len(q), dtype=np.uint8), 2) for rng in alice_rngs)
+    draws = (rng.integers(0, 4, size=len(q), dtype=np.uint8) for rng in alice_rngs)
+    path = ((v >> 1, v & 1) for v in draws)
     return db_rng.integers(0, 2, size=len(q), dtype=np.uint8), None, path
 
 

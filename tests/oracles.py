@@ -11,10 +11,38 @@ from itertools import product
 
 import numpy as np
 
-from racbox.boxes import BoxTable, pr_box
+from racbox.boxes import BoxTable, SignalingBoxError, no_signaling_check, pr_box
 from racbox.info import Probability, binary_entropy, clamp_probability
 
 TSIRELSON_CHSH = 2.0 + math.sqrt(2.0)
+
+
+def chsh_value(box: BoxTable) -> float:
+    """CHSH functional: the sum over inputs of the winning probability."""
+    return float(box.win_probabilities().sum())
+
+
+def twirl(box: BoxTable) -> BoxTable:
+    """Exact isotropization by local shared randomness.
+
+    Averages over the 8 assignments of shared bits (u, v, w): inputs are
+    shifted to (s^u, t^v) and the outputs corrected as A' = A^w^(s&v)^(u&v),
+    B' = B^w^(u&t).  The result is isotropic with the same CHSH value.
+    Signaling inputs are rejected because the construction presumes a valid
+    shared-randomness protocol.
+    """
+    ok, dev = no_signaling_check(box)
+    if not ok:
+        raise SignalingBoxError(f"cannot twirl a signaling table (deviation {dev:.3g})")
+    out = np.zeros((4, 4))
+    for u, v, w in product((0, 1), repeat=3):
+        for s, t in product((0, 1), repeat=2):
+            row = box.probs[2 * (s ^ u) + (t ^ v)]
+            for a, b in product((0, 1), repeat=2):
+                ap = a ^ w ^ (s & v) ^ (u & v)
+                bp = b ^ w ^ (u & t)
+                out[2 * s + t, 2 * ap + bp] += row[2 * a + b] / 8.0
+    return BoxTable(out)
 
 
 def random_no_signaling_box(rng: np.random.Generator, max_pr_weight: float = 0.5) -> BoxTable:

@@ -13,9 +13,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import brute_force_one_bit_optimum, random_no_signaling_box, table_from_pairs
-from racbox.boxes import (IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, chsh_value,
-                          iso_bias_from_angle, twirl)
+from oracles import (brute_force_one_bit_optimum, chsh_value, random_no_signaling_box,
+                     table_from_pairs, twirl)
+from racbox.boxes import IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, iso_bias_from_angle
 from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bpsk_probe,
                              run_hard_copy_probe, run_packed_precision_probe)
 from racbox.estimation import plugin_mi, symmetric_score_estimate, wilson_interval

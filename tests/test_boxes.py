@@ -4,12 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import TSIRELSON_CHSH, random_no_signaling_box
+from oracles import TSIRELSON_CHSH, chsh_value, random_no_signaling_box, twirl
 from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
-                          box_from_win_probabilities, chsh_value, iso_bias_from_angle,
+                          box_from_win_probabilities, iso_bias_from_angle,
                           make_isotropic, no_signaling_check, pr_box,
-                          quantum_phi_correlators, twirl)
+                          quantum_phi_correlators)
 from racbox.protocols import PyramidProtocol, pyramid_monte_carlo
 from racbox.rng import substream
 

@@ -38,11 +38,9 @@ boxes:QuantumPhiCell.__post_init__
 boxes:QuantumPhiCell.as_table
 boxes:_input_index
 boxes:box_from_win_probabilities
-boxes:chsh_value
 boxes:make_isotropic
 boxes:no_signaling_check
 boxes:pr_box
-boxes:twirl
 estimation:ScoreReport.__post_init__
 estimation:symmetric_score_estimate
 protocols:PyramidBatch.parity_identity_holds

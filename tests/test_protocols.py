@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (asym_path_success, brute_force_one_bit_optimum, majority_average_success,
-                     majority_encode, pyramid_success_closed_form)
+from oracles import (asym_path_success, brute_force_one_bit_optimum, chsh_value,
+                     majority_average_success, majority_encode, pyramid_success_closed_form)
 from racbox import protocols
 from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, pr_box)
@@ -54,6 +55,9 @@ ECHO_INPUTS = np.eye(4)
 ZERO_OUTPUTS = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))  # A = B = 0
 # Alice outputs 1 with probability 0.3 on every input
 BIASED = ExplicitCell(BoxTable(0.6 * pr_box().probs + 0.4 * ZERO_OUTPUTS))
+# Alice outputs 1 with probability 0.3 at s = 0 and 0.7 at s = 1: mixed with
+# the local box A = s, B = 0
+INPUT_BIASED = ExplicitCell(BoxTable(0.6 * pr_box().probs + 0.4 * np.eye(4)[[0, 0, 2, 2]]))
 
 
 def _heap_reference(db, special, query, depth):
@@ -121,7 +125,6 @@ def test_seed_chsh_identity_beyond_isotropy():
     # 2(P0 + P1) equals the cell's CHSH value for any no-signaling cell,
     # including the raw angle family whose win rate depends on the inputs
     cell = QuantumPhiCell(math.pi / 8, 1.0)
-    from racbox.boxes import chsh_value
     target_s = chsh_value(cell.as_table())
     proto = PyramidProtocol.uniform(1, cell)
     (p0, p1), _ = per_query_rates(pyramid_monte_carlo(proto, 150_000, seed=55), 2)
@@ -216,6 +219,17 @@ def test_pyramid_parity_identity_every_episode():
         batch = pyramid_monte_carlo(proto, 250, seed=6 + q, query=q)
         parity = batch.path_errors.sum(axis=1) % 2
         assert np.array_equal(batch.outputs, batch.targets ^ parity)
+
+
+@pytest.mark.parametrize("depth", [1, 12])
+def test_parity_gate_fails_on_one_flipped_bit(depth):
+    proto = PyramidProtocol.uniform(depth, IsotropicCell(0.6))
+    batch = pyramid_monte_carlo(proto, 1_000, seed=8)
+    assert batch.parity_identity_holds()
+    for name, at in (("path_errors", (500, depth - 1)), ("outputs", 500), ("targets", 500)):
+        flipped = getattr(batch, name).copy()
+        flipped[at] ^= 1
+        assert not dataclasses.replace(batch, **{name: flipped}).parity_identity_holds(), name
 
 
 def test_pyramid_shape_errors():
@@ -461,6 +475,25 @@ def test_biased_batches_keep_their_bytes():
     for (depth, query), digest in want.items():
         batch = pyramid_monte_carlo(PyramidProtocol.uniform(depth, BIASED), 2_000,
                                     seed=90, query=query)
+        assert _batch_digest(batch) == digest
+
+
+def test_input_dependent_marginals_keep_their_bytes():
+    # sha256 of tree batches recorded before the Alice draw compared each
+    # uniform with both of a node's thresholds: here they differ and lie
+    # strictly between 0 and 1, and alternate with BIASED from node to node;
+    # 2_003 episodes end in a partial chunk
+    def mixed(depth):
+        return PyramidProtocol(depth=depth, cells=tuple(
+            (INPUT_BIASED, BIASED)[k % 2] for k in range((1 << depth) - 1)))
+
+    want = {(4, 2_000, None): "baf94f8eef2717436b46ceadce84e4eebde25312c0d005f5407972268f882bf9",
+            (5, 2_003, 19): "1417bdd0cab1ad233ecea81254659183d8b26d30dc58c660a1b0abd1ff1b9fcd"}
+    pa1, _ = _node_tables(mixed(4))
+    assert set(pa1[:, 0]) == {0.3} and set(pa1[:, 2]) == {0.3, 0.7}
+    for (depth, episodes, query), digest in want.items():
+        batch = pyramid_monte_carlo(mixed(depth), episodes, seed=90, query=query)
+        assert batch.parity_identity_holds()
         assert _batch_digest(batch) == digest
 
 
