@@ -17,7 +17,7 @@ from racbox.experiments import (DEFAULT_SEED, REGISTRY, ExperimentConfig,
 
 FAST_PARAMS = {
     "capacity-sanity": {"episodes": 20_000},
-    "ablations": {"params": {"seeds": 2, "steps": 3000}},
+    "ablations": {"params": {"seeds": 2, "steps": 500}},
 }
 
 

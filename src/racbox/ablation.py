@@ -21,22 +21,21 @@ import numpy as np
 
 from .info import Bits
 from .rng import substream
-from .scores import database_blocks, exact_scores
+from .scores import _query_major, database_blocks, exact_scores
 
 _TRAIN_STREAM = 0
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; plain SGD on freshly sampled batches."""
+    """Training hyperparameters: plain gradient descent on the exact population loss."""
 
     hidden: int = 32
-    batch: int = 256
-    steps: int = 20_000
-    lr: float = 0.05
+    steps: int = 2_000
+    lr: float = 0.5
 
     def __post_init__(self):
-        if min(self.hidden, self.batch, self.steps) <= 0 or self.lr <= 0.0:
+        if min(self.hidden, self.steps) <= 0 or self.lr <= 0.0:
             raise ValueError("hyperparameters must be positive")
 
 
@@ -205,101 +204,50 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-# The sampler's draws per chunk of steps take at most about this many bytes.
-_CHUNK_BYTES = 1 << 19
-_LOW32 = (1 << 32) - 1
-
-
-def _training_batches(rng: np.random.Generator, n_bits: int, batch: int, steps: int):
-    """Yield each step's (x, queries, targets), cut from the raw uint32 stream.
-
-    Step by step this equals ``x = rng.integers(0, 2, (batch, n_bits))`` as
-    floats, then ``queries = rng.integers(0, n_bits, batch)`` and
-    ``targets = x[rows, queries]``, bit for bit, because of how NumPy's
-    ``Generator`` draws a bounded integer below 2^32.  Each draw takes the
-    next uint32 of PCG64, the low half of a 64-bit word and then the high
-    half, the pending half carried over between calls, and bounds it by
-    Lemire's method: u gives (u * n) >> 32, unless the low 32 bits of u * n
-    fall below (2^32 - n) % n, when u is rejected and the next one drawn.
-    A database bit is therefore u >> 31 and never rejected; no query is
-    for n a power of two, and n = 1 draws none.  A chunk of steps is laid
-    out assuming no rejection; a step with one is walked word by word.
-    """
-    x_words = batch * n_bits
-    per_step = x_words + (batch if n_bits > 1 else 0)
-    threshold = (1 << 32) % n_bits
-    # the words, their uint64 products and the float databases, per step
-    chunk = max(1, _CHUNK_BYTES // (per_step * 12 + x_words * 8))
-    row_starts = np.arange(chunk * batch) * n_bits  # flat index of each example's bit 0
-    state = rng.bit_generator.state
-    words = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
-    pos = 0
-
-    def ensure(count):
-        nonlocal words, pos
-        if len(words) - pos < count:
-            raw = rng.bit_generator.random_raw((count - len(words) + pos + 1) // 2)
-            words = np.concatenate([words[pos:], raw.astype("<u8").view("<u4")])
-            pos = 0
-
-    done = 0
-    while done < steps:
-        size = min(chunk, steps - done)
-        ensure(size * per_step)
-        block = words[pos:pos + size * per_step].reshape(size, per_step)
-        x = (block[:, :x_words] >> 31).astype(float).reshape(size, batch, n_bits)
-        scaled = block[:, x_words:].astype(np.uint64) * np.uint64(n_bits)
-        if threshold:  # the first step with a rejected query ends the chunk early
-            rejected = ((scaled & np.uint64(_LOW32)) < threshold).any(axis=1)
-            size = int(rejected.argmax()) if rejected.any() else size
-        queries = ((scaled >> np.uint64(32)).astype(np.int64) if n_bits > 1
-                   else np.zeros((len(x), batch), dtype=np.int64))
-        targets = x.reshape(-1).take(row_starts[:queries.size] + queries.reshape(-1))
-        targets = targets.reshape(len(x), batch)
-        for i in range(size):
-            yield x[i], queries[i], targets[i]
-        pos += size * per_step
-        done += size
-        if size < len(x):  # walk the step with a rejection word by word
-            x = (block[size, :x_words] >> 31).astype(float).reshape(batch, n_bits)
-            pos += x_words
-            queries = np.empty(batch, dtype=np.int64)
-            for row in range(batch):
-                ensure(1)
-                while int(words[pos]) * n_bits & _LOW32 < threshold:
-                    pos += 1
-                    ensure(1)
-                queries[row] = int(words[pos]) * n_bits >> 32
-                pos += 1
-            yield x, queries, x[np.arange(batch), queries]
-            done += 1
+# Training walks the databases in blocks whose query-major rows hold at most
+# this many bits: 64 databases, 512 rows, at N = 8.  Larger products can make
+# OpenBLAS start threads, which oversubscribe the cores under a worker pool.
+_TRAIN_BLOCK_BITS = 1 << 12
 
 
 def train_strict(n_bits: int, m: int, seed: int,
                  config: TrainConfig = TrainConfig()) -> tuple[BottleneckNet, list[float]]:
     """Train the strict query-separated model; returns (net, loss curve).
 
-    Databases are freshly sampled every batch so the weights cannot
-    memorize any particular episode; queries are sampled per example.  The
-    batches are cut from the generator's raw uint32 stream and equal
-    ``rng.integers`` draws only because NumPy bounds integers by Lemire's
-    method (see :func:`_training_batches`);
-    ``tests/test_ablation.py::test_sampler_equals_rng_integers`` guards that.
-    The net's weights are views of one flat vector, so plain SGD updates
-    all of them in two ufunc calls.
+    Each step descends the exact population loss: the mean cross-entropy
+    over all 2^N databases times all N queries, the law the net is scored
+    on.  The pairs are walked in blocks of databases, their rows laid out
+    as the scorer lays them out, and each block's loss and gradient enter
+    the step weighted by its share of the pairs.  So nothing is sampled,
+    the initial weights are the only random draw, and a step costs
+    O(N 2^N) in time but one block in memory.  The curve holds the loss
+    every 200 steps and at the last.  The net's weights are views of one
+    flat vector, so the update is two ufunc calls.
     """
     rng = substream(seed, _TRAIN_STREAM)
     params, weights = _initial_params(n_bits, m, config.hidden, rng)
     net = BottleneckNet(n_bits=n_bits, m=m, **weights)
-    work = _Workspace(net, config.batch)
+    pairs = n_bits << n_bits
+    grad = np.empty_like(params)
+    works: dict[int, _Workspace] = {}  # one per block length; only the last block is short
     curve = []
-    batches = _training_batches(rng, n_bits, config.batch, config.steps)
-    for step, (x, queries, targets) in enumerate(batches):
-        loss, _ = net.loss_and_grads(x, queries, targets, work=work)
+    for step in range(config.steps):
+        grad.fill(0.0)
+        loss = 0.0
+        for _, db in database_blocks(n_bits, _TRAIN_BLOCK_BITS):
+            x, queries, targets = _query_major(db)
+            work = works.get(len(x))
+            if work is None:
+                work = works[len(x)] = _Workspace(net, len(x))
+            block_loss, _ = net.loss_and_grads(x.astype(float), queries, targets, work=work)
+            share = len(x) / pairs
+            loss += share * block_loss
+            work.grad *= share
+            grad += work.grad
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
-        work.grad *= config.lr
-        params -= work.grad
+        grad *= config.lr
+        params -= grad
         if step % 200 == 0 or step == config.steps - 1:
             curve.append(loss)
     return net, curve

@@ -120,13 +120,24 @@ def check_enumerable(n_bits: int):
                          f"limited to N <= {MAX_ENUMERATED_BITS}, got N = {n_bits}")
 
 
-def database_blocks(n_bits: int):
-    """All 2^N databases in fixed blocks of (words, rows); row w holds the bits of w."""
+def database_blocks(n_bits: int, bits: int | None = None):
+    """All 2^N databases in fixed blocks of (words, rows); row w holds the bits of w.
+
+    A block's N-fold query-major tiling holds at most ``bits`` bits,
+    ``_ENUM_BLOCK_BITS`` (read at each call) when omitted.
+    """
     check_enumerable(n_bits)
-    size = max(1, _ENUM_BLOCK_BITS // max(1, n_bits) ** 2)
+    bits = _ENUM_BLOCK_BITS if bits is None else bits
+    size = max(1, bits // max(1, n_bits) ** 2)
     for start in range(0, 1 << n_bits, size):
         words = np.arange(start, min(start + size, 1 << n_bits))
         yield words, (words[:, None] >> np.arange(n_bits)) & 1
+
+
+def _query_major(db: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's databases times all N queries, query-major: (databases, queries, targets)."""
+    n_bits = db.shape[1]
+    return np.tile(db, (n_bits, 1)), np.repeat(np.arange(n_bits), len(db)), db.T.reshape(-1)
 
 
 def _tally(masses, words, targets, queries, p_one, weight=1.0):
@@ -177,10 +188,10 @@ def exact_scores(n_bits: int, answer,
         raise ValueError(f"weights must be {1 << n_bits} nonnegative numbers, not all 0")
     masses = np.zeros(((1 << n_bits) - 1, 2, 2))
     for words, db in database_blocks(n_bits):
-        queries = np.repeat(np.arange(n_bits), len(db))  # query-major rows
-        p_one = np.asarray(answer(np.tile(db, (n_bits, 1)), queries), dtype=float)
+        rows, queries, targets = _query_major(db)
+        p_one = np.asarray(answer(rows, queries), dtype=float)
         weight = 1.0 if weights is None else np.tile(weights[words], n_bits)
-        _tally(masses, np.tile(words, n_bits), db.T.reshape(-1), queries, p_one, weight)
+        _tally(masses, np.tile(words, n_bits), targets, queries, p_one, weight)
     return _information(masses, n_bits)
 
 

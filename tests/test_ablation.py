@@ -16,7 +16,7 @@ from racbox.experiments import ExperimentConfig, build_ablations, judge_ablation
 from racbox.rng import substream
 from racbox.scores import exact_scores
 
-FAST = TrainConfig(steps=1500)
+FAST = TrainConfig(steps=200)
 
 
 def fresh_net(n_bits, m, hidden, rng):
@@ -60,26 +60,33 @@ def reference_loss_and_grads(net, x, queries, targets, binarize=True):
 def reference_train(n_bits, m, seed, config):
     rng = substream(seed, ablation._TRAIN_STREAM)
     net = fresh_net(n_bits, m, config.hidden, rng)
+    pairs = n_bits * 2 ** n_bits
     curve = []
     for step in range(config.steps):
-        x = rng.integers(0, 2, size=(config.batch, n_bits)).astype(float)
-        queries = rng.integers(0, n_bits, size=config.batch)
-        targets = x[np.arange(config.batch), queries]
-        loss, grads = reference_loss_and_grads(net, x, queries, targets)
-        for name, g in grads.items():
+        loss = 0.0
+        total = {name: np.zeros_like(w) for name, w in vars(net).items()
+                 if isinstance(w, np.ndarray)}
+        for _, db in scores.database_blocks(n_bits, ablation._TRAIN_BLOCK_BITS):
+            x = np.tile(db, (n_bits, 1)).astype(float)
+            queries = np.repeat(np.arange(n_bits), len(db))
+            block_loss, grads = reference_loss_and_grads(net, x, queries, db.T.reshape(-1))
+            share = len(x) / pairs
+            loss += share * block_loss
+            total = {name: total[name] + share * g for name, g in grads.items()}
+        for name, g in total.items():
             setattr(net, name, getattr(net, name) - config.lr * g)
         if step % 200 == 0 or step == config.steps - 1:
             curve.append(loss)
     return net, curve
 
 
-@pytest.mark.parametrize("m, n_bits, config", [
-    pytest.param(1, 8, TrainConfig(steps=300), id="1"),
-    pytest.param(3, 8, TrainConfig(steps=300), id="3"),
-    # at N = 6 every query is checked for a Lemire rejection; odd batch and hidden
-    pytest.param(2, 6, TrainConfig(steps=300, batch=255, hidden=7), id="n6-b255-h7"),
+@pytest.mark.parametrize("m, n_bits, config, batch", [
+    pytest.param(1, 8, TrainConfig(steps=300), 256, id="1"),
+    pytest.param(3, 8, TrainConfig(steps=300), 256, id="3"),
+    # N = 6 fits in one block; odd hidden, and an odd batch for the gradient check
+    pytest.param(2, 6, TrainConfig(steps=300, hidden=7), 255, id="n6-h7"),
 ])
-def test_train_step_is_bit_identical_to_the_reference(m, n_bits, config):
+def test_train_step_is_bit_identical_to_the_reference(m, n_bits, config, batch):
     net, curve = train_strict(n_bits, m, seed=40 + m, config=config)
     ref, ref_curve = reference_train(n_bits, m, 40 + m, config)
     assert curve == ref_curve
@@ -87,7 +94,6 @@ def test_train_step_is_bit_identical_to_the_reference(m, n_bits, config):
         assert np.array_equal(getattr(net, name), value), name
 
     rng = substream(85, m)
-    batch = config.batch
     x = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
     q = rng.integers(0, n_bits, size=batch)
     y = x[np.arange(batch), q]
@@ -114,97 +120,6 @@ def test_gradients_returned_outside_training_do_not_alias():
         assert np.array_equal(g, kept[name]), name
         assert not np.shares_memory(g, second[name]), name
         assert not np.shares_memory(g, getattr(net, name)), name
-
-
-# The training sampler must equal these NumPy calls, step by step.
-def integers_batches(rng, n_bits, batch, steps):
-    for _ in range(steps):
-        x = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
-        q = rng.integers(0, n_bits, size=batch)
-        yield x, q, x[np.arange(batch), q]
-
-
-def assert_sampler_equals_integers(make_rng, n_bits, batch, steps):
-    got = ablation._training_batches(make_rng(), n_bits, batch, steps)
-    want = integers_batches(make_rng(), n_bits, batch, steps)
-    count = 0
-    for (x, q, y), (x_ref, q_ref, y_ref) in zip(got, want, strict=True):
-        assert x.dtype == x_ref.dtype and np.array_equal(x, x_ref)
-        assert q.dtype == q_ref.dtype and np.array_equal(q, q_ref)
-        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
-        count += 1
-    assert count == steps
-
-
-@pytest.mark.parametrize("n_bits", [1, 3, 5, 6, 8, 12, 16])
-@pytest.mark.parametrize("batch", [1, 7, 33, 255])
-def test_sampler_equals_rng_integers(monkeypatch, n_bits, batch):
-    # an odd word count per step leaves half a 64-bit word pending between
-    # steps; small chunks put chunk boundaries everywhere
-    assert_sampler_equals_integers(lambda: substream(87, n_bits, batch), n_bits, batch, 5)
-    monkeypatch.setattr(ablation, "_CHUNK_BYTES", 1)
-    assert_sampler_equals_integers(lambda: substream(88, n_bits, batch), n_bits, batch, 5)
-
-
-def test_sampler_continues_a_pending_half_word():
-    def make_rng():
-        rng = substream(89)
-        rng.integers(0, 2, size=3)  # leaves the high half of a word pending
-        return rng
-
-    assert make_rng().bit_generator.state["has_uint32"] == 1
-    assert_sampler_equals_integers(make_rng, 6, 5, 4)
-
-
-# PCG64 (XSL-RR) emits rotr64(hi ^ lo, hi >> 58) of the 128-bit state after
-# each step state = state * MULTIPLIER + increment.
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def pcg64_emitting(at: int, first: int, second: int) -> np.random.Generator:
-    """A PCG64 generator whose 64-bit outputs ``at`` and ``at + 1`` (from 0)
-    are ``first`` and ``second``."""
-    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
-    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
-
-    def state_emitting(out, hi):  # a state whose output is ``out``
-        r = hi >> 58
-        return (hi << 64) | (hi ^ (((out << r) | (out >> (64 - r))) & mask64 if r else out))
-
-    s1 = state_emitting(first, 1 << 40)
-    for hi2 in (3 << 50, (3 << 50) + 1):  # the increment's parity differs between these
-        s2 = state_emitting(second, hi2)
-        increment = (s2 - s1 * PCG64_MULTIPLIER) & mask128
-        if increment & 1:  # PCG64 increments are odd
-            state = s1
-            for _ in range(at + 1):  # step back to the state before output 0
-                state = ((state - increment) * inverse) & mask128
-            bit_generator = np.random.PCG64()
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": increment},
-                                   "has_uint32": 0, "uinteger": 0}
-            return np.random.Generator(bit_generator)
-    raise AssertionError("no odd increment found")
-
-
-@pytest.mark.parametrize("n_bits, at, first, second, rejected", [
-    # one example per step lays out [x0 x1 x2 q0 | x0 ...]; the zero fourth
-    # word is rejected, so the query is the fifth word and every later step
-    # shifts by one word
-    (3, 0, 0x12345678_00000000, 0, [0, 0x12345678, 0, 0]),
-    # [x0 .. x5 q0 | ...]: the seventh and eighth words are both zero, so the
-    # query is the ninth word
-    (6, 3, 0, 0x9ABCDEF0_12345678, [0, 0, 0x12345678, 0x9ABCDEF0]),
-])
-def test_sampler_walks_a_rejected_query(n_bits, at, first, second, rejected):
-    # Lemire's method rejects u = 0 for any N that is not a power of two:
-    # 0 * N leaves 0 below 2^32 % N
-    make_rng = functools.partial(pcg64_emitting, at, first, second)
-    words = make_rng().bit_generator.random_raw(at + 2).view(np.uint32)
-    assert words[2 * at:].tolist() == rejected
-    assert (1 << 32) % n_bits > 0
-    assert_sampler_equals_integers(make_rng, n_bits, 1, 6)
-    assert_sampler_equals_integers(make_rng, n_bits, 2, 4)
 
 
 def identity_multiplexer_net(n_bits: int, gain: float = 20.0) -> BottleneckNet:
@@ -311,7 +226,7 @@ def test_identity_net_hits_the_ceiling_exactly():
 def test_trained_wide_bottleneck_approaches_ceiling():
     # joint straight-through training plateaus below the constructive
     # ceiling, but a short run already clears half of it
-    cfg = TrainConfig(hidden=64, batch=512, lr=0.3, steps=8000)
+    cfg = TrainConfig(hidden=64, lr=1.0, steps=1000)
     net, _ = train_strict(8, 8, seed=5, config=cfg)
     rep = eval_score(net)
     assert rep.observed_score > 4.0
@@ -443,8 +358,40 @@ def test_blocked_enumeration_equals_one_block(monkeypatch, bits):
     whole = eval_score(net)
     assert scores._ENUM_BLOCK_BITS >= 8 * 8 * 256
     monkeypatch.setattr(scores, "_ENUM_BLOCK_BITS", bits)
+    assert len(list(scores.database_blocks(8))) > 1
     blocked = eval_score(net)
     assert (blocked.per_query, blocked.code_entropy) == (whole.per_query, whole.code_entropy)
+
+
+@pytest.mark.parametrize("databases", [1, 37])
+def test_training_blocks_equal_the_default_block(monkeypatch, databases):
+    # blocks of 1 and of 37 databases (the last one short) sum each step's
+    # loss and gradient in another order than the default 4 blocks of 64, so
+    # only rounding may differ
+    config = TrainConfig(steps=5)
+    net, curve = train_strict(8, 3, seed=21, config=config)
+    assert len(list(scores.database_blocks(8, ablation._TRAIN_BLOCK_BITS))) == 4
+    monkeypatch.setattr(ablation, "_TRAIN_BLOCK_BITS", 8 * 8 * databases)
+    assert len(list(scores.database_blocks(8, ablation._TRAIN_BLOCK_BITS))) == -(-256 // databases)
+    blocked, blocked_curve = train_strict(8, 3, seed=21, config=config)
+    assert blocked_curve == pytest.approx(curve, rel=0, abs=1e-12)
+    for name, value in vars(net).items():
+        np.testing.assert_allclose(getattr(blocked, name), value, rtol=0, atol=1e-12)
+
+
+def test_training_memory_does_not_grow_with_n():
+    # a step walks the 2^N x N pairs in blocks of databases, so its working
+    # set is one block's; two steps peaked at about 1.0 MiB at N = 10 and
+    # 0.8 MiB at N = 12
+    def peak(n_bits):
+        tracemalloc.start()
+        try:
+            train_strict(n_bits, 3, seed=84, config=TrainConfig(steps=2))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) <= peak(10)
 
 
 def test_exact_scorer_memory_does_not_grow_with_n():

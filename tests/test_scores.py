@@ -297,6 +297,7 @@ def test_weighted_blocks_equal_one_block(monkeypatch):
     assert scores._ENUM_BLOCK_BITS >= 8 * 8 * 256
     for bits in (8 * 8, 8 * 8 * 37):
         monkeypatch.setattr(scores, "_ENUM_BLOCK_BITS", bits)
+        assert len(list(scores.database_blocks(8))) > 1
         blocked = exact_scores(8, answer, weights)
         for got, expected in zip(blocked, whole):
             assert got == pytest.approx(expected, abs=1e-13)
