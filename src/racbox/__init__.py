@@ -6,9 +6,8 @@ interface-capacity accounting, controlled leakage ablations, and a CLI that
 reproduces every table and figure of the accompanying experiment suite.
 """
 
-from .ablation import (AblationReport, BottleneckNet, TrainConfig, episode_weights_control,
-                       eval_score, precision_packing_control, query_leaky_control,
-                       train_strict)
+from .ablation import (AblationReport, BottleneckNet, episode_weights_control, eval_score,
+                       precision_packing_control, query_leaky_control, train_strict)
 from .boxes import (BoxTable, Cell, AsymmetricCell, ExplicitCell,
                     IsotropicCell, QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
                     box_from_win_probabilities, iso_bias_from_angle, make_isotropic,

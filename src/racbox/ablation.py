@@ -24,19 +24,11 @@ from .rng import substream
 from .scores import _query_major, database_blocks, exact_scores
 
 _TRAIN_STREAM = 0
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training hyperparameters: plain gradient descent on the exact population loss."""
-
-    hidden: int = 32
-    steps: int = 2_000
-    lr: float = 0.5
-
-    def __post_init__(self):
-        if min(self.hidden, self.steps) <= 0 or self.lr <= 0.0:
-            raise ValueError("hyperparameters must be positive")
+# Training: the width of both hidden tanh layers, the gradient step size and
+# the default number of plain gradient steps on the exact population loss.
+_HIDDEN = 32
+_LR = 0.5
+TRAIN_STEPS = 2_000
 
 
 def _flat_views(n_bits: int, m: int, hidden: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -211,12 +203,14 @@ _TRAIN_BLOCK_BITS = 1 << 12
 
 
 def train_strict(n_bits: int, m: int, seed: int,
-                 config: TrainConfig = TrainConfig()) -> tuple[BottleneckNet, list[float]]:
-    """Train the strict query-separated model; returns (net, loss curve).
+                 steps: int = TRAIN_STEPS) -> tuple[BottleneckNet, list[float]]:
+    """Train the strict query-separated model for ``steps`` >= 1 steps;
+    returns (net, loss curve).
 
-    Each step descends the exact population loss: the mean cross-entropy
-    over all 2^N databases times all N queries, the law the net is scored
-    on.  The pairs are walked in blocks of databases, their rows laid out
+    The net has ``_HIDDEN`` tanh units in each hidden layer, and each step,
+    at rate ``_LR``, descends the exact population loss: the mean
+    cross-entropy over all 2^N databases times all N queries, the law the
+    net is scored on.  The pairs are walked in blocks of databases, their rows laid out
     as the scorer lays them out, and each block's loss and gradient enter
     the step weighted by its share of the pairs.  So nothing is sampled,
     the initial weights are the only random draw, and a step costs
@@ -224,14 +218,16 @@ def train_strict(n_bits: int, m: int, seed: int,
     every 200 steps and at the last.  The net's weights are views of one
     flat vector, so the update is two ufunc calls.
     """
+    if steps < 1:
+        raise ValueError(f"steps={steps!r} must be at least 1")
     rng = substream(seed, _TRAIN_STREAM)
-    params, weights = _initial_params(n_bits, m, config.hidden, rng)
+    params, weights = _initial_params(n_bits, m, _HIDDEN, rng)
     net = BottleneckNet(n_bits=n_bits, m=m, **weights)
     pairs = n_bits << n_bits
     grad = np.empty_like(params)
     works: dict[int, _Workspace] = {}  # one per block length; only the last block is short
     curve = []
-    for step in range(config.steps):
+    for step in range(steps):
         grad.fill(0.0)
         loss = 0.0
         for _, db in database_blocks(n_bits, _TRAIN_BLOCK_BITS):
@@ -246,9 +242,9 @@ def train_strict(n_bits: int, m: int, seed: int,
             grad += work.grad
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
-        grad *= config.lr
+        grad *= _LR
         params -= grad
-        if step % 200 == 0 or step == config.steps - 1:
+        if step % 200 == 0 or step == steps - 1:
             curve.append(loss)
     return net, curve
 

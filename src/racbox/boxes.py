@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -31,17 +30,19 @@ class SignalingBoxError(ValueError):
     """The conditional table lets one party's marginal depend on the other's input."""
 
 
-def _input_index(s: int, t: int) -> int:
-    return 2 * s + t
+# Rows 2s+t on which the game asks for a xor b = s*t = 1, and entries 2a+b
+# with a xor b = s*t.
+_ST = np.array([False, False, False, True])
+_WINS = np.array([0, 1, 1, 0]) == _ST[:, None]
 
 
 @dataclass(frozen=True)
 class BoxTable:
     """Conditional table probs[2s+t, 2A+B] = P(A, B | s, t).
 
-    Construction checks that every row is a distribution; it does not check
-    no-signaling, so that deliberately signaling tables can be built and fed
-    to :func:`no_signaling_check`.
+    Construction checks that every entry is finite and every row a
+    distribution; it does not check no-signaling, so that deliberately
+    signaling tables can be built and fed to :func:`no_signaling_check`.
     """
 
     probs: np.ndarray
@@ -50,6 +51,8 @@ class BoxTable:
         arr = np.asarray(self.probs, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"box table must be 4x4, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"box table entries must be finite, got {arr.tolist()!r}")
         if arr.min() < -DIST_TOL:
             raise ValueError(f"negative probability {arr.min()!r}")
         rows = arr.sum(axis=1)
@@ -59,27 +62,10 @@ class BoxTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    def prob(self, a: int, b: int, s: int, t: int) -> float:
-        return float(self.probs[_input_index(s, t), 2 * a + b])
-
-    def alice_marginal(self, s: int, t: int) -> float:
-        """P(A = 1 | s, t)."""
-        row = self.probs[_input_index(s, t)]
-        return float(row[2] + row[3])
-
-    def bob_marginal(self, s: int, t: int) -> float:
-        """P(B = 1 | s, t)."""
-        row = self.probs[_input_index(s, t)]
-        return float(row[1] + row[3])
-
-    def win_probability(self, s: int, t: int) -> float:
-        """P(A xor B = s*t | s, t)."""
-        row = self.probs[_input_index(s, t)]
-        st = s & t
-        return float(sum(row[2 * a + (a ^ st)] for a in (0, 1)))
-
     def win_probabilities(self) -> np.ndarray:
-        return np.array([self.win_probability(s, t) for s, t in product((0, 1), repeat=2)])
+        """P(A xor B = s*t | s, t), indexed 2s+t."""
+        p = self.probs
+        return np.where(_ST, p[:, 1] + p[:, 2], p[:, 0] + p[:, 3])
 
     def correlators(self) -> tuple[float, float, float, float]:
         """The four +/-1 correlators E_st = E[(-1)^(A+B) | s, t], indexed 2s+t."""
@@ -88,12 +74,12 @@ class BoxTable:
 
 
 def no_signaling_check(box: BoxTable) -> tuple[bool, float]:
-    """Return (pass, max marginal deviation across the remote input)."""
-    dev = 0.0
-    for s in (0, 1):
-        dev = max(dev, abs(box.alice_marginal(s, 0) - box.alice_marginal(s, 1)))
-    for t in (0, 1):
-        dev = max(dev, abs(box.bob_marginal(0, t) - box.bob_marginal(1, t)))
+    """Return (pass, max marginal deviation across the remote input); a NaN
+    entry fails."""
+    p = box.probs
+    alice = (p[:, 2] + p[:, 3]).reshape(2, 2)  # P(A = 1 | s, t) at [s, t]
+    bob = (p[:, 1] + p[:, 3]).reshape(2, 2)  # P(B = 1 | s, t)
+    dev = float(np.abs(np.concatenate([alice[:, 0] - alice[:, 1], bob[0] - bob[1]])).max())
     return dev <= NS_TOL, dev
 
 
@@ -102,13 +88,8 @@ def box_from_win_probabilities(wins) -> BoxTable:
     wins = [clamp_probability(w, "win probability") for w in wins]
     if len(wins) != 4:
         raise ValueError("need one winning probability per input pair")
-    table = np.empty((4, 4))
-    for s, t in product((0, 1), repeat=2):
-        w = wins[_input_index(s, t)]
-        st = s & t
-        for a, b in product((0, 1), repeat=2):
-            table[_input_index(s, t), 2 * a + b] = (w if (a ^ b) == st else 1.0 - w) / 2.0
-    return BoxTable(table)
+    w = np.array(wins)[:, None]
+    return BoxTable(np.where(_WINS, w, 1.0 - w) / 2.0)
 
 
 def make_isotropic(bias: float) -> BoxTable:

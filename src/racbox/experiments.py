@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .ablation import (TrainConfig, episode_weights_control, eval_score,
+from .ablation import (TRAIN_STEPS, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
 from .capacity import (probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
@@ -416,7 +416,11 @@ def _probe_task(task) -> dict:
 def build_capacity_sanity(p: SimpleNamespace) -> Tables:
     probes = [("hard", (m,), p.seed + 101 * i) for i, m in enumerate(p.ms)]
     for i, shape in enumerate(p.packed):
-        d, q = (int(x) for x in shape.lower().split("x"))
+        try:
+            d, q = (int(x) for x in shape.lower().split("x"))
+        except ValueError:
+            raise ValueError(f"capacity-sanity parameter packed takes DxQ, two integers such "
+                             f"as 1x8, got {shape!r}") from None
         probes.append(("packed", (d, q), p.seed + 211 * (i + 1)))
     probes += [("awgn", (p.d, snr), p.seed + 307 * (i + 1)) for i, snr in enumerate(p.snrs)]
     # Every probe's arguments are checked before the first one samples.
@@ -468,7 +472,7 @@ def _ablation_task(task) -> tuple[dict, list[dict]]:
     mode, n_bits, m, seed, steps = task
     curve_rows = []
     if mode == "strict":
-        net, curve = train_strict(n_bits, m, seed, TrainConfig(steps=steps))
+        net, curve = train_strict(n_bits, m, seed, steps)
         rep = eval_score(net)
         curve_rows = [{"m": m, "seed": seed, "checkpoint": k, "loss": loss}
                       for k, loss in enumerate(curve)]
@@ -671,7 +675,7 @@ REGISTRY: dict[str, Experiment] = {exp.name: exp for exp in (
                run=RUN_FIELDS, episodes=200_000),
     Experiment("ablations", "strict trained bottlenecks plus leaky controls",
                build_ablations, judge_ablations,
-               {"n_bits": (8, 1), "seeds": (5, 1), "steps": (TrainConfig().steps, 1),
+               {"n_bits": (8, 1), "seeds": (5, 1), "steps": (TRAIN_STEPS, 1),
                 "ms": ([1, 3], 0)},
                run=("seed",)),
     Experiment("visibility", "angle sweep under visibility loss at depth 10",

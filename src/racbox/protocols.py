@@ -31,6 +31,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 from numpy.random import Generator
@@ -132,6 +133,10 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     which encodes all 2^n - 1 cells per episode, O(episodes * 2^n), and is
     refused above 2^31 cell draws.
     """
+    if isinstance(episodes, bool) or not isinstance(episodes, Integral) or episodes < 0:
+        raise ValueError(f"episodes={episodes!r} is not a nonnegative integer")
+    if query is not None and (isinstance(query, bool) or not isinstance(query, Integral)):
+        raise ValueError(f"query={query!r} is not an integer")
     n = protocol.depth
     t_count = int(episodes)
     batch_bytes = t_count * (n + 11)

@@ -253,6 +253,8 @@ def conditional_score_from_records(databases, queries, outputs,
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The golden-section search stops on a bracket this narrow.
+_ANGLE_TOL = 1e-8
 
 
 def regularized_angle_utility(phi: float, depth: int, penalty: float) -> float:
@@ -261,15 +263,15 @@ def regularized_angle_utility(phi: float, depth: int, penalty: float) -> float:
         - penalty * (phi / (math.pi / 4.0)) ** 2
 
 
-def optimize_regularized_angle(depth: int, penalty: float,
-                               tol: float = 1e-8) -> tuple[float, float]:
+def optimize_regularized_angle(depth: int, penalty: float) -> tuple[float, float]:
     """Maximize the regularized angle utility over [0, pi/4].
 
     The landscape is bimodal for mid-range penalties (a near-zero branch
     competes with a near-endpoint branch), so a coarse scan first brackets
-    the global argmax and golden-section search then refines it to ``tol``.
-    With zero penalty the optimum sits at the right endpoint; a large
-    penalty collapses it toward zero.  Returns (best angle, utility there).
+    the global argmax and golden-section search then refines it to
+    ``_ANGLE_TOL``.  With zero penalty the optimum sits at the right
+    endpoint; a large penalty collapses it toward zero.  Returns (best
+    angle, utility there).
     """
     if penalty < 0.0:
         raise ValueError("penalty must be nonnegative")
@@ -283,7 +285,7 @@ def optimize_regularized_angle(depth: int, penalty: float,
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = regularized_angle_utility(x1, depth, penalty)
     f2 = regularized_angle_utility(x2, depth, penalty)
-    while hi - lo > tol:
+    while hi - lo > _ANGLE_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)

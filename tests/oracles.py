@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from racbox.boxes import BoxTable, SignalingBoxError, no_signaling_check, pr_box
+from racbox.boxes import NS_TOL, BoxTable, SignalingBoxError, no_signaling_check, pr_box
 from racbox.info import Probability, binary_entropy, clamp_probability
 
 TSIRELSON_CHSH = 2.0 + math.sqrt(2.0)
@@ -43,6 +43,36 @@ def twirl(box: BoxTable) -> BoxTable:
                 bp = b ^ w ^ (u & t)
                 out[2 * s + t, 2 * ap + bp] += row[2 * a + b] / 8.0
     return BoxTable(out)
+
+
+def loop_win_probabilities(box: BoxTable) -> np.ndarray:
+    """P(A xor B = s*t | s, t), indexed 2s+t, one input pair at a time."""
+    wins = []
+    for s, t in product((0, 1), repeat=2):
+        row = box.probs[2 * s + t]
+        wins.append(float(sum(row[2 * a + (a ^ (s & t))] for a in (0, 1))))
+    return np.array(wins)
+
+
+def loop_no_signaling_check(box: BoxTable) -> tuple[bool, float]:
+    """(pass, max marginal deviation across the remote input), one input at a time."""
+    p = box.probs
+    dev = 0.0
+    for s in (0, 1):  # P(A = 1 | s, t) at t = 0 and t = 1
+        dev = max(dev, abs((p[2 * s, 2] + p[2 * s, 3]) - (p[2 * s + 1, 2] + p[2 * s + 1, 3])))
+    for t in (0, 1):  # P(B = 1 | s, t) at s = 0 and s = 1
+        dev = max(dev, abs((p[t, 1] + p[t, 3]) - (p[2 + t, 1] + p[2 + t, 3])))
+    return dev <= NS_TOL, dev
+
+
+def loop_box_from_win_probabilities(wins) -> np.ndarray:
+    """The uniform-marginal table with winning probabilities ``wins``, entry by entry."""
+    table = np.empty((4, 4))
+    for s, t in product((0, 1), repeat=2):
+        w = wins[2 * s + t]
+        for a, b in product((0, 1), repeat=2):
+            table[2 * s + t, 2 * a + b] = (w if (a ^ b) == (s & t) else 1.0 - w) / 2.0
+    return table
 
 
 def random_no_signaling_box(rng: np.random.Generator, max_pr_weight: float = 0.5) -> BoxTable:

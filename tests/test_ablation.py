@@ -8,7 +8,7 @@ import pytest
 import racbox.ablation as ablation
 import racbox.experiments as experiments
 import racbox.scores as scores
-from racbox.ablation import (BottleneckNet, TrainConfig, TrainingDiverged,
+from racbox.ablation import (BottleneckNet, TrainingDiverged,
                              episode_weights_control, eval_score, precision_packing_control,
                              query_leaky_control, train_strict)
 from racbox.estimation import plugin_mi
@@ -16,7 +16,7 @@ from racbox.experiments import ExperimentConfig, build_ablations, judge_ablation
 from racbox.rng import substream
 from racbox.scores import exact_scores
 
-FAST = TrainConfig(steps=200)
+FAST = 200  # training steps
 
 
 def fresh_net(n_bits, m, hidden, rng):
@@ -57,12 +57,12 @@ def reference_loss_and_grads(net, x, queries, targets, binarize=True):
     return loss, grads
 
 
-def reference_train(n_bits, m, seed, config):
+def reference_train(n_bits, m, seed, steps):
     rng = substream(seed, ablation._TRAIN_STREAM)
-    net = fresh_net(n_bits, m, config.hidden, rng)
+    net = fresh_net(n_bits, m, ablation._HIDDEN, rng)
     pairs = n_bits * 2 ** n_bits
     curve = []
-    for step in range(config.steps):
+    for step in range(steps):
         loss = 0.0
         total = {name: np.zeros_like(w) for name, w in vars(net).items()
                  if isinstance(w, np.ndarray)}
@@ -74,21 +74,23 @@ def reference_train(n_bits, m, seed, config):
             loss += share * block_loss
             total = {name: total[name] + share * g for name, g in grads.items()}
         for name, g in total.items():
-            setattr(net, name, getattr(net, name) - config.lr * g)
-        if step % 200 == 0 or step == config.steps - 1:
+            setattr(net, name, getattr(net, name) - ablation._LR * g)
+        if step % 200 == 0 or step == steps - 1:
             curve.append(loss)
     return net, curve
 
 
-@pytest.mark.parametrize("m, n_bits, config, batch", [
-    pytest.param(1, 8, TrainConfig(steps=300), 256, id="1"),
-    pytest.param(3, 8, TrainConfig(steps=300), 256, id="3"),
+@pytest.mark.parametrize("m, n_bits, hidden, batch", [
+    pytest.param(1, 8, 32, 256, id="1"),
+    pytest.param(3, 8, 32, 256, id="3"),
     # N = 6 fits in one block; odd hidden, and an odd batch for the gradient check
-    pytest.param(2, 6, TrainConfig(steps=300, hidden=7), 255, id="n6-h7"),
+    pytest.param(2, 6, 7, 255, id="n6-h7"),
 ])
-def test_train_step_is_bit_identical_to_the_reference(m, n_bits, config, batch):
-    net, curve = train_strict(n_bits, m, seed=40 + m, config=config)
-    ref, ref_curve = reference_train(n_bits, m, 40 + m, config)
+def test_train_step_is_bit_identical_to_the_reference(monkeypatch, m, n_bits, hidden, batch):
+    monkeypatch.setattr(ablation, "_HIDDEN", hidden)
+    net, curve = train_strict(n_bits, m, seed=40 + m, steps=300)
+    ref, ref_curve = reference_train(n_bits, m, 40 + m, 300)
+    assert net.w1.shape == (n_bits, hidden)
     assert curve == ref_curve
     for name, value in vars(ref).items():
         assert np.array_equal(getattr(net, name), value), name
@@ -184,8 +186,8 @@ def test_straight_through_passes_gradient_to_preactivations():
 
 
 def test_training_is_deterministic():
-    net_a, curve_a = train_strict(8, 1, seed=123, config=FAST)
-    net_b, curve_b = train_strict(8, 1, seed=123, config=FAST)
+    net_a, curve_a = train_strict(8, 1, seed=123, steps=FAST)
+    net_b, curve_b = train_strict(8, 1, seed=123, steps=FAST)
     assert curve_a == curve_b
     for name, value in vars(net_a).items():
         assert np.array_equal(value, getattr(net_b, name))
@@ -193,7 +195,7 @@ def test_training_is_deterministic():
 
 
 def test_encoder_is_query_blind():
-    net, _ = train_strict(8, 2, seed=3, config=FAST)
+    net, _ = train_strict(8, 2, seed=3, steps=FAST)
     db = substream(82).integers(0, 2, size=(512, 8)).astype(float)
     # the transmitted code, computed here from the encoder weights alone, is a
     # function of the database: databases sharing a code must get the same
@@ -208,10 +210,16 @@ def test_encoder_is_query_blind():
             assert len(set(answers[code_ids == c].tolist())) == 1
 
 
-def test_divergence_detector():
+def test_divergence_detector(monkeypatch):
+    monkeypatch.setattr(ablation, "_LR", float("inf"))
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(TrainingDiverged):
-            train_strict(8, 1, seed=1, config=TrainConfig(steps=10, lr=float("inf")))
+            train_strict(8, 1, seed=1, steps=10)
+
+
+def test_a_step_count_below_one_is_refused():
+    with pytest.raises(ValueError, match="steps=0 must be at least 1"):
+        train_strict(8, 1, seed=1, steps=0)
 
 
 def test_identity_net_hits_the_ceiling_exactly():
@@ -223,11 +231,12 @@ def test_identity_net_hits_the_ceiling_exactly():
     assert rep.observed_score == 8.0 == rep.code_entropy
 
 
-def test_trained_wide_bottleneck_approaches_ceiling():
+def test_trained_wide_bottleneck_approaches_ceiling(monkeypatch):
     # joint straight-through training plateaus below the constructive
     # ceiling, but a short run already clears half of it
-    cfg = TrainConfig(hidden=64, lr=1.0, steps=1000)
-    net, _ = train_strict(8, 8, seed=5, config=cfg)
+    monkeypatch.setattr(ablation, "_HIDDEN", 64)
+    monkeypatch.setattr(ablation, "_LR", 1.0)
+    net, _ = train_strict(8, 8, seed=5, steps=1000)
     rep = eval_score(net)
     assert rep.observed_score > 4.0
     assert rep.observed_score <= rep.code_entropy + 1e-12
@@ -235,7 +244,7 @@ def test_trained_wide_bottleneck_approaches_ceiling():
 
 
 def test_strict_small_budget_respects_bound():
-    net, _ = train_strict(8, 1, seed=11, config=FAST)
+    net, _ = train_strict(8, 1, seed=11, steps=FAST)
     rep = eval_score(net)
     assert 0.0 < rep.observed_score <= rep.code_entropy + 1e-12
     assert rep.code_entropy <= 1.0 + 1e-12
@@ -308,7 +317,7 @@ def reference_exact_score(n_bits, answer_one):
 
 
 def test_enumerator_matches_the_loop_oracle():
-    net, _ = train_strict(8, 3, seed=21, config=TrainConfig(steps=300))
+    net, _ = train_strict(8, 3, seed=21, steps=300)
 
     def net_one(db, k):
         return net.answer(np.array([db], dtype=float), np.array([k]))[0]
@@ -354,7 +363,7 @@ def test_eval_score_memory_is_bounded():
 def test_blocked_enumeration_equals_one_block(monkeypatch, bits):
     # blocks of 1 and of 37 databases (the last one short) sum to the same
     # contingency counts and code counts as a single block of all 256
-    net, _ = train_strict(8, 3, seed=21, config=TrainConfig(steps=300))
+    net, _ = train_strict(8, 3, seed=21, steps=300)
     whole = eval_score(net)
     assert scores._ENUM_BLOCK_BITS >= 8 * 8 * 256
     monkeypatch.setattr(scores, "_ENUM_BLOCK_BITS", bits)
@@ -368,12 +377,11 @@ def test_training_blocks_equal_the_default_block(monkeypatch, databases):
     # blocks of 1 and of 37 databases (the last one short) sum each step's
     # loss and gradient in another order than the default 4 blocks of 64, so
     # only rounding may differ
-    config = TrainConfig(steps=5)
-    net, curve = train_strict(8, 3, seed=21, config=config)
+    net, curve = train_strict(8, 3, seed=21, steps=5)
     assert len(list(scores.database_blocks(8, ablation._TRAIN_BLOCK_BITS))) == 4
     monkeypatch.setattr(ablation, "_TRAIN_BLOCK_BITS", 8 * 8 * databases)
     assert len(list(scores.database_blocks(8, ablation._TRAIN_BLOCK_BITS))) == -(-256 // databases)
-    blocked, blocked_curve = train_strict(8, 3, seed=21, config=config)
+    blocked, blocked_curve = train_strict(8, 3, seed=21, steps=5)
     assert blocked_curve == pytest.approx(curve, rel=0, abs=1e-12)
     for name, value in vars(net).items():
         np.testing.assert_allclose(getattr(blocked, name), value, rtol=0, atol=1e-12)
@@ -386,7 +394,7 @@ def test_training_memory_does_not_grow_with_n():
     def peak(n_bits):
         tracemalloc.start()
         try:
-            train_strict(n_bits, 3, seed=84, config=TrainConfig(steps=2))
+            train_strict(n_bits, 3, seed=84, steps=2)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -412,8 +420,8 @@ def test_exact_scorer_memory_does_not_grow_with_n():
 def strict_verdicts(monkeypatch, m, mutate):
     """Verdicts of a one-seed ``ablations`` run whose net is mutated after training."""
 
-    def train_then_mutate(n_bits, m, seed, config):
-        net, curve = train_strict(n_bits, m, seed, config)
+    def train_then_mutate(n_bits, m, seed, steps):
+        net, curve = train_strict(n_bits, m, seed, steps)
         mutate(net)
         return net, curve
 

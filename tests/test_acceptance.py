@@ -15,7 +15,8 @@ import pytest
 
 from oracles import (brute_force_one_bit_optimum, chsh_value, random_no_signaling_box,
                      table_from_pairs, twirl)
-from racbox.boxes import IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS, iso_bias_from_angle
+from racbox.boxes import (ExplicitCell, IsotropicCell, QuantumPhiCell, TSIRELSON_BIAS,
+                          iso_bias_from_angle)
 from racbox.capacity import (awgn_hard_decision_score, gaussian_cdf, run_awgn_bpsk_probe,
                              run_hard_copy_probe, run_packed_precision_probe)
 from racbox.estimation import plugin_mi, symmetric_score_estimate, wilson_interval
@@ -121,15 +122,14 @@ def test_criterion_07_twirl():
         iso = twirl(box)
         wins = iso.win_probabilities()
         assert wins.max() - wins.min() <= 1e-10, "criterion 7: twirl output not isotropic"
-        for s, t in product((0, 1), repeat=2):
-            assert abs(iso.alice_marginal(s, t) - 0.5) <= 1e-10
-            assert abs(iso.bob_marginal(s, t) - 0.5) <= 1e-10
+        alice = ExplicitCell(iso).conditional_tables()[0]  # P(A = 1 | s, t) at 2s+t
+        bob = iso.probs[:, 1] + iso.probs[:, 3]
+        assert np.abs(alice - 0.5).max() <= 1e-10 and np.abs(bob - 0.5).max() <= 1e-10
         assert abs(chsh_value(iso) - chsh_value(box)) <= 1e-10, "criterion 7: CHSH drift"
         assert np.abs(twirl(iso).probs - iso.probs).max() <= 1e-12, "criterion 7: not idempotent"
     quantum = twirl(QuantumPhiCell(math.pi / 4, 1.0).as_table())
     target = (2.0 + math.sqrt(2.0)) / 4.0
-    for s, t in product((0, 1), repeat=2):
-        assert abs(quantum.win_probability(s, t) - target) <= 1e-12
+    assert np.abs(quantum.win_probabilities() - target).max() <= 1e-12
     announce(7, "100 random boxes isotropized, CHSH preserved, quantum cell at (2+sqrt2)/4")
 
 

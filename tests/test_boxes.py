@@ -1,10 +1,13 @@
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import TSIRELSON_CHSH, chsh_value, random_no_signaling_box, twirl
+from oracles import (TSIRELSON_CHSH, chsh_value, loop_box_from_win_probabilities,
+                     loop_no_signaling_check, loop_win_probabilities, random_no_signaling_box,
+                     twirl)
 from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, SignalingBoxError, TSIRELSON_BIAS,
                           box_from_win_probabilities, iso_bias_from_angle,
@@ -17,10 +20,10 @@ from racbox.rng import substream
 def test_isotropic_entries_and_win_probability():
     box = make_isotropic(0.6)
     for s, t in product((0, 1), repeat=2):
-        assert box.win_probability(s, t) == pytest.approx(0.8, abs=1e-15)
+        assert box.win_probabilities()[2 * s + t] == pytest.approx(0.8, abs=1e-15)
         for a, b in product((0, 1), repeat=2):
             expected = (1 + 0.6) / 4 if (a ^ b) == (s & t) else (1 - 0.6) / 4
-            assert box.prob(a, b, s, t) == pytest.approx(expected, abs=1e-15)
+            assert box.probs[2 * s + t, 2 * a + b] == pytest.approx(expected, abs=1e-15)
 
 
 def test_isotropic_reference_chsh_values():
@@ -89,7 +92,7 @@ def test_win_probability_correlator_consistency_all_variants():
         cs = box.correlators()
         for s, t in product((0, 1), repeat=2):
             expected = (1.0 + (-1) ** (s & t) * cs[2 * s + t]) / 2.0
-            assert box.win_probability(s, t) == pytest.approx(expected, abs=1e-12)
+            assert box.win_probabilities()[2 * s + t] == pytest.approx(expected, abs=1e-12)
 
 
 def test_quantum_phi_correlators_reference():
@@ -133,6 +136,38 @@ def test_no_signaling_check_pass_and_fail():
         ExplicitCell(box)
 
 
+def test_box_functions_equal_their_loop_oracles():
+    # the array forms add the same operands in the same order as a loop over
+    # (s, t), so every bit agrees, on signaling tables too
+    rng = substream(12)
+    boxes = ([random_no_signaling_box(rng, 1.0) for _ in range(100)]
+             + [BoxTable(rng.dirichlet(np.ones(4), size=4)) for _ in range(100)]
+             + [make_isotropic(0.6), pr_box(), BoxTable(ZERO_OUTPUTS)])
+    signaling = 0
+    for box in boxes:
+        assert box.win_probabilities().tobytes() == loop_win_probabilities(box).tobytes()
+        ok, dev = no_signaling_check(box)
+        assert (ok, dev) == loop_no_signaling_check(box)
+        signaling += not ok
+    assert 0 < signaling < len(boxes)
+    grid = [list(w) for w in rng.uniform(0.0, 1.0, size=(200, 4))]
+    for wins in grid + [[0.0, 1.0, 0.5, 1.0], [1.0, 1.0, 1.0, 0.0]]:
+        expected = loop_box_from_win_probabilities(wins)
+        assert box_from_win_probabilities(wins).probs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_table_is_refused(bad):
+    table = np.full((4, 4), 0.25)
+    table[1, 2] = bad
+    with pytest.raises(ValueError, match="entries must be finite"):
+        BoxTable(table)
+    # a NaN compares false with every bound, so the check must not pass it
+    table[1, 2] = math.nan
+    ok, dev = no_signaling_check(SimpleNamespace(probs=table))
+    assert not ok and math.isnan(dev)
+
+
 def test_twirl_fixed_point_and_idempotence():
     box = make_isotropic(0.37)
     assert np.allclose(twirl(box).probs, box.probs, atol=1e-12)
@@ -148,10 +183,10 @@ def test_twirl_fixed_point_and_idempotence():
 def test_twirl_quantum_cell_hits_tsirelson_win_rate():
     out = twirl(QuantumPhiCell(math.pi / 4, 1.0).as_table())
     target = (2.0 + math.sqrt(2.0)) / 4.0
-    for s, t in product((0, 1), repeat=2):
-        assert out.win_probability(s, t) == pytest.approx(target, abs=1e-12)
-        assert out.alice_marginal(s, t) == pytest.approx(0.5, abs=1e-12)
-        assert out.bob_marginal(s, t) == pytest.approx(0.5, abs=1e-12)
+    assert out.win_probabilities() == pytest.approx([target] * 4, abs=1e-12)
+    # P(A = 1 | s, t) and P(B = 1 | s, t), indexed 2s+t
+    assert ExplicitCell(out).conditional_tables()[0] == pytest.approx([0.5] * 4, abs=1e-12)
+    assert out.probs[:, 1] + out.probs[:, 3] == pytest.approx([0.5] * 4, abs=1e-12)
 
 
 def test_twirl_skewed_box_with_known_chsh():
@@ -159,9 +194,7 @@ def test_twirl_skewed_box_with_known_chsh():
     det = box_from_win_probabilities([1.0, 1.0, 1.0, 0.0])  # a local strategy, S = 3
     skewed = BoxTable(0.5 * pr_box().probs + 0.2 * det.probs + 0.3 * make_isotropic(0.0).probs)
     assert chsh_value(skewed) == pytest.approx(3.2, abs=1e-12)
-    out = twirl(skewed)
-    for s, t in product((0, 1), repeat=2):
-        assert out.win_probability(s, t) == pytest.approx(0.8, abs=1e-12)
+    assert twirl(skewed).win_probabilities() == pytest.approx([0.8] * 4, abs=1e-12)
 
 
 def depth_one_batch(cell, episodes, seed, query=None):

@@ -22,12 +22,8 @@ NEVER_ENTERED = set("""
 boxes:AsymmetricCell.__post_init__
 boxes:AsymmetricCell.as_table
 boxes:BoxTable.__post_init__
-boxes:BoxTable.alice_marginal
-boxes:BoxTable.bob_marginal
 boxes:BoxTable.correlators
-boxes:BoxTable.prob
 boxes:BoxTable.win_probabilities
-boxes:BoxTable.win_probability
 boxes:Cell.as_table
 boxes:Cell.conditional_tables
 boxes:ExplicitCell.__post_init__
@@ -36,7 +32,6 @@ boxes:IsotropicCell.__post_init__
 boxes:IsotropicCell.as_table
 boxes:QuantumPhiCell.__post_init__
 boxes:QuantumPhiCell.as_table
-boxes:_input_index
 boxes:box_from_win_probabilities
 boxes:make_isotropic
 boxes:no_signaling_check

@@ -143,8 +143,6 @@ def test_bpsk_mutual_information_limits():
     assert bpsk_mutual_information(1e9) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         bpsk_mutual_information(-1.0)
-    with pytest.raises(ValueError):
-        bpsk_mutual_information(1.0, order=10)
 
 
 def test_bpsk_mutual_information_monotone_and_bounded():

@@ -223,6 +223,10 @@ def _never(*args, **kwargs):
      "capacity-sanity parameter n_bits takes an integer, got [4, 8]"),
     (("capacity-sanity", "--grid", "packed=12"),
      "capacity-sanity parameter packed takes a string, got 12"),
+    (("capacity-sanity", "--grid", "packed=1x8x3"),
+     "capacity-sanity parameter packed takes DxQ, two integers such as 1x8, got '1x8x3'"),
+    (("capacity-sanity", "--grid", "packed=ax2"),
+     "capacity-sanity parameter packed takes DxQ, two integers such as 1x8, got 'ax2'"),
 ])
 def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv,
                                                        error):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 
@@ -238,6 +239,26 @@ def test_pyramid_shape_errors():
         pyramid_monte_carlo(proto, 10, seed=0, query=4)
     with pytest.raises(ValueError):
         PyramidProtocol(depth=2, cells=(IsotropicCell(0.5),) * 2)
+
+
+@pytest.mark.parametrize("episodes, query, error", [
+    (2.7, None, "episodes=2.7 is not a nonnegative integer"),
+    (2.0, None, "episodes=2.0 is not a nonnegative integer"),
+    (True, None, "episodes=True is not a nonnegative integer"),
+    (-1, None, "episodes=-1 is not a nonnegative integer"),
+    (10, 3.5, "query=3.5 is not an integer"),
+    (10, True, "query=True is not an integer"),
+])
+def test_bad_counts_fail_before_any_draw(monkeypatch, episodes, query, error):
+    # these used to run int(2.7) = 2 episodes or query int(3.5) = 3, or end in
+    # NumPy's "negative dimensions are not allowed"
+    def never(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(protocols, "substream", never)
+    proto = PyramidProtocol.uniform(2, IsotropicCell(0.5))
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        pyramid_monte_carlo(proto, episodes, seed=0, query=query)
 
 
 def test_message_independent_of_query():
