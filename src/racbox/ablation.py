@@ -21,7 +21,7 @@ import numpy as np
 
 from .info import Bits
 from .rng import substream
-from .scores import _query_major, database_blocks, exact_scores
+from .scores import database_blocks, exact_scores
 
 _TRAIN_STREAM = 0
 # Training: the width of both hidden tanh layers, the gradient step size and
@@ -79,127 +79,93 @@ class BottleneckNet:
     v2: np.ndarray
     c2: np.ndarray
 
-    def _forward(self, x: np.ndarray, queries: np.ndarray, binarize: bool = True,
-                 work: "_Workspace | None" = None):
-        """Returns (h1, d_in, h2, logit); the encoder never reads ``queries``."""
-        work = work or _Workspace(self, x.shape[0], backward=False)
-        m = self.m
-        h1 = np.matmul(x, self.w1, out=work.h1)
+    def _encode(self, x: np.ndarray, binarize: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (h1, code) of each database row; the encoder never reads a query."""
+        # in place here and in _decode: scoring runs both on all 2^N x N rows
+        h1 = x @ self.w1
         h1 += self.b1
         np.tanh(h1, out=h1)
-        z = np.matmul(h1, self.w2, out=work.z)
-        z += self.b2
-        if binarize:  # s + (1 - |s|) maps sign(z) = -1, 0, 1, NaN to -1, +1, +1, NaN
-            np.sign(z, out=z)
-            spare = np.abs(z)
-            np.subtract(1.0, spare, out=spare)
-            z += spare
-        # the code, then the one-hot query set through the flat index
-        d_in = work.d_in
-        d_in.fill(0.0)
-        d_in[:, :m] = z
-        d_in.reshape(-1)[work.onehot + queries] = 1.0
-        h2 = np.matmul(d_in, self.v1, out=work.h2)
+        z = h1 @ self.w2 + self.b2
+        if binarize:  # sign(z) + (z == 0) maps -1, 0, 1, NaN to -1, +1, +1, NaN
+            z = np.sign(z) + (z == 0.0)
+        return h1, z
+
+    def _decode(self, codes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (h2, logit) at each row's (code, query).
+
+        The one-hot query's product with ``v1`` is its row of ``v1``.
+        """
+        h2 = codes @ self.v1[: self.m]
+        h2 += self.v1[self.m + queries]
         h2 += self.c1
         np.tanh(h2, out=h2)
-        logit = np.matmul(h2, self.v2, out=work.logit)
-        logit += self.c2
-        return h1, d_in, h2, logit[:, 0]
+        return h2, (h2 @ self.v2 + self.c2)[:, 0]
 
     def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        return (self._forward(x, queries)[3] > 0.0).astype(np.uint8)
+        return (self._decode(self._encode(x)[1], queries)[1] > 0.0).astype(np.uint8)
 
-    def loss_and_grads(self, x: np.ndarray, queries: np.ndarray, targets: np.ndarray,
-                       binarize: bool = True, work: "_Workspace | None" = None
+    def loss_and_grads(self, db: np.ndarray, binarize: bool = True
                        ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean sigmoid cross-entropy and its gradients.
+        """Mean sigmoid cross-entropy over every (database, query) pair of a
+        block of databases, and its gradients.
 
-        With ``binarize`` the forward pass uses the sign of the bottleneck
-        pre-activations and the backward pass treats the sign as identity
-        (the straight-through surrogate).  Without it the network is smooth
-        end-to-end, which is what the finite-difference check exercises.
-        The gradients are views of ``work.grad``, which the next call with
-        the same ``work`` overwrites; without ``work`` each call gets its own.
+        The decoder sees a database only through its code, so the loss
+        depends on each database only through it.  Each database is encoded
+        once, the databases are grouped by their code, and the decoder runs
+        once per (distinct code, query), its cross-entropy weighted by the
+        number of databases with that code and by how many of them hold a 1
+        at that query.  With ``binarize`` the forward pass uses the sign of
+        the bottleneck pre-activations and the backward pass treats the sign
+        as identity (the straight-through surrogate): database b with code c
+        gets dz = sum_q (sigmoid(logit[c, q]) - db[b, q]) W[c, q] / rows,
+        where W[c, q] is the logit's derivative by the code.  Without
+        ``binarize`` the network is smooth end-to-end and every database is
+        its own group, which is what the finite-difference check exercises.
+        Each call returns fresh gradient arrays.
         """
-        # Temporaries live in the workspace, but every matmul keeps the operand
-        # shapes of the plain formulation: a different shape can change
-        # BLAS's summation order and with it the trained weights' bits.
-        work = work or _Workspace(self, x.shape[0])
-        batch = x.shape[0]
-        h1, d_in, h2, logit = self._forward(x, queries, binarize, work)
-        y = np.asarray(targets, dtype=float)
-        g = work.grads
+        x = np.asarray(db, dtype=float)
+        n_db, n_bits, m = len(x), self.n_bits, self.m
+        rows = n_db * n_bits
+        h1, z = self._encode(x, binarize)
+        if binarize:
+            keys = (z > 0.0) @ (1 << np.arange(m))
+            _, first, inv, count = np.unique(keys, return_index=True, return_inverse=True,
+                                             return_counts=True)
+            codes = z[first]
+            # ones[c, q]: how many databases with code c hold a 1 at query q
+            ones = np.bincount((inv[:, None] * n_bits + np.arange(n_bits)).reshape(-1),
+                               x.reshape(-1), minlength=len(codes) * n_bits)
+        else:
+            codes, inv, count, ones = z, np.arange(n_db), np.ones(n_db), x.reshape(-1)
+        n_codes = len(codes)
+        h2, logit = self._decode(np.repeat(codes, n_bits, axis=0),
+                                 np.tile(np.arange(n_bits), n_codes))
+        weight = np.repeat(count, n_bits)
 
         # log(1 + exp(-|l|)) + max(0, l) - l*y is the stable cross entropy
-        e = np.abs(logit)
-        np.negative(e, out=e)
-        ce = np.logaddexp(0.0, e)
-        ce += np.maximum(logit, 0.0)
-        ce -= logit * y
-        loss = float(ce.sum()) / batch
-
+        e = np.exp(-np.abs(logit))
+        ce = weight * (np.log1p(e) + np.maximum(logit, 0.0)) - logit * ones
+        loss = float(ce.sum()) / rows
         # stable sigmoid on both tails from e = exp(-|l|)
-        np.exp(e, out=e)
-        denom = e + 1.0
-        dlogit = np.divide(e, denom, out=work.dlogit)
-        np.divide(1.0, denom, out=dlogit, where=logit >= 0.0)
-        dlogit -= y
-        dlogit /= batch
-        np.matmul(h2.T, dlogit[:, None], out=g["v2"])
-        dlogit.sum(keepdims=True, out=g["c2"])
-        # tanh' = 1 - h^2, computed in place once a layer's h is spent
-        np.multiply(h2, h2, out=h2)
-        np.subtract(1.0, h2, out=h2)
-        # one product per entry, as dlogit @ v2.T
-        dpre2 = np.multiply(dlogit[:, None], self.v2[:, 0], out=work.dpre2)
-        dpre2 *= h2
-        np.matmul(d_in.T, dpre2, out=g["v1"])
-        dpre2.sum(axis=0, out=g["c1"])
-        # straight through the binarizer
-        dz = np.matmul(dpre2, self.v1.T, out=work.dz)[:, : self.m]
-        np.matmul(h1.T, dz, out=g["w2"])
-        dz.sum(axis=0, out=g["b2"])
-        np.multiply(h1, h1, out=h1)
-        np.subtract(1.0, h1, out=h1)
-        dpre1 = np.matmul(dz, self.w2.T, out=work.dpre1)
-        dpre1 *= h1
-        np.matmul(x.T, dpre1, out=g["w1"])
-        dpre1.sum(axis=0, out=g["b1"])
-        return loss, g
-
-
-class _Workspace:
-    """Every temporary of a pass over one batch size, allocated once.
-
-    ``grad`` is one flat vector laid out as the weights of
-    ``_initial_params`` are, and ``grads`` its per-parameter views; a
-    forward-only workspace has neither.
-    """
-
-    def __init__(self, net: BottleneckNet, batch: int, backward: bool = True):
-        hidden, width = net.w1.shape[1], net.m + net.n_bits
-        self.h1 = np.empty((batch, hidden))
-        self.z = np.empty((batch, net.m))
-        self.d_in = np.zeros((batch, width))
-        self.h2 = np.empty((batch, hidden))
-        self.logit = np.empty((batch, 1))
-        self.onehot = np.arange(net.m, batch * width, width)  # flat index of query 0
-        if backward:
-            self.grad, self.grads = _flat_views(net.n_bits, net.m, hidden)
-            self.dlogit = np.empty(batch)
-            self.dpre2 = np.empty((batch, hidden))
-            self.dz = np.empty((batch, width))
-            self.dpre1 = np.empty((batch, hidden))
+        sig = np.where(logit >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        dlogit = (weight * sig - ones) / rows
+        # tanh' = 1 - h^2
+        dh2 = self.v2[:, 0] * (1.0 - h2 * h2)
+        dpre2 = (dlogit[:, None] * dh2).reshape(n_codes, n_bits, -1)
+        # straight through the binarizer, one decoder derivative per (code, query)
+        dcode = (dh2 @ self.v1[:m].T).reshape(n_codes, n_bits, m)
+        residual = sig.reshape(n_codes, n_bits)[inv] - x
+        dz = np.einsum("bq,bqm->bm", residual, dcode[inv]) / rows
+        dpre1 = (dz @ self.w2.T) * (1.0 - h1 * h1)
+        return loss, {"w1": x.T @ dpre1, "b1": dpre1.sum(axis=0),
+                      "w2": h1.T @ dz, "b2": dz.sum(axis=0),
+                      "v1": np.concatenate([codes.T @ dpre2.sum(axis=1), dpre2.sum(axis=0)]),
+                      "c1": dpre2.sum(axis=(0, 1)),
+                      "v2": h2.T @ dlogit[:, None], "c2": np.array([dlogit.sum()])}
 
 
 class TrainingDiverged(RuntimeError):
     pass
-
-
-# Training walks the databases in blocks whose query-major rows hold at most
-# this many bits: 64 databases, 512 rows, at N = 8.  Larger products can make
-# OpenBLAS start threads, which oversubscribe the cores under a worker pool.
-_TRAIN_BLOCK_BITS = 1 << 12
 
 
 def train_strict(n_bits: int, m: int, seed: int,
@@ -210,36 +176,31 @@ def train_strict(n_bits: int, m: int, seed: int,
     The net has ``_HIDDEN`` tanh units in each hidden layer, and each step,
     at rate ``_LR``, descends the exact population loss: the mean
     cross-entropy over all 2^N databases times all N queries, the law the
-    net is scored on.  The pairs are walked in blocks of databases, their rows laid out
-    as the scorer lays them out, and each block's loss and gradient enter
-    the step weighted by its share of the pairs.  So nothing is sampled,
-    the initial weights are the only random draw, and a step costs
-    O(N 2^N) in time but one block in memory.  The curve holds the loss
-    every 200 steps and at the last.  The net's weights are views of one
-    flat vector, so the update is two ufunc calls.
+    net is scored on.  The databases are walked in the scorer's blocks
+    (``database_blocks``; one block of all 256 at N = 8), and each block's
+    loss and gradient enter the step weighted by its share of the
+    databases.  So nothing is sampled, the initial weights are the only
+    random draw, and a step encodes each database once and decodes each
+    (distinct code, query) once per block, in one block's memory.  The
+    curve holds the loss every 200 steps and at the last.  The net's
+    weights are views of one flat vector, so the update is two ufunc calls.
     """
     if steps < 1:
         raise ValueError(f"steps={steps!r} must be at least 1")
     rng = substream(seed, _TRAIN_STREAM)
     params, weights = _initial_params(n_bits, m, _HIDDEN, rng)
     net = BottleneckNet(n_bits=n_bits, m=m, **weights)
-    pairs = n_bits << n_bits
-    grad = np.empty_like(params)
-    works: dict[int, _Workspace] = {}  # one per block length; only the last block is short
+    grad, grads = _flat_views(n_bits, m, _HIDDEN)
     curve = []
     for step in range(steps):
         grad.fill(0.0)
         loss = 0.0
-        for _, db in database_blocks(n_bits, _TRAIN_BLOCK_BITS):
-            x, queries, targets = _query_major(db)
-            work = works.get(len(x))
-            if work is None:
-                work = works[len(x)] = _Workspace(net, len(x))
-            block_loss, _ = net.loss_and_grads(x.astype(float), queries, targets, work=work)
-            share = len(x) / pairs
+        for _, db in database_blocks(n_bits):
+            share = len(db) / (1 << n_bits)
+            block_loss, block_grads = net.loss_and_grads(db)
             loss += share * block_loss
-            work.grad *= share
-            grad += work.grad
+            for name, g in block_grads.items():
+                grads[name] += share * g
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
         grad *= _LR
@@ -281,7 +242,7 @@ def eval_score(net: BottleneckNet) -> AblationReport:
     per_query = exact_scores(net.n_bits, net.answer)[0]
     code_counts: dict[tuple, int] = {}
     for _, db in database_blocks(net.n_bits):
-        code = net._forward(db, np.zeros(len(db), dtype=np.int64))[1][:, : net.m]
+        code = net._encode(db)[1]
         for row, count in zip(*np.unique(code, axis=0, return_counts=True)):
             key = tuple(row.tolist())
             code_counts[key] = code_counts.get(key, 0) + int(count)

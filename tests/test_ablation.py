@@ -25,22 +25,60 @@ def fresh_net(n_bits, m, hidden, rng):
                          **ablation._initial_params(n_bits, m, hidden, rng)[1])
 
 
-# Reference oracle: the plain out-of-place train step.  The shipped step
-# reuses buffers and fuses temporaries; it must stay bit-identical to this.
-def reference_forward(net, x, queries, binarize=True):
+# Reference oracle: the plain out-of-place grouped step, its groups found by
+# Python sets.  The shipped step must stay bit-identical to it.
+def reference_loss_and_grads(net, db, binarize=True):
+    x = db.astype(float)
+    n_db, n_bits, m = x.shape[0], net.n_bits, net.m
+    rows = n_db * n_bits
+    h1 = np.tanh(x @ net.w1 + net.b1)
+    z = h1 @ net.w2 + net.b2
+    if binarize:
+        z = np.sign(z) + (z == 0.0)
+        keys = [sum(1 << i for i in range(m) if code[i] > 0.0) for code in z]
+        distinct = sorted(set(keys))
+        inv = np.array([distinct.index(key) for key in keys])
+        codes = np.array([z[keys.index(key)] for key in distinct])
+        count = np.array([keys.count(key) for key in distinct])
+        ones = np.array([x[inv == c].sum(axis=0) for c in range(len(codes))]).reshape(-1)
+    else:
+        codes, inv, count, ones = z, np.arange(n_db), np.ones(n_db), x.reshape(-1)
+    n_codes = len(codes)
+    queries = np.tile(np.arange(n_bits), n_codes)
+    h2 = np.tanh(np.repeat(codes, n_bits, axis=0) @ net.v1[:m] + net.v1[m + queries] + net.c1)
+    logit = (h2 @ net.v2 + net.c2)[:, 0]
+    weight = np.repeat(count, n_bits)
+    e = np.exp(-np.abs(logit))
+    loss = float((weight * (np.log1p(e) + np.maximum(logit, 0.0)) - logit * ones).sum()) / rows
+    sig = np.where(logit >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    dlogit = (weight * sig - ones) / rows
+    dh2 = net.v2[:, 0] * (1.0 - h2 * h2)
+    dpre2 = (dlogit[:, None] * dh2).reshape(n_codes, n_bits, -1)
+    dcode = (dh2 @ net.v1[:m].T).reshape(n_codes, n_bits, m)
+    dz = np.einsum("bq,bqm->bm", sig.reshape(n_codes, n_bits)[inv] - x, dcode[inv]) / rows
+    dpre1 = (dz @ net.w2.T) * (1.0 - h1 * h1)
+    grads = {"v1": np.concatenate([codes.T @ dpre2.sum(axis=1), dpre2.sum(axis=0)]),
+             "c1": dpre2.sum(axis=(0, 1)), "v2": h2.T @ dlogit[:, None],
+             "c2": np.array([dlogit.sum()]),
+             "w1": x.T @ dpre1, "b1": dpre1.sum(axis=0), "w2": h1.T @ dz, "b2": dz.sum(axis=0)}
+    return loss, grads
+
+
+# Second oracle: the tiled step, every (database, query) pair its own row of
+# the encoder and of the decoder, the query one-hot.  The grouped step
+# reorders its sums, so the two agree to rounding.
+def tiled_loss_and_grads(net, db, binarize=True):
+    n_bits = net.n_bits
+    x = np.tile(db, (n_bits, 1)).astype(float)
+    queries = np.repeat(np.arange(n_bits), len(db))
+    batch = x.shape[0]
     h1 = np.tanh(x @ net.w1 + net.b1)
     z = h1 @ net.w2 + net.b2
     h_pm = (np.sign(z) + (z == 0.0)) if binarize else z
-    onehot = np.eye(net.n_bits)[queries]
-    d_in = np.concatenate([h_pm, onehot], axis=1)
+    d_in = np.concatenate([h_pm, np.eye(n_bits)[queries]], axis=1)
     h2 = np.tanh(d_in @ net.v1 + net.c1)
-    return h1, d_in, h2, (h2 @ net.v2 + net.c2)[:, 0]
-
-
-def reference_loss_and_grads(net, x, queries, targets, binarize=True):
-    batch = x.shape[0]
-    h1, d_in, h2, logit = reference_forward(net, x, queries, binarize)
-    y = targets.astype(float)
+    logit = (h2 @ net.v2 + net.c2)[:, 0]
+    y = db.T.reshape(-1).astype(float)
     loss = float(np.mean(np.logaddexp(0.0, -np.abs(logit))
                          + np.maximum(logit, 0.0) - logit * y))
     sig = np.where(logit >= 0.0,
@@ -57,20 +95,17 @@ def reference_loss_and_grads(net, x, queries, targets, binarize=True):
     return loss, grads
 
 
-def reference_train(n_bits, m, seed, steps):
+def reference_train(n_bits, m, seed, steps, loss_and_grads=reference_loss_and_grads):
     rng = substream(seed, ablation._TRAIN_STREAM)
     net = fresh_net(n_bits, m, ablation._HIDDEN, rng)
-    pairs = n_bits * 2 ** n_bits
     curve = []
     for step in range(steps):
         loss = 0.0
         total = {name: np.zeros_like(w) for name, w in vars(net).items()
                  if isinstance(w, np.ndarray)}
-        for _, db in scores.database_blocks(n_bits, ablation._TRAIN_BLOCK_BITS):
-            x = np.tile(db, (n_bits, 1)).astype(float)
-            queries = np.repeat(np.arange(n_bits), len(db))
-            block_loss, grads = reference_loss_and_grads(net, x, queries, db.T.reshape(-1))
-            share = len(x) / pairs
+        for _, db in scores.database_blocks(n_bits):
+            share = len(db) / 2 ** n_bits
+            block_loss, grads = loss_and_grads(net, db)
             loss += share * block_loss
             total = {name: total[name] + share * g for name, g in grads.items()}
         for name, g in total.items():
@@ -80,12 +115,20 @@ def reference_train(n_bits, m, seed, steps):
     return net, curve
 
 
-@pytest.mark.parametrize("m, n_bits, hidden, batch", [
+STEP_CASES = [
     pytest.param(1, 8, 32, 256, id="1"),
     pytest.param(3, 8, 32, 256, id="3"),
-    # N = 6 fits in one block; odd hidden, and an odd batch for the gradient check
+    # odd hidden, and an odd block for the gradient check
     pytest.param(2, 6, 7, 255, id="n6-h7"),
-])
+]
+
+
+def random_block(n_bits, databases, seed):
+    """``databases`` uniform databases, drawn with replacement, so some repeat."""
+    return substream(85, seed).integers(0, 2, size=(databases, n_bits))
+
+
+@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES)
 def test_train_step_is_bit_identical_to_the_reference(monkeypatch, m, n_bits, hidden, batch):
     monkeypatch.setattr(ablation, "_HIDDEN", hidden)
     net, curve = train_strict(n_bits, m, seed=40 + m, steps=300)
@@ -95,29 +138,79 @@ def test_train_step_is_bit_identical_to_the_reference(monkeypatch, m, n_bits, hi
     for name, value in vars(ref).items():
         assert np.array_equal(getattr(net, name), value), name
 
-    rng = substream(85, m)
-    x = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
-    q = rng.integers(0, n_bits, size=batch)
-    y = x[np.arange(batch), q]
+    db = random_block(n_bits, batch, m)
     for binarize in (False, True):
-        loss, grads = net.loss_and_grads(x, q, y, binarize=binarize)
-        ref_loss, ref_grads = reference_loss_and_grads(net, x, q, y, binarize=binarize)
+        loss, grads = net.loss_and_grads(db, binarize=binarize)
+        ref_loss, ref_grads = reference_loss_and_grads(net, db, binarize=binarize)
         assert loss == ref_loss
         assert grads.keys() == ref_grads.keys()
         for name, g in ref_grads.items():
             assert grads[name].shape == g.shape and np.array_equal(grads[name], g), name
 
 
+@pytest.mark.parametrize("binarize", [False, True])
+@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES)
+def test_grouped_step_equals_the_tiled_oracle(monkeypatch, m, n_bits, hidden, batch, binarize):
+    # the loss and every gradient on a block of all databases and on a block
+    # with repeats, for an untrained net and one trained for 300 steps
+    monkeypatch.setattr(ablation, "_HIDDEN", hidden)
+    fresh = fresh_net(n_bits, m, hidden, substream(40 + m, ablation._TRAIN_STREAM))
+    trained, _ = train_strict(n_bits, m, seed=40 + m, steps=300)
+    (_, every), = scores.database_blocks(n_bits)
+    for net in (fresh, trained):
+        for db in (every, random_block(n_bits, batch, m)):
+            loss, grads = net.loss_and_grads(db, binarize=binarize)
+            tiled_loss, tiled = tiled_loss_and_grads(net, db, binarize=binarize)
+            assert loss == pytest.approx(tiled_loss, rel=0, abs=1e-12)
+            assert grads.keys() == tiled.keys()
+            for name, g in tiled.items():
+                np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES)
+def test_training_follows_the_tiled_oracle(monkeypatch, m, n_bits, hidden, batch):
+    monkeypatch.setattr(ablation, "_HIDDEN", hidden)
+    net, curve = train_strict(n_bits, m, seed=40 + m, steps=5)
+    tiled, tiled_curve = reference_train(n_bits, m, 40 + m, 5, tiled_loss_and_grads)
+    assert curve == pytest.approx(tiled_curve, rel=0, abs=1e-12)
+    for name, value in vars(tiled).items():
+        np.testing.assert_allclose(getattr(net, name), value, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("n_bits, m", [(8, 1), (8, 3), (10, 3)])
+def test_a_step_encodes_each_database_once_and_decodes_each_code_once(monkeypatch,
+                                                                      n_bits, m):
+    # per block, the encoder reads each database once and the decoder at most
+    # min(2^m, databases) x N rows, not one row per (database, query) pair
+    encoded, decoded = [], []
+    encode, decode = BottleneckNet._encode, BottleneckNet._decode
+
+    def record_encode(net, x, *args, **kwargs):
+        encoded.append(len(x))
+        return encode(net, x, *args, **kwargs)
+
+    def record_decode(net, codes, queries):
+        decoded.append(len(codes))
+        return decode(net, codes, queries)
+
+    monkeypatch.setattr(BottleneckNet, "_encode", record_encode)
+    monkeypatch.setattr(BottleneckNet, "_decode", record_decode)
+    train_strict(n_bits, m, seed=7, steps=1)
+    blocks = [len(db) for _, db in scores.database_blocks(n_bits)]
+    assert encoded == blocks and sum(blocks) == 2 ** n_bits
+    assert len(decoded) == len(blocks)
+    for rows, databases in zip(decoded, blocks):
+        assert 0 < rows <= min(2 ** m, databases) * n_bits
+
+
 def test_gradients_returned_outside_training_do_not_alias():
     # a caller may keep the gradients of one call while making the next
     rng = substream(86)
     net = fresh_net(4, 2, 6, rng)
-    x = rng.integers(0, 2, size=(12, 4)).astype(float)
-    q = rng.integers(0, 4, size=12)
-    y = x[np.arange(12), q]
-    _, first = net.loss_and_grads(x, q, y)
+    db = rng.integers(0, 2, size=(12, 4))
+    _, first = net.loss_and_grads(db)
     kept = {name: g.copy() for name, g in first.items()}
-    _, second = net.loss_and_grads(1.0 - x, (q + 1) % 4, 1.0 - y)
+    _, second = net.loss_and_grads(1 - db)
     for name, g in first.items():
         assert np.array_equal(g, kept[name]), name
         assert not np.shares_memory(g, second[name]), name
@@ -151,10 +244,8 @@ def test_gradient_check_against_finite_differences():
     # binarizer replaced by identity: backprop must match central differences
     rng = substream(80)
     net = fresh_net(4, 2, 6, rng)
-    x = rng.integers(0, 2, size=(12, 4)).astype(float)
-    q = rng.integers(0, 4, size=12)
-    y = x[np.arange(12), q]
-    _, grads = net.loss_and_grads(x, q, y, binarize=False)
+    db = rng.integers(0, 2, size=(12, 4))
+    _, grads = net.loss_and_grads(db, binarize=False)
     eps = 1e-6
     for name in grads:
         w = getattr(net, name)
@@ -163,9 +254,9 @@ def test_gradient_check_against_finite_differences():
         for i in idx:
             keep = flat[i]
             flat[i] = keep + eps
-            up, _ = net.loss_and_grads(x, q, y, binarize=False)
+            up, _ = net.loss_and_grads(db, binarize=False)
             flat[i] = keep - eps
-            dn, _ = net.loss_and_grads(x, q, y, binarize=False)
+            dn, _ = net.loss_and_grads(db, binarize=False)
             flat[i] = keep
             numeric = (up - dn) / (2 * eps)
             analytic = grads[name].reshape(-1)[i]
@@ -176,10 +267,8 @@ def test_gradient_check_against_finite_differences():
 def test_straight_through_passes_gradient_to_preactivations():
     rng = substream(81)
     net = fresh_net(4, 2, 6, rng)
-    x = rng.integers(0, 2, size=(12, 4)).astype(float)
-    q = rng.integers(0, 4, size=12)
-    y = x[np.arange(12), q]
-    _, grads = net.loss_and_grads(x, q, y, binarize=True)
+    db = rng.integers(0, 2, size=(12, 4))
+    _, grads = net.loss_and_grads(db, binarize=True)
     # encoder parameters receive gradients through the sign surrogate
     assert np.abs(grads["w2"]).max() > 0.0
     assert np.abs(grads["w1"]).max() > 0.0
@@ -348,7 +437,7 @@ def test_enumerator_answers_every_pair_in_one_call():
 
 def test_eval_score_memory_is_bounded():
     # exact scoring answers 2^8 x 8 = 2,048 rows in one call; its traced
-    # peak is about 1.4 MB and does not depend on any episode count
+    # peak is about 1.3 MB and does not depend on any episode count
     net = fresh_net(8, 3, 32, substream(84))
     tracemalloc.start()
     try:
@@ -375,12 +464,12 @@ def test_blocked_enumeration_equals_one_block(monkeypatch, bits):
 @pytest.mark.parametrize("databases", [1, 37])
 def test_training_blocks_equal_the_default_block(monkeypatch, databases):
     # blocks of 1 and of 37 databases (the last one short) sum each step's
-    # loss and gradient in another order than the default 4 blocks of 64, so
-    # only rounding may differ
+    # loss and gradient in another order than the scorer's default block of
+    # all 256, which training walks, so only rounding may differ
     net, curve = train_strict(8, 3, seed=21, steps=5)
-    assert len(list(scores.database_blocks(8, ablation._TRAIN_BLOCK_BITS))) == 4
-    monkeypatch.setattr(ablation, "_TRAIN_BLOCK_BITS", 8 * 8 * databases)
-    assert len(list(scores.database_blocks(8, ablation._TRAIN_BLOCK_BITS))) == -(-256 // databases)
+    assert len(list(scores.database_blocks(8))) == 1
+    monkeypatch.setattr(scores, "_ENUM_BLOCK_BITS", 8 * 8 * databases)
+    assert len(list(scores.database_blocks(8))) == -(-256 // databases)
     blocked, blocked_curve = train_strict(8, 3, seed=21, steps=5)
     assert blocked_curve == pytest.approx(curve, rel=0, abs=1e-12)
     for name, value in vars(net).items():
@@ -389,8 +478,8 @@ def test_training_blocks_equal_the_default_block(monkeypatch, databases):
 
 def test_training_memory_does_not_grow_with_n():
     # a step walks the 2^N x N pairs in blocks of databases, so its working
-    # set is one block's; two steps peaked at about 1.0 MiB at N = 10 and
-    # 0.8 MiB at N = 12
+    # set is one block's; two steps peaked at about 0.93 MiB at N = 10 and
+    # 0.72 MiB at N = 12
     def peak(n_bits):
         tracemalloc.start()
         try:
@@ -455,7 +544,7 @@ def test_unbinarized_bottleneck_fails_the_capacity_verdict(monkeypatch):
     # real-valued bottleneck coordinates at evaluation leak precision: the
     # decoder receives far more than 2^m distinct codes
     def leak_precision(net):
-        net._forward = functools.partial(BottleneckNet._forward, net, binarize=False)
+        net._encode = functools.partial(BottleneckNet._encode, net, binarize=False)
 
     row, passed = strict_verdicts(monkeypatch, 3, leak_precision)
     assert row["code_entropy"] > 3.0

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from oracles import (asym_path_success, brute_force_one_bit_optimum, chsh_value,
                      majority_average_success, majority_encode, pyramid_success_closed_form)
 from racbox import protocols
+from racbox.ablation import train_strict
 from racbox.boxes import (AsymmetricCell, BoxTable, ExplicitCell, IsotropicCell,
                           QuantumPhiCell, pr_box)
 from racbox.capacity import run_hard_copy_probe
@@ -259,6 +260,32 @@ def test_bad_counts_fail_before_any_draw(monkeypatch, episodes, query, error):
     proto = PyramidProtocol.uniform(2, IsotropicCell(0.5))
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         pyramid_monte_carlo(proto, episodes, seed=0, query=query)
+
+
+SEEDED_CALLS = {
+    "pyramid": lambda seed: pyramid_monte_carlo(PyramidProtocol.uniform(2, IsotropicCell(0.5)),
+                                                5, seed=seed),
+    "probe": lambda seed: run_hard_copy_probe(4, 1, 5, seed),
+    "train": lambda seed: train_strict(4, 1, seed, steps=1),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS)
+@pytest.mark.parametrize("seed", [2.5, 2.0, True, np.True_, "2"])
+def test_a_bad_seed_is_refused_not_truncated(call, seed):
+    # int() used to run seed 2.5 as seed 2 and seed True as seed 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'seed={seed!r} is not an integer')}$"):
+        SEEDED_CALLS[call](seed)
+
+
+def test_substream_takes_python_and_numpy_integers_and_refuses_other_paths():
+    expected = substream(5, 2, 7).integers(0, 2**63, size=4)
+    for seed, path in [(np.int64(5), (np.int32(2), np.uint8(7))), (5, (np.int16(2), 7))]:
+        assert np.array_equal(substream(seed, *path).integers(0, 2**63, size=4), expected)
+    with pytest.raises(ValueError, match=r"^path\[1\]=0\.5 is not an integer$"):
+        substream(5, 2, 0.5)
+    with pytest.raises(ValueError, match=r"^path\[0\]=False is not an integer$"):
+        substream(5, False)
 
 
 def test_message_independent_of_query():
