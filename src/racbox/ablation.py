@@ -29,6 +29,9 @@ _TRAIN_STREAM = 0
 _HIDDEN = 32
 _LR = 0.5
 TRAIN_STEPS = 2_000
+# The training step groups codes by an int64 key of one bit per code bit; bit
+# 63 is the sign bit and 1 << k wraps to 0 for k >= 64, merging wider codes.
+MAX_CODE_BITS = 63
 
 
 def _flat_views(n_bits: int, m: int, hidden: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -168,6 +171,13 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+def check_code_bits(m: int):
+    """Refuse a code wider than the training step's grouping key can hold."""
+    if m > MAX_CODE_BITS:
+        raise ValueError(f"m={m} code bits: training groups codes by a 64-bit key, "
+                         f"so m <= {MAX_CODE_BITS}")
+
+
 def train_strict(n_bits: int, m: int, seed: int,
                  steps: int = TRAIN_STEPS) -> tuple[BottleneckNet, list[float]]:
     """Train the strict query-separated model for ``steps`` >= 1 steps;
@@ -184,9 +194,11 @@ def train_strict(n_bits: int, m: int, seed: int,
     (distinct code, query) once per block, in one block's memory.  The
     curve holds the loss every 200 steps and at the last.  The net's
     weights are views of one flat vector, so the update is two ufunc calls.
+    A code of more than ``MAX_CODE_BITS`` bits is refused.
     """
     if steps < 1:
         raise ValueError(f"steps={steps!r} must be at least 1")
+    check_code_bits(m)
     rng = substream(seed, _TRAIN_STREAM)
     params, weights = _initial_params(n_bits, m, _HIDDEN, rng)
     net = BottleneckNet(n_bits=n_bits, m=m, **weights)

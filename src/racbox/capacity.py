@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimation import _score_map, per_query_symmetric_score
 from .info import Bits, gaussian_cdf
-from .rng import substream
+from .rng import substream, top_bits
 
 _PROBE_DB_STREAM = 0
 _PROBE_QUERY_STREAM = 1
@@ -32,11 +32,12 @@ _PROBE_COIN_STREAM = 3
 
 # Episodes per chunk of the probe sampler.  Chunks read each stream in
 # order, so the tallies match one unchunked draw only if no generator call
-# leaves draws behind at a chunk boundary.  A uint8 integers() call takes 4
-# values from each uint32 and drops its byte buffer when it returns; a
-# multiple of 8 episodes leaves that buffer empty for the database and the
-# coins.  The queries read uint32 halves whose spare half the bit generator
-# keeps between calls, and the noise reads whole 64-bit words.
+# leaves draws behind at a chunk boundary.  The database and the coins are
+# read by top_bits in whole 64-bit words of 8 bytes, and a chunk of a
+# multiple of 8 episodes leaves no byte of a word behind; only the last
+# chunk may, and no later call would read it.  The queries read uint32
+# halves whose spare half the bit generator keeps between calls, and the
+# noise reads whole 64-bit words.
 _CHUNK_EPISODES = 1 << 16
 
 
@@ -121,14 +122,15 @@ def _run_probe(interface: Interface, n_bits: int, episodes: int, seed: int, leve
     query_rng = substream(seed, _PROBE_QUERY_STREAM)
     coin_rng = substream(seed, _PROBE_COIN_STREAM)
     noise_rng = None if amp is None else substream(seed, _PROBE_NOISE_STREAM)
-    wins = np.zeros(n_bits, dtype=np.int64)
-    totals = np.zeros(n_bits, dtype=np.int64)
+    # tallies[2 q + w]: episodes of query q that won (w = 1) or lost (w = 0)
+    tallies = np.zeros(2 * n_bits, dtype=np.int64)
     for lo in range(0, episodes, _CHUNK_EPISODES):
         size = min(_CHUNK_EPISODES, episodes - lo)
         rows = np.arange(size)
         queries = query_rng.integers(0, n_bits, size=size)
-        targets = db_rng.integers(0, 2, size=(size, n_bits), dtype=np.uint8)[rows, queries]
-        coins = coin_rng.integers(0, 2, size=size, dtype=np.uint8)
+        # the top bit of the queried byte of each episode's n_bits database bytes
+        targets = top_bits(db_rng, size * n_bits, 8, 8).take(rows * n_bits + queries) >> 7
+        coins = top_bits(coin_rng, size, 1, 8)
         received = targets
         if noise_rng is not None:
             # Draw the whole (size, carried) block so the stream stays aligned.
@@ -136,9 +138,10 @@ def _run_probe(interface: Interface, n_bits: int, episodes: int, seed: int, leve
             received = (amp * (2.0 * targets.astype(float) - 1.0)
                         + noise[rows, np.minimum(queries, carried - 1)] > 0.0)
         outputs = np.where(queries < carried, received, coins)
-        wins += np.bincount(queries[outputs == targets], minlength=n_bits)
-        totals += np.bincount(queries, minlength=n_bits)
-    score, interval = per_query_symmetric_score(wins, totals, level=level, method=method)
+        tallies += np.bincount(2 * queries + (outputs == targets), minlength=2 * n_bits)
+    wins = tallies[1::2]
+    score, interval = per_query_symmetric_score(wins, wins + tallies[::2], level=level,
+                                                method=method)
     return ProbeResult(counted_capacity=interface.certificate,
                        observed_score=score, interval=interval)
 

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .ablation import (TRAIN_STEPS, episode_weights_control, eval_score,
+from .ablation import (TRAIN_STEPS, check_code_bits, episode_weights_control, eval_score,
                        precision_packing_control, query_leaky_control, train_strict)
 from .boxes import TSIRELSON_BIAS, iso_bias_from_angle
 from .capacity import (probe_interface, run_awgn_bpsk_probe, run_hard_copy_probe,
@@ -488,6 +488,8 @@ def _ablation_task(task) -> tuple[dict, list[dict]]:
 
 def build_ablations(p: SimpleNamespace) -> Tables:
     check_enumerable(p.n_bits)  # before any net is trained
+    for m in p.ms:
+        check_code_bits(m)
     tasks = [("strict", p.n_bits, m, p.seed + 1000 * m + s, p.steps)
              for m in p.ms for s in range(p.seeds)]
     tasks += [(mode, p.n_bits, 0, p.seed, p.steps)

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .boxes import Cell
-from .rng import substream
+from .rng import substream, top_bits
 
 # Stream labels for batch simulation; episode i always reads row i of each
 # labelled stream, so results do not depend on the episode count.
@@ -180,11 +180,11 @@ def _node_tables(protocol: PyramidProtocol, tables: dict) -> tuple[np.ndarray, n
 
 # Chunks read each stream in order, so the rows match one unchunked draw only
 # if no generator call leaves draws behind at a chunk boundary.  random()
-# takes one 64-bit word per value and the uint32 half-word buffer of the bit
-# generator carries over between calls, but a uint8 integers() call takes 4
-# values from each uint32 and drops its byte buffer when it returns.  Chunks
-# therefore hold a multiple of 8 episodes, so that each uint8 call, of one or
-# 2^n bytes per episode, ends on a uint32 boundary.
+# takes one 64-bit word per value, and top_bits reads whole words, 8 database
+# or Alice bytes or 2 query halves per word, and drops the spare values of a
+# part-read last word.  Each stream is read by its own calls only, and chunks
+# hold a multiple of 8 episodes, so only the last chunk's calls can leave a
+# spare value, which no later call would have read.
 
 
 def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
@@ -194,7 +194,9 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
     ``levels(pa1, queries, db_rng, alice_rngs)`` is a level source.  It
     returns the root message, the targets (None where the path implies them)
     and an iterator of each path node's cell input s and Alice bit a, root
-    first.  At every node Bob's bit b is drawn from his table at (s, t, a);
+    first.  Unless pinned, the queries are the top n bits of the query
+    stream's uint32 halves, as ``integers(0, 2^n)`` draws them (``top_bits``).
+    At every node Bob's bit b is drawn from his table at (s, t, a);
     the error bit is a ^ b ^ (s & t) and the output is the message XOR every b.
     Bob's tables are laid out once per call, flat in (node, t, s, a) order:
     level r's nodes start at entry 8 (2^r - 1), and the query's first r + 1
@@ -222,7 +224,7 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
         hi = min(lo + chunk, episodes)
         q = batch.queries[lo:hi]
         if query_rng is not None:
-            q[:] = query_rng.integers(0, 1 << n, size=hi - lo)
+            q[:] = top_bits(query_rng, hi - lo, n, 2)
         message, target, path = levels(pa1, q, db_rng, alice_rngs)
         implied, output = message.copy(), message.copy()
         for r, (s_vals, a_vals) in enumerate(path):
@@ -246,7 +248,7 @@ def _tree_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: 
     """Encode the full database bottom-up through every cell.  The targets are
     the queried database bits, so the parity identity checks the encoder."""
     n = len(alice_rngs)
-    db = x = db_rng.integers(0, 2, size=(len(q), 1 << n), dtype=np.uint8)
+    db = x = top_bits(db_rng, (len(q), 1 << n), 1, 8)
     s_levels, a_levels = [None] * n, [None] * n
     for r in range(n - 1, -1, -1):
         left, right = x[:, 0::2], x[:, 1::2]
@@ -277,9 +279,9 @@ def _path_levels(pa1: np.ndarray, q: np.ndarray, db_rng: Generator, alice_rngs: 
     target = m ^ XOR_r (a_r ^ s_r t_r).  Each level is drawn when the
     decoder reaches it.
     """
-    draws = (rng.integers(0, 4, size=len(q), dtype=np.uint8) for rng in alice_rngs)
+    draws = (top_bits(rng, len(q), 2, 8) for rng in alice_rngs)
     path = ((v >> 1, v & 1) for v in draws)
-    return db_rng.integers(0, 2, size=len(q), dtype=np.uint8), None, path
+    return top_bits(db_rng, len(q), 1, 8), None, path
 
 
 # ---------------------------------------------------------------------------

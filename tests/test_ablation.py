@@ -1,4 +1,5 @@
 import functools
+import re
 import time
 import tracemalloc
 
@@ -201,6 +202,37 @@ def test_a_step_encodes_each_database_once_and_decodes_each_code_once(monkeypatc
     assert len(decoded) == len(blocks)
     for rows, databases in zip(decoded, blocks):
         assert 0 < rows <= min(2 ** m, databases) * n_bits
+
+
+def test_a_63_bit_code_matches_the_tiled_oracle():
+    # the top code bits carry the whole code, so its key uses bit 62
+    m = 63
+    net = fresh_net(8, m, ablation._HIDDEN, substream(7, ablation._TRAIN_STREAM))
+    net.w2[:, :55] = 0.0
+    net.b2[:55] = 1.0
+    (_, every), = scores.database_blocks(8)
+    assert len(np.unique(net._encode(every)[1], axis=0)) > 1
+    loss, grads = net.loss_and_grads(every)
+    tiled_loss, tiled = tiled_loss_and_grads(net, every)
+    assert loss == pytest.approx(tiled_loss, rel=0, abs=1e-12)
+    for name, g in tiled.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("m", [64, 70])
+def test_a_code_of_64_bits_or_more_is_refused(monkeypatch, m):
+    # its grouping key would wrap, and codes differing only above bit 63 would merge
+    error = f"m={m} code bits: training groups codes by a 64-bit key, so m <= 63"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        train_strict(8, m, seed=1, steps=1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a net was trained")
+
+    monkeypatch.setattr(experiments, "train_strict", never)
+    config = ExperimentConfig("ablations", params={"ms": [1, m]}, workers=1)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build_ablations(resolve(config))
 
 
 def test_gradients_returned_outside_training_do_not_alias():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -75,6 +76,28 @@ def test_capacity_sanity_keeps_its_bytes(tmp_path, interval, digest):
     config = ExperimentConfig("capacity-sanity", episodes=2_000, interval=interval, workers=1)
     manifest = run_experiment(config, out_root=str(tmp_path))
     assert manifest["outputs"]["capacity_sanity.csv"] == digest
+
+
+# sha256 of each probe's per-query wins and totals, as little-endian int64,
+# over one default chunk and 1_003 episodes, recorded before the database and
+# coin bits were read from whole words
+@pytest.mark.parametrize("kind, params, digest", [
+    ("hard", (3,), "012c81864d4d87666eeccb639647e5136734a89685a282d4634a7fb25681341c"),
+    ("packed", (2, 2), "43aa81051128ea56b43954eff5a5e4e034ccdf95c0353fe91545b73ba869cc1d"),
+    ("awgn", (2, 1.0), "0513c5d267e00c52e35cfc3011f6a2f92ffa5968c64a3906603f83b67bbdfe49"),
+])
+def test_probe_tallies_across_a_chunk_boundary_keep_their_bytes(monkeypatch, kind, params,
+                                                                 digest):
+    tallies = []
+
+    def record(wins, totals, level, method):
+        tallies.append(np.concatenate([wins, totals]).astype("<i8").tobytes())
+        return 0.0, (0.0, 0.0)
+
+    monkeypatch.setattr(capacity, "per_query_symmetric_score", record)
+    capacity._run_probe(probe_interface(kind, 8, *params), 8,
+                        capacity._CHUNK_EPISODES + 1_003, 90, 0.95, "wilson")
+    assert [hashlib.sha256(t).hexdigest() for t in tallies] == [digest]
 
 
 def test_awgn_probe_rejects_more_coordinates_than_bits():

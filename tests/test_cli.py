@@ -268,6 +268,9 @@ def test_mistyped_parameter_fails_before_anything_runs(tmp_path, capsys, monkeyp
      "capacity-sanity parameter packed repeats a value: ['1x8', '2x2', '1x8']"),
     (("table1", "--grid", "typo"), "grid items look like key=v1,v2 (got 'typo')"),
     (("depth-scan", "--grid", "n_max="), "grid item 'n_max=' has no values"),
+    # a wider code's grouping key would wrap and merge codes
+    (("ablations", "--grid", "ms=1,70"),
+     "m=70 code bits: training groups codes by a 64-bit key, so m <= 63"),
 ])
 def test_degenerate_grid_fails_before_anything_runs(tmp_path, capsys, monkeypatch, argv, error):
     # these used to end in a traceback, or in ALL PASS with nothing judged

@@ -19,7 +19,7 @@ from racbox.capacity import run_hard_copy_probe
 from racbox.estimation import normal_quantile
 from racbox.protocols import (PyramidProtocol, classical_avg_success_closed_form,
                               pyramid_monte_carlo)
-from racbox.rng import substream
+from racbox.rng import substream, top_bits
 
 CHI2_CRIT_DF1_ALPHA01 = 6.635  # chi-square critical value, df=1, alpha=0.01
 
@@ -286,6 +286,34 @@ def test_substream_takes_python_and_numpy_integers_and_refuses_other_paths():
         substream(5, 2, 0.5)
     with pytest.raises(ValueError, match=r"^path\[0\]=False is not an integer$"):
         substream(5, False)
+
+
+# (bits, values per word, NumPy dtype): byte draws, and the uint32 halves of
+# the int64 draws that the queries make
+TOP_BITS_DRAWS = [(1, 8, np.uint8), (2, 8, np.uint8), (3, 8, np.uint8),
+                  (1, 2, np.int64), (5, 2, np.int64), (12, 2, np.int64), (31, 2, np.int64),
+                  (32, 2, np.int64)]
+
+
+@pytest.mark.parametrize("bits, per_word, dtype", TOP_BITS_DRAWS)
+def test_top_bits_equals_numpys_draw(bits, per_word, dtype):
+    # this pins NumPy's bounded draw: a NumPy that draws differently fails here first
+    for size in (0, 1, 7, 8, 9, 2_003, (32_768, 32)):
+        ours = top_bits(substream(70, bits), size, bits, per_word)
+        numpys = substream(70, bits).integers(0, 1 << bits, size=size, dtype=dtype)
+        assert ours.shape == numpys.shape and np.array_equal(ours, numpys), size
+    # whole-word calls on one stream, then a partial final call
+    sizes = [per_word, 3 * per_word, (5, 8 * per_word), 250 * per_word, 3]
+    ours, numpys = substream(71, bits), substream(71, bits)
+    for size in sizes:
+        assert np.array_equal(top_bits(ours, size, bits, per_word),
+                              numpys.integers(0, 1 << bits, size=size, dtype=dtype)), size
+
+
+@pytest.mark.parametrize("bits, per_word", [(0, 8), (9, 8), (0, 2), (33, 2)])
+def test_top_bits_refuses_more_bits_than_a_value_holds(bits, per_word):
+    with pytest.raises(ValueError, match=f"^bits={bits} outside"):
+        top_bits(substream(70), 4, bits, per_word)
 
 
 def test_message_independent_of_query():
@@ -560,6 +588,20 @@ def test_uniform_batches_keep_their_bytes():
              "2abb4a5439db760dfa1f7450c08b9b33c07c29956b3eca71fd7604a737515a7d")]
     for proto, episodes, query, digest in want:
         batch = pyramid_monte_carlo(proto, episodes, seed=90, query=query)
+        assert _batch_digest(batch) == digest
+
+
+def test_batches_across_a_chunk_boundary_keep_their_bytes():
+    # sha256 of batches one default chunk and 1_003 episodes long, recorded
+    # before the database, query and Alice bits were read from whole words:
+    # the path source's chunk is 65_536 episodes at depth 5, the tree's 32_768
+    want = [(PyramidProtocol.uniform(5, IsotropicCell(0.7)), 65_536 + 1_003,
+             "446a7b5fa4bd1907be36dff144d517c704a876cf337b9d4160ec07921ac7a57b"),
+            (PyramidProtocol.uniform(5, BIASED), 32_768 + 1_003,
+             "60315f2d2ac615f08fee78102e0083fd9d0a85094dbe5e6e4fd4500bf4f3fed4")]
+    for proto, episodes, digest in want:
+        batch = pyramid_monte_carlo(proto, episodes, seed=90)
+        assert batch.parity_identity_holds()
         assert _batch_digest(batch) == digest
 
 
