@@ -34,27 +34,44 @@ TRAIN_STEPS = 2_000
 MAX_CODE_BITS = 63
 
 
-def _flat_views(n_bits: int, m: int, hidden: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One zero vector for every parameter of a net, and its view per parameter.
+# The parameters by layer: each weight matrix is followed in the flat vector
+# by its bias, so the bias is one more row of the weight matrix.
+_PARAMS = (("w1", "b1"), ("w2", "b2"), ("v1", "c1"), ("v2", "c2"))
+
+
+def _layers(n_bits: int, m: int, hidden: int,
+            flat: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat vector for every parameter of a net (zeros when ``flat`` is
+    omitted), and its view per layer: the weight rows, then the bias row.
 
     The weights and their gradients share this layout, so an SGD step
-    updates the whole vector at once.
+    updates the whole vector at once, and an activation with a ones row
+    meets a layer's weights and bias in one product.
     """
-    shapes = {"w1": (n_bits, hidden), "b1": (hidden,), "w2": (hidden, m), "b2": (m,),
-              "v1": (m + n_bits, hidden), "c1": (hidden,), "v2": (hidden, 1), "c2": (1,)}
-    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-    views, start = {}, 0
-    for name, shape in shapes.items():
+    shapes = ((n_bits + 1, hidden), (hidden + 1, m), (m + n_bits + 1, hidden), (hidden + 1, 1))
+    if flat is None:
+        flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    layers, start = [], 0
+    for shape in shapes:
         size = math.prod(shape)
-        views[name] = flat[start:start + size].reshape(shape)
+        layers.append(flat[start:start + size].reshape(shape))
         start += size
-    return flat, views
+    return flat, layers
+
+
+def _named(layers: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """Each layer's weight rows and bias row, by parameter name."""
+    views = {}
+    for (weight, bias), layer in zip(_PARAMS, layers):
+        views[weight], views[bias] = layer[:-1], layer[-1]
+    return views
 
 
 def _initial_params(n_bits: int, m: int, hidden: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gaussian weights over sqrt(fan-in) and zero biases, laid out by ``_flat_views``."""
-    flat, views = _flat_views(n_bits, m, hidden)
+    """Gaussian weights over sqrt(fan-in) and zero biases, laid out by ``_layers``."""
+    flat, layers = _layers(n_bits, m, hidden)
+    views = _named(layers)
     for w in views.values():
         if w.ndim == 2:
             w[...] = rng.standard_normal(w.shape) * (1.0 / math.sqrt(w.shape[0]))
@@ -107,64 +124,103 @@ class BottleneckNet:
     def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
         return (self._decode(self._encode(x)[1], queries)[1] > 0.0).astype(np.uint8)
 
-    def loss_and_grads(self, db: np.ndarray, binarize: bool = True
+    def _weight_layers(self) -> list[np.ndarray]:
+        """The four layers of ``_layers``: views of the net's flat vector when
+        its arrays are the views of one, else stacked copies of its arrays."""
+        arrays = (self.w1, self.b1, self.w2, self.b2, self.v1, self.c1, self.v2, self.c2)
+        flat = self.w1.base
+        if flat is not None and all([a.base is flat for a in arrays]) and \
+                flat.size == sum([a.size for a in arrays]):
+            return _layers(self.n_bits, self.m, self.w1.shape[1], flat)[1]
+        return [np.concatenate((w, b.reshape(1, -1))) for w, b in zip(arrays[::2], arrays[1::2])]
+
+    def loss_and_grads(self, db: np.ndarray, binarize: bool = True, out: np.ndarray | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean sigmoid cross-entropy over every (database, query) pair of a
-        block of databases, and its gradients.
+        block of databases, and its gradients, written into ``out`` (a flat
+        vector laid out by ``_layers``) or a fresh vector and returned as its
+        views by parameter name.
 
-        The decoder sees a database only through its code, so the loss
-        depends on each database only through it.  Each database is encoded
-        once, the databases are grouped by their code, and the decoder runs
-        once per (distinct code, query), its cross-entropy weighted by the
-        number of databases with that code and by how many of them hold a 1
-        at that query.  With ``binarize`` the forward pass uses the sign of
-        the bottleneck pre-activations and the backward pass treats the sign
-        as identity (the straight-through surrogate): database b with code c
-        gets dz = sum_q (sigmoid(logit[c, q]) - db[b, q]) W[c, q] / rows,
-        where W[c, q] is the logit's derivative by the code.  Without
-        ``binarize`` the network is smooth end-to-end and every database is
-        its own group, which is what the finite-difference check exercises.
-        Each call returns fresh gradient arrays.
+        The decoder sees a database only through its code, so each database
+        is encoded once and the decoder runs once per (query, distinct code),
+        its input the code, the one-hot query and a one, its cross-entropy
+        weighted by the databases with that code and those of them holding a
+        1 at that query.  Every activation has a ones row for its layer's
+        bias row.  With ``binarize`` the forward pass uses the sign of the
+        bottleneck (+1 at 0; a NaN makes the loss NaN) and the backward pass
+        treats it as identity (straight through): database b with code c
+        gets dz = sum_q (sigmoid(logit[q, c]) - db[b, q]) W[q, c] / rows,
+        W[q, c] the logit's derivative by the code, from one product of the
+        databases with every code's W less a per-code term.  Without it the
+        net is smooth and every database is its own group, which is what the
+        finite-difference check exercises.
         """
-        x = np.asarray(db, dtype=float)
-        n_db, n_bits, m = len(x), self.n_bits, self.m
+        n_db, n_bits, m = len(db), self.n_bits, self.m
         rows = n_db * n_bits
-        h1, z = self._encode(x, binarize)
+        w1, w2, v1, v2 = self._weight_layers()
+        hidden = w1.shape[1]
+        _, grads = _layers(n_bits, m, hidden, out)
+        # activations are feature-major, each with a ones row for its layer's bias row
+        x = np.ones((n_bits + 1, n_db))
+        x[:-1] = db.T
+        h1 = np.empty((hidden + 1, n_db))
+        h1[-1] = 1.0
+        np.tanh(np.matmul(w1.T, x, out=h1[:-1]), out=h1[:-1])
+        z = w2.T @ h1
         if binarize:
-            keys = (z > 0.0) @ (1 << np.arange(m))
-            _, first, inv, count = np.unique(keys, return_index=True, return_inverse=True,
-                                             return_counts=True)
-            codes = z[first]
-            # ones[c, q]: how many databases with code c hold a 1 at query q
-            ones = np.bincount((inv[:, None] * n_bits + np.arange(n_bits)).reshape(-1),
-                               x.reshape(-1), minlength=len(codes) * n_bits)
+            # codes are rebuilt from their distinct keys, one bit per code bit
+            bit = 1 << np.arange(m)
+            key = bit @ (z >= 0.0)
+            keys, inv = np.unique(key, return_inverse=True)
+            codes = np.where(bit[:, None] & keys, 1.0, -1.0)
         else:
-            codes, inv, count, ones = z, np.arange(n_db), np.ones(n_db), x.reshape(-1)
-        n_codes = len(codes)
-        h2, logit = self._decode(np.repeat(codes, n_bits, axis=0),
-                                 np.tile(np.arange(n_bits), n_codes))
-        weight = np.repeat(count, n_bits)
+            codes, inv = z, np.arange(n_db)
+        n_codes = codes.shape[1]
+        # tally[q, c]: how many databases with code c hold a 1 at query q; row N counts them
+        tally = x @ np.eye(n_codes).take(inv, axis=0)
+        ones, count = tally[:-1], tally[-1]
 
+        # the decoder's input at each (query, code): the code, the query's one-hot and a one
+        grid = np.ones((m + n_bits + 1, n_bits, n_codes))
+        grid[:m] = codes[:, None]
+        grid[m:-1] = np.eye(n_bits)[:, :, None]
+        grid = grid.reshape(m + n_bits + 1, -1)
+        h2 = np.empty((hidden + 1, n_bits * n_codes))
+        h2[-1] = 1.0
+        np.tanh(np.matmul(v1.T, grid, out=h2[:-1]), out=h2[:-1])
+        logit = (v2[:, 0] @ h2).reshape(n_bits, n_codes)
         # log(1 + exp(-|l|)) + max(0, l) - l*y is the stable cross entropy
         e = np.exp(-np.abs(logit))
-        ce = weight * (np.log1p(e) + np.maximum(logit, 0.0)) - logit * ones
-        loss = float(ce.sum()) / rows
+        softplus = np.log1p(e)
+        softplus += np.maximum(logit, 0.0)
+        loss = float(softplus.sum(axis=0) @ count - np.vdot(logit, ones)) / rows
+        if np.isnan(z).any():  # z >= 0 reads NaN as a 0 bit
+            loss = math.nan
         # stable sigmoid on both tails from e = exp(-|l|)
-        sig = np.where(logit >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        dlogit = (weight * sig - ones) / rows
+        sig = np.where(logit >= 0.0, 1.0, e) / (1.0 + e)
+        dlogit = (count * sig - ones) / rows
         # tanh' = 1 - h^2
-        dh2 = self.v2[:, 0] * (1.0 - h2 * h2)
-        dpre2 = (dlogit[:, None] * dh2).reshape(n_codes, n_bits, -1)
-        # straight through the binarizer, one decoder derivative per (code, query)
-        dcode = (dh2 @ self.v1[:m].T).reshape(n_codes, n_bits, m)
-        residual = sig.reshape(n_codes, n_bits)[inv] - x
-        dz = np.einsum("bq,bqm->bm", residual, dcode[inv]) / rows
-        dpre1 = (dz @ self.w2.T) * (1.0 - h1 * h1)
-        return loss, {"w1": x.T @ dpre1, "b1": dpre1.sum(axis=0),
-                      "w2": h1.T @ dz, "b2": dz.sum(axis=0),
-                      "v1": np.concatenate([codes.T @ dpre2.sum(axis=1), dpre2.sum(axis=0)]),
-                      "c1": dpre2.sum(axis=(0, 1)),
-                      "v2": h2.T @ dlogit[:, None], "c2": np.array([dlogit.sum()])}
+        dh2 = 1.0 - h2[:-1] * h2[:-1]
+        dh2 *= v2[:-1]
+        dpre2 = dh2 * dlogit.reshape(-1)
+        # straight through the binarizer: dcode[q, c] is the logit's derivative
+        # by code c at query q, and dcode[N, c] the per-code term
+        dcode = np.empty((n_bits + 1, n_codes, m))
+        np.matmul(dh2.T, v1[:m].T, out=dcode[:-1].reshape(n_bits * n_codes, m))
+        np.einsum("qc,qck->ck", sig, dcode[:-1], out=dcode[-1])
+        np.negative(dcode[-1], out=dcode[-1])
+        # -rows * dz of every database as if it had each code; take its own
+        each_code = (x.T @ dcode.reshape(n_bits + 1, n_codes * m)).reshape(n_db * n_codes, m)
+        dz = each_code.take(np.arange(0, n_db * n_codes, n_codes) + inv, axis=0)
+        dz /= -rows
+        dpre1 = np.dot(w2[:-1], dz.T)  # matmul is about 3 times slower at m = 1
+        dpre1 *= 1.0 - h1[:-1] * h1[:-1]
+        g1, g2, g3, g4 = grads
+        np.matmul(x, dpre1.T, out=g1)
+        np.matmul(h1, dz, out=g2)
+        np.matmul(grid, dpre2.T, out=g3)
+        np.matmul(h2, dlogit.reshape(-1, 1), out=g4)
+        return loss, _named(grads)
 
 
 class TrainingDiverged(RuntimeError):
@@ -191,10 +247,12 @@ def train_strict(n_bits: int, m: int, seed: int,
     loss and gradient enter the step weighted by its share of the
     databases.  So nothing is sampled, the initial weights are the only
     random draw, and a step encodes each database once and decodes each
-    (distinct code, query) once per block, in one block's memory.  The
+    (query, distinct code) once per block, in one block's memory.  The
     curve holds the loss every 200 steps and at the last.  The net's
-    weights are views of one flat vector, so the update is two ufunc calls.
-    A code of more than ``MAX_CODE_BITS`` bits is refused.
+    weights are views of one flat vector, and the first block writes the
+    step's gradient into another in place, so the update is one ufunc call
+    per block and one more.  A code of more than ``MAX_CODE_BITS`` bits is
+    refused.
     """
     if steps < 1:
         raise ValueError(f"steps={steps!r} must be at least 1")
@@ -202,20 +260,21 @@ def train_strict(n_bits: int, m: int, seed: int,
     rng = substream(seed, _TRAIN_STREAM)
     params, weights = _initial_params(n_bits, m, _HIDDEN, rng)
     net = BottleneckNet(n_bits=n_bits, m=m, **weights)
-    grad, grads = _flat_views(n_bits, m, _HIDDEN)
+    grad, block = np.empty_like(params), np.empty_like(params)
     curve = []
     for step in range(steps):
-        grad.fill(0.0)
         loss = 0.0
-        for _, db in database_blocks(n_bits):
+        for k, (_, db) in enumerate(database_blocks(n_bits)):
             share = len(db) / (1 << n_bits)
-            block_loss, block_grads = net.loss_and_grads(db)
+            # the first block writes the step's gradient in place, the others add to it
+            block_loss, _ = net.loss_and_grads(db, out=block if k else grad)
             loss += share * block_loss
-            for name, g in block_grads.items():
-                grads[name] += share * g
+            if k:
+                grad += share * _LR * block
+            else:
+                grad *= share * _LR
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
-        grad *= _LR
         params -= grad
         if step % 200 == 0 or step == steps - 1:
             curve.append(loss)

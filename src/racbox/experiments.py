@@ -5,10 +5,11 @@ every declared parameter given or defaulted, typed and checked, a repeated
 grid value refused).  Each experiment builds a set of CSV tables from those
 values alone.  ``run`` writes them, reads each file back once (its sha256
 and its rows), judges the rows it read against pinned expected values and
-writes a JSON manifest with the checksums, the verdicts, the time per stage,
-the peak RSS and the environment (Python, NumPy, its BLAS, platform);
-``verify`` judges the files on disk through the same reader, so both see
-the same rows, and ``verify --rebuild`` also re-runs the config.  All
+writes a JSON manifest with the checksums, the verdicts, the time per stage
+and per pool task, the peak RSS and the environment (Python, NumPy, its
+BLAS, platform); ``verify`` judges the files on disk through the same
+reader, so both see the same rows, and ``verify --rebuild`` also re-runs
+the config.  All
 randomness descends from the config seed, so a rerun with the same config
 is byte-identical.
 """
@@ -16,6 +17,7 @@ is byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -120,11 +122,28 @@ def _close(measured: float, expected: float, rel: float = 0.01,
     return abs(measured - expected) <= max(rel * abs(expected), abs_tol)
 
 
-def _parallel_map(fn, items, workers: int):
+# (key, pid, seconds) of each task _parallel_map ran since run_experiment's build began
+_task_records: list[dict] = []
+
+
+def _timed(fn, item) -> tuple:
+    start = time.perf_counter()
+    result = fn(item)
+    return result, os.getpid(), time.perf_counter() - start
+
+
+def _parallel_map(fn, items, workers: int, key):
+    """``[fn(item) for item in items]``, in a pool of ``workers`` processes when
+    there are more than one; records each task's ``key(item)``, pid and seconds."""
+    timed = functools.partial(_timed, fn)
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        results = [timed(item) for item in items]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(timed, items))
+    _task_records.extend({"key": key(item), "pid": pid, "seconds": seconds}
+                         for item, (_, pid, seconds) in zip(items, results))
+    return [result for result, _, _ in results]
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
@@ -427,7 +446,8 @@ def build_capacity_sanity(p: SimpleNamespace) -> Tables:
     tasks = [(kind, p.n_bits, params, p.episodes, seed,
               probe_interface(kind, p.n_bits, *params), p.level, p.interval)
              for kind, params, seed in probes]
-    return {"capacity_sanity.csv": _parallel_map(_probe_task, tasks, p.workers)}
+    return {"capacity_sanity.csv": _parallel_map(_probe_task, tasks, p.workers,
+                                                 key=lambda task: f"{task[0]} {task[2]}")}
 
 
 def _awgn_score_sigma(d: int, snr: float, episodes_per_query: float) -> float:
@@ -494,7 +514,8 @@ def build_ablations(p: SimpleNamespace) -> Tables:
              for m in p.ms for s in range(p.seeds)]
     tasks += [(mode, p.n_bits, 0, p.seed, p.steps)
               for mode in ("query_leaky", "precision_packing", "episode_weights")]
-    results = _parallel_map(_ablation_task, tasks, p.workers)
+    results = _parallel_map(_ablation_task, tasks, p.workers,
+                            key=lambda task: f"{task[0]} m={task[2]} seed={task[3]}")
     rows = [row for row, _ in results]
     curves = [cr for _, curve_rows in results for cr in curve_rows]
     return {"ablations.csv": rows, "training_curves.csv": curves}
@@ -748,6 +769,7 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
     """
     p = resolve(config)
     exp = REGISTRY[config.experiment]
+    _task_records.clear()
     start = time.perf_counter()
     tables = exp.build(p)
     built = time.perf_counter()
@@ -775,6 +797,8 @@ def run_experiment(config: ExperimentConfig, out_root: str | None = None) -> dic
         "wall_clock_s": judged - start,
         # write: the CSVs written and read back for the judge
         "stage_s": {"build": built - start, "write": wrote - built, "judge": judged - wrote},
+        # one record per pool task of the build, in task order
+        "tasks": list(_task_records),
         # Peaks over the life of the process and of the largest pool worker it
         # has reaped so far, not of this run alone; ru_maxrss is in KiB on Linux.
         "peak_rss_mb": {"process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

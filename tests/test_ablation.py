@@ -26,42 +26,52 @@ def fresh_net(n_bits, m, hidden, rng):
                          **ablation._initial_params(n_bits, m, hidden, rng)[1])
 
 
-# Reference oracle: the plain out-of-place grouped step, its groups found by
-# Python sets.  The shipped step must stay bit-identical to it.
+# Reference oracle: the plain out-of-place form of the shipped step, its
+# groups found by Python sets.  The shipped step must stay bit-identical to it.
 def reference_loss_and_grads(net, db, binarize=True):
-    x = db.astype(float)
-    n_db, n_bits, m = x.shape[0], net.n_bits, net.m
+    n_db, n_bits, m = db.shape[0], net.n_bits, net.m
     rows = n_db * n_bits
-    h1 = np.tanh(x @ net.w1 + net.b1)
-    z = h1 @ net.w2 + net.b2
+    # each layer's bias is one more row of its weights; each activation a ones row more
+    w1, w2, v1, v2 = (np.concatenate((w, b.reshape(1, -1))) for w, b in
+                      ((net.w1, net.b1), (net.w2, net.b2), (net.v1, net.c1), (net.v2, net.c2)))
+    # row-major, as the step's: a product's bits depend on its operands' layout
+    x = np.ascontiguousarray(np.vstack((db.T, np.ones(n_db))))
+    h1 = np.vstack((np.tanh(w1.T @ x), np.ones(n_db)))
+    z = w2.T @ h1
     if binarize:
-        z = np.sign(z) + (z == 0.0)
-        keys = [sum(1 << i for i in range(m) if code[i] > 0.0) for code in z]
+        keys = [sum(1 << i for i in range(m) if z[i, b] >= 0.0) for b in range(n_db)]
         distinct = sorted(set(keys))
         inv = np.array([distinct.index(key) for key in keys])
-        codes = np.array([z[keys.index(key)] for key in distinct])
-        count = np.array([keys.count(key) for key in distinct])
-        ones = np.array([x[inv == c].sum(axis=0) for c in range(len(codes))]).reshape(-1)
+        codes = np.array([[1.0 if key >> i & 1 else -1.0 for key in distinct]
+                          for i in range(m)]).reshape(m, len(distinct))
     else:
-        codes, inv, count, ones = z, np.arange(n_db), np.ones(n_db), x.reshape(-1)
-    n_codes = len(codes)
-    queries = np.tile(np.arange(n_bits), n_codes)
-    h2 = np.tanh(np.repeat(codes, n_bits, axis=0) @ net.v1[:m] + net.v1[m + queries] + net.c1)
-    logit = (h2 @ net.v2 + net.c2)[:, 0]
-    weight = np.repeat(count, n_bits)
+        codes, inv = z, np.arange(n_db)
+    n_codes = codes.shape[1]
+    tally = x @ np.eye(n_codes)[inv]
+    ones, count = tally[:-1], tally[-1]
+    # the decoder's input at each (query, code): the code, the one-hot query and a one
+    grid = np.vstack((np.repeat(codes[:, None], n_bits, axis=1).reshape(m, n_bits * n_codes),
+                      np.repeat(np.eye(n_bits), n_codes, axis=1), np.ones(n_bits * n_codes)))
+    h2 = np.vstack((np.tanh(v1.T @ grid), np.ones(n_bits * n_codes)))
+    logit = (v2[:, 0] @ h2).reshape(n_bits, n_codes)
     e = np.exp(-np.abs(logit))
-    loss = float((weight * (np.log1p(e) + np.maximum(logit, 0.0)) - logit * ones).sum()) / rows
-    sig = np.where(logit >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    dlogit = (weight * sig - ones) / rows
-    dh2 = net.v2[:, 0] * (1.0 - h2 * h2)
-    dpre2 = (dlogit[:, None] * dh2).reshape(n_codes, n_bits, -1)
-    dcode = (dh2 @ net.v1[:m].T).reshape(n_codes, n_bits, m)
-    dz = np.einsum("bq,bqm->bm", sig.reshape(n_codes, n_bits)[inv] - x, dcode[inv]) / rows
-    dpre1 = (dz @ net.w2.T) * (1.0 - h1 * h1)
-    grads = {"v1": np.concatenate([codes.T @ dpre2.sum(axis=1), dpre2.sum(axis=0)]),
-             "c1": dpre2.sum(axis=(0, 1)), "v2": h2.T @ dlogit[:, None],
-             "c2": np.array([dlogit.sum()]),
-             "w1": x.T @ dpre1, "b1": dpre1.sum(axis=0), "w2": h1.T @ dz, "b2": dz.sum(axis=0)}
+    loss = float((np.log1p(e) + np.maximum(logit, 0.0)).sum(axis=0) @ count
+                 - np.vdot(logit, ones)) / rows
+    if np.isnan(z).any():
+        loss = float("nan")
+    sig = np.where(logit >= 0.0, 1.0, e) / (1.0 + e)
+    dlogit = (count * sig - ones) / rows
+    dh2 = (1.0 - h2[:-1] * h2[:-1]) * v2[:-1]
+    dpre2 = dh2 * dlogit.reshape(-1)
+    dcode = (dh2.T @ v1[:m].T).reshape(n_bits, n_codes, m)
+    dcode = np.concatenate((dcode, -np.einsum("qc,qck->ck", sig, dcode)[None]))
+    dz = (x.T @ dcode.reshape(n_bits + 1, n_codes * m)).reshape(n_db, n_codes, m)[np.arange(n_db), inv]
+    dz = dz / -rows
+    dpre1 = np.dot(w2[:-1], dz.T) * (1.0 - h1[:-1] * h1[:-1])
+    layers = (x @ dpre1.T, h1 @ dz, grid @ dpre2.T, h2 @ dlogit.reshape(-1, 1))
+    grads = {}
+    for (weight, bias), layer in zip(ablation._PARAMS, layers):
+        grads[weight], grads[bias] = layer[:-1], layer[-1]
     return loss, grads
 
 
@@ -117,6 +127,7 @@ def reference_train(n_bits, m, seed, steps, loss_and_grads=reference_loss_and_gr
 
 
 STEP_CASES = [
+    pytest.param(0, 8, 32, 256, id="0"),
     pytest.param(1, 8, 32, 256, id="1"),
     pytest.param(3, 8, 32, 256, id="3"),
     # odd hidden, and an odd block for the gradient check
@@ -124,12 +135,16 @@ STEP_CASES = [
 ]
 
 
+# database_blocks walks N = 10 in two blocks, of 655 and 369 databases
+TWO_BLOCKS = pytest.param(3, 10, 32, 700, id="n10-two-blocks")
+
+
 def random_block(n_bits, databases, seed):
     """``databases`` uniform databases, drawn with replacement, so some repeat."""
     return substream(85, seed).integers(0, 2, size=(databases, n_bits))
 
 
-@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES)
+@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES + [TWO_BLOCKS])
 def test_train_step_is_bit_identical_to_the_reference(monkeypatch, m, n_bits, hidden, batch):
     monkeypatch.setattr(ablation, "_HIDDEN", hidden)
     net, curve = train_strict(n_bits, m, seed=40 + m, steps=300)
@@ -168,7 +183,7 @@ def test_grouped_step_equals_the_tiled_oracle(monkeypatch, m, n_bits, hidden, ba
                 np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES)
+@pytest.mark.parametrize("m, n_bits, hidden, batch", STEP_CASES + [TWO_BLOCKS])
 def test_training_follows_the_tiled_oracle(monkeypatch, m, n_bits, hidden, batch):
     monkeypatch.setattr(ablation, "_HIDDEN", hidden)
     net, curve = train_strict(n_bits, m, seed=40 + m, steps=5)
@@ -181,22 +196,22 @@ def test_training_follows_the_tiled_oracle(monkeypatch, m, n_bits, hidden, batch
 @pytest.mark.parametrize("n_bits, m", [(8, 1), (8, 3), (10, 3)])
 def test_a_step_encodes_each_database_once_and_decodes_each_code_once(monkeypatch,
                                                                       n_bits, m):
-    # per block, the encoder reads each database once and the decoder at most
-    # min(2^m, databases) x N rows, not one row per (database, query) pair
-    encoded, decoded = [], []
-    encode, decode = BottleneckNet._encode, BottleneckNet._decode
+    # per block, the encoder's tanh layer reads each database once and the
+    # decoder's at most min(2^m, databases) x N (code, query) columns, not one
+    # per (database, query) pair
+    columns = []
 
-    def record_encode(net, x, *args, **kwargs):
-        encoded.append(len(x))
-        return encode(net, x, *args, **kwargs)
+    class RecordingNumpy:  # numpy, with the columns of each tanh layer recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    def record_decode(net, codes, queries):
-        decoded.append(len(codes))
-        return decode(net, codes, queries)
+        def tanh(self, a, out=None):
+            columns.append(a.shape[1])
+            return np.tanh(a, out=out)
 
-    monkeypatch.setattr(BottleneckNet, "_encode", record_encode)
-    monkeypatch.setattr(BottleneckNet, "_decode", record_decode)
+    monkeypatch.setattr(ablation, "np", RecordingNumpy())
     train_strict(n_bits, m, seed=7, steps=1)
+    encoded, decoded = columns[::2], columns[1::2]
     blocks = [len(db) for _, db in scores.database_blocks(n_bits)]
     assert encoded == blocks and sum(blocks) == 2 ** n_bits
     assert len(decoded) == len(blocks)
@@ -336,6 +351,22 @@ def test_divergence_detector(monkeypatch):
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(TrainingDiverged):
             train_strict(8, 1, seed=1, steps=10)
+
+
+@pytest.mark.parametrize("name, index", [("w1", (0, 0)), ("b2", (0,))])
+def test_a_nan_in_the_encoder_stops_training_at_step_0(monkeypatch, name, index):
+    # the step reads a code bit as z >= 0, which is False for NaN, so a NaN
+    # pre-activation must still make the loss NaN rather than train on
+    initial = ablation._initial_params
+
+    def with_a_nan(*args):
+        flat, views = initial(*args)
+        views[name][index] = np.nan
+        return flat, views
+
+    monkeypatch.setattr(ablation, "_initial_params", with_a_nan)
+    with pytest.raises(TrainingDiverged, match="loss became nan at step 0"):
+        train_strict(8, 3, seed=1, steps=10)
 
 
 def test_a_step_count_below_one_is_refused():

@@ -591,6 +591,29 @@ def test_workers_do_not_change_results(tmp_path):
     assert serial["outputs"] == pooled["outputs"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_records_each_pool_task_outside_the_csvs(tmp_path, workers):
+    # the ablations' five tasks (two strict nets, three controls) keep every
+    # CSV byte and the config hash at either worker count, and each leaves
+    # one (key, pid, seconds) record in the manifest
+    params = {"n_bits": 4, "seeds": 1, "steps": 20, "ms": [1, 2]}
+    serial, run = [run_experiment(ExperimentConfig("ablations", seed=26, workers=w,
+                                                   params=params),
+                                  out_root=str(tmp_path / f"w{w}")) for w in (1, workers)]
+    assert serial["outputs"] == run["outputs"]
+    assert serial["config_hash"] == run["config_hash"]
+    tasks = run["tasks"]
+    assert [t["key"] for t in tasks] == [
+        "strict m=1 seed=1026", "strict m=2 seed=2026", "query_leaky m=0 seed=26",
+        "precision_packing m=0 seed=26", "episode_weights m=0 seed=26"]
+    assert all(t["seconds"] > 0.0 for t in tasks)
+    pids = {t["pid"] for t in tasks}
+    assert pids == {os.getpid()} if workers == 1 else os.getpid() not in pids
+    for fname in run["outputs"]:
+        _, rows = read_table(str(tmp_path / f"w{workers}" / "ablations" / fname))
+        assert not {"key", "pid", "seconds"} & set(rows[0])
+
+
 # One judged numeric column per experiment, scaled by a few percent.
 JUDGE_PERTURBATIONS = {
     "table1": ("table1.csv", "score", 1.05),
