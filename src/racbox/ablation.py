@@ -32,6 +32,7 @@ TRAIN_STEPS = 2_000
 # The training step groups codes by an int64 key of one bit per code bit; bit
 # 63 is the sign bit and 1 << k wraps to 0 for k >= 64, merging wider codes.
 MAX_CODE_BITS = 63
+_KEY_BITS = 1 << np.arange(MAX_CODE_BITS)
 
 
 # The parameters by layer: each weight matrix is followed in the flat vector
@@ -45,8 +46,7 @@ def _layers(n_bits: int, m: int, hidden: int,
     omitted), and its view per layer: the weight rows, then the bias row.
 
     The weights and their gradients share this layout, so an SGD step
-    updates the whole vector at once, and an activation with a ones row
-    meets a layer's weights and bias in one product.
+    updates the whole vector at once.
     """
     shapes = ((n_bits + 1, hidden), (hidden + 1, m), (m + n_bits + 1, hidden), (hidden + 1, 1))
     if flat is None:
@@ -78,6 +78,20 @@ def _initial_params(n_bits: int, m: int, hidden: int,
     return flat, views
 
 
+def _stack(weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """A layer's weights with its bias as one more row, as ``_layers`` lays them out."""
+    return np.concatenate((weight, bias.reshape(1, -1)))
+
+
+def _tanh_layer(layer: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """tanh(layer.T @ a) of feature-major activations ``a`` whose last row
+    is ones, with a ones row below for the next layer's bias row."""
+    h = np.empty((layer.shape[1] + 1, a.shape[1]))
+    h[-1] = 1.0
+    np.tanh(np.matmul(layer.T, a, out=h[:-1]), out=h[:-1])
+    return h
+
+
 @dataclass
 class BottleneckNet:
     """Encoder -> sign bottleneck -> decoder, all dense tanh layers.
@@ -100,127 +114,111 @@ class BottleneckNet:
     c2: np.ndarray
 
     def _encode(self, x: np.ndarray, binarize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (h1, code) of each database row; the encoder never reads a query."""
-        # in place here and in _decode: scoring runs both on all 2^N x N rows
-        h1 = x @ self.w1
-        h1 += self.b1
-        np.tanh(h1, out=h1)
-        z = h1 @ self.w2 + self.b2
-        if binarize:  # sign(z) + (z == 0) maps -1, 0, 1, NaN to -1, +1, +1, NaN
-            z = np.sign(z) + (z == 0.0)
-        return h1, z
+        """Returns (h1, code) of each database row; the encoder never reads a query.
 
-    def _decode(self, codes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (h2, logit) at each row's (code, query).
-
-        The one-hot query's product with ``v1`` is its row of ``v1``.
+        ``h1`` is feature-major with a ones row (see ``_tanh_layer``) and
+        ``code`` has one row per database: with ``binarize`` the sign of the
+        bottleneck, sign(z) + (z == 0) mapping -1, 0, 1, NaN to -1, +1, +1,
+        NaN, else its pre-activation z.
         """
-        h2 = codes @ self.v1[: self.m]
-        h2 += self.v1[self.m + queries]
-        h2 += self.c1
-        np.tanh(h2, out=h2)
-        return h2, (h2 @ self.v2 + self.c2)[:, 0]
+        x1 = np.empty((self.n_bits + 1, len(x)))
+        x1[:-1] = x.T
+        x1[-1] = 1.0
+        h1 = _tanh_layer(_stack(self.w1, self.b1), x1)
+        z = _stack(self.w2, self.b2).T @ h1
+        if binarize:
+            z = np.sign(z) + (z == 0.0)
+        return h1, z.T
+
+    def _decode(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (h2, logit) of each column of ``inputs``: a code, a one-hot
+        query and a one; ``h2`` has a ones row, as in ``_tanh_layer``."""
+        h2 = _tanh_layer(_stack(self.v1, self.c1), inputs)
+        return h2, _stack(self.v2, self.c2)[:, 0] @ h2
 
     def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        return (self._decode(self._encode(x)[1], queries)[1] > 0.0).astype(np.uint8)
-
-    def _weight_layers(self) -> list[np.ndarray]:
-        """The four layers of ``_layers``: views of the net's flat vector when
-        its arrays are the views of one, else stacked copies of its arrays."""
-        arrays = (self.w1, self.b1, self.w2, self.b2, self.v1, self.c1, self.v2, self.c2)
-        flat = self.w1.base
-        if flat is not None and all([a.base is flat for a in arrays]) and \
-                flat.size == sum([a.size for a in arrays]):
-            return _layers(self.n_bits, self.m, self.w1.shape[1], flat)[1]
-        return [np.concatenate((w, b.reshape(1, -1))) for w, b in zip(arrays[::2], arrays[1::2])]
+        m, rows = self.m, len(queries)
+        inputs = np.zeros((m + self.n_bits + 1, rows))
+        inputs[:m] = self._encode(x)[1].T
+        inputs[m + queries, np.arange(rows)] = 1.0
+        inputs[-1] = 1.0
+        return (self._decode(inputs)[1] > 0.0).astype(np.uint8)
 
     def loss_and_grads(self, db: np.ndarray, binarize: bool = True, out: np.ndarray | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean sigmoid cross-entropy over every (database, query) pair of a
         block of databases, and its gradients, written into ``out`` (a flat
-        vector laid out by ``_layers``) or a fresh vector and returned as its
+        vector laid out by ``_layers``) or a fresh one and returned as its
         views by parameter name.
 
-        The decoder sees a database only through its code, so each database
-        is encoded once and the decoder runs once per (query, distinct code),
-        its input the code, the one-hot query and a one, its cross-entropy
-        weighted by the databases with that code and those of them holding a
-        1 at that query.  Every activation has a ones row for its layer's
-        bias row.  With ``binarize`` the forward pass uses the sign of the
-        bottleneck (+1 at 0; a NaN makes the loss NaN) and the backward pass
-        treats it as identity (straight through): database b with code c
-        gets dz = sum_q (sigmoid(logit[q, c]) - db[b, q]) W[q, c] / rows,
-        W[q, c] the logit's derivative by the code, from one product of the
-        databases with every code's W less a per-code term.  Without it the
-        net is smooth and every database is its own group, which is what the
-        finite-difference check exercises.
+        Each database is encoded once, the databases are grouped by code
+        (sorted by an integer key of one bit per code bit), and the decoder
+        runs once per (query, distinct code), its cross-entropy weighted by
+        the databases with that code and those of them holding a 1 at that
+        query.  A group's code is the mean of its databases' codes, so a NaN
+        in any of them makes the loss NaN.  Activations carry a ones row, so
+        each layer's gradient, bias row included, is one product.  With
+        ``binarize`` the backward pass treats the sign as identity (straight
+        through): database b with code c gets dz = sum_q (sigmoid(logit[q, c])
+        - db[b, q]) W[q, c] / rows, W[q, c] the logit's derivative by the
+        code.  Without it the net is smooth and every database is its own
+        group, which is what the finite-difference check exercises.
         """
         n_db, n_bits, m = len(db), self.n_bits, self.m
         rows = n_db * n_bits
-        w1, w2, v1, v2 = self._weight_layers()
-        hidden = w1.shape[1]
-        _, grads = _layers(n_bits, m, hidden, out)
-        # activations are feature-major, each with a ones row for its layer's bias row
-        x = np.ones((n_bits + 1, n_db))
-        x[:-1] = db.T
-        h1 = np.empty((hidden + 1, n_db))
-        h1[-1] = 1.0
-        np.tanh(np.matmul(w1.T, x, out=h1[:-1]), out=h1[:-1])
-        z = w2.T @ h1
+        g1, g2, g3, g4 = _layers(n_bits, m, self.w1.shape[1], out)[1]
+        h1, code = self._encode(db, binarize)
+        # each database's column: its bits, a one (its count) and its code
+        x = np.empty((n_bits + 1 + m, n_db))
+        x[:n_bits] = db.T
+        x[n_bits] = 1.0
+        x[n_bits + 1:] = code.T
         if binarize:
-            # codes are rebuilt from their distinct keys, one bit per code bit
-            bit = 1 << np.arange(m)
-            key = bit @ (z >= 0.0)
-            keys, inv = np.unique(key, return_inverse=True)
-            codes = np.where(bit[:, None] & keys, 1.0, -1.0)
+            key = (code > 0.0) @ _KEY_BITS[:m]
+            order = np.argsort(key)
+            key = key[order]
+            new = np.ones(n_db, dtype=bool)  # where a group starts in key order
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            tally = np.add.reduceat(x.take(order, axis=1), np.flatnonzero(new), axis=1)
+            inv = np.empty_like(order)
+            inv[order] = np.cumsum(new) - 1
         else:
-            codes, inv = z, np.arange(n_db)
-        n_codes = codes.shape[1]
-        # tally[q, c]: how many databases with code c hold a 1 at query q; row N counts them
-        tally = x @ np.eye(n_codes).take(inv, axis=0)
-        ones, count = tally[:-1], tally[-1]
-
-        # the decoder's input at each (query, code): the code, the query's one-hot and a one
-        grid = np.ones((m + n_bits + 1, n_bits, n_codes))
-        grid[:m] = codes[:, None]
-        grid[m:-1] = np.eye(n_bits)[:, :, None]
-        grid = grid.reshape(m + n_bits + 1, -1)
-        h2 = np.empty((hidden + 1, n_bits * n_codes))
-        h2[-1] = 1.0
-        np.tanh(np.matmul(v1.T, grid, out=h2[:-1]), out=h2[:-1])
-        logit = (v2[:, 0] @ h2).reshape(n_bits, n_codes)
+            tally, inv = x, np.arange(n_db)
+        n_codes = tally.shape[1]
+        ones, count = tally[:n_bits], tally[n_bits]
+        # the decoder's input at each (query, code): the group's code, the one-hot query and a one
+        inputs = np.empty((m + n_bits + 1, n_bits, n_codes))
+        np.divide(tally[n_bits + 1:, None], count, out=inputs[:m])
+        inputs[m:-1] = np.eye(n_bits)[:, :, None]
+        inputs[-1] = 1.0
+        inputs = inputs.reshape(m + n_bits + 1, n_bits * n_codes)
+        h2, logit = self._decode(inputs)
+        logit = logit.reshape(n_bits, n_codes)
         # log(1 + exp(-|l|)) + max(0, l) - l*y is the stable cross entropy
         e = np.exp(-np.abs(logit))
         softplus = np.log1p(e)
         softplus += np.maximum(logit, 0.0)
         loss = float(softplus.sum(axis=0) @ count - np.vdot(logit, ones)) / rows
-        if np.isnan(z).any():  # z >= 0 reads NaN as a 0 bit
-            loss = math.nan
         # stable sigmoid on both tails from e = exp(-|l|)
         sig = np.where(logit >= 0.0, 1.0, e) / (1.0 + e)
         dlogit = (count * sig - ones) / rows
         # tanh' = 1 - h^2
         dh2 = 1.0 - h2[:-1] * h2[:-1]
-        dh2 *= v2[:-1]
+        dh2 *= self.v2
         dpre2 = dh2 * dlogit.reshape(-1)
-        # straight through the binarizer: dcode[q, c] is the logit's derivative
-        # by code c at query q, and dcode[N, c] the per-code term
-        dcode = np.empty((n_bits + 1, n_codes, m))
-        np.matmul(dh2.T, v1[:m].T, out=dcode[:-1].reshape(n_bits * n_codes, m))
-        np.einsum("qc,qck->ck", sig, dcode[:-1], out=dcode[-1])
-        np.negative(dcode[-1], out=dcode[-1])
-        # -rows * dz of every database as if it had each code; take its own
-        each_code = (x.T @ dcode.reshape(n_bits + 1, n_codes * m)).reshape(n_db * n_codes, m)
-        dz = each_code.take(np.arange(0, n_db * n_codes, n_codes) + inv, axis=0)
-        dz /= -rows
-        dpre1 = np.dot(w2[:-1], dz.T)  # matmul is about 3 times slower at m = 1
+        # straight through the binarizer: each database takes its own code's
+        # decoder derivatives, one per query
+        dcode = (self.v1[:m] @ dh2).reshape(m, n_bits, n_codes).take(inv, axis=2)
+        dcode *= sig.take(inv, axis=1) - x[:n_bits]
+        dz = dcode.sum(axis=1)
+        dz /= rows
+        dpre1 = np.dot(self.w2, dz)  # matmul is about 3 times slower at m = 1
         dpre1 *= 1.0 - h1[:-1] * h1[:-1]
-        g1, g2, g3, g4 = grads
-        np.matmul(x, dpre1.T, out=g1)
-        np.matmul(h1, dz, out=g2)
-        np.matmul(grid, dpre2.T, out=g3)
+        np.matmul(x[:n_bits + 1], dpre1.T, out=g1)
+        np.matmul(h1, dz.T, out=g2)
+        np.matmul(inputs, dpre2.T, out=g3)
         np.matmul(h2, dlogit.reshape(-1, 1), out=g4)
-        return loss, _named(grads)
+        return loss, _named([g1, g2, g3, g4])
 
 
 class TrainingDiverged(RuntimeError):
