@@ -14,6 +14,7 @@ same enumerator, which is what makes the diagnosis unambiguous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,19 +39,18 @@ _KEY_BITS = 1 << np.arange(MAX_CODE_BITS)
 # The parameters by layer: each weight matrix is followed in the flat vector
 # by its bias, so the bias is one more row of the weight matrix.
 _PARAMS = (("w1", "b1"), ("w2", "b2"), ("v1", "c1"), ("v2", "c2"))
+_NAMES = tuple(name for pair in _PARAMS for name in pair)
 
 
-def _layers(n_bits: int, m: int, hidden: int,
-            flat: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat vector for every parameter of a net (zeros when ``flat`` is
-    omitted), and its view per layer: the weight rows, then the bias row.
+def _layers(n_bits: int, m: int, hidden: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat vector of zeros for every parameter of a net, and its view per
+    layer: the weight rows, then the bias row.
 
     The weights and their gradients share this layout, so an SGD step
     updates the whole vector at once.
     """
     shapes = ((n_bits + 1, hidden), (hidden + 1, m), (m + n_bits + 1, hidden), (hidden + 1, 1))
-    if flat is None:
-        flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes))
     layers, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -78,9 +78,21 @@ def _initial_params(n_bits: int, m: int, hidden: int,
     return flat, views
 
 
-def _stack(weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """A layer's weights with its bias as one more row, as ``_layers`` lays them out."""
-    return np.concatenate((weight, bias.reshape(1, -1)))
+def _columns(db: np.ndarray, m: int = 0) -> np.ndarray:
+    """Each database of ``db`` as a column: its bits, a one, then ``m`` rows for its code."""
+    n_bits = db.shape[1]
+    x = np.empty((n_bits + 1 + m, len(db)))
+    x[:n_bits] = db.T
+    x[n_bits] = 1.0
+    return x
+
+
+@functools.cache
+def _query_rows(n_bits: int) -> np.ndarray:
+    """The decoder's one-hot query rows and ones row, one column per query; read-only."""
+    rows = np.vstack((np.eye(n_bits), np.ones(n_bits)))[:, :, None]
+    rows.flags.writeable = False
+    return rows
 
 
 def _tanh_layer(layer: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -92,7 +104,7 @@ def _tanh_layer(layer: np.ndarray, a: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass
+@dataclass(eq=False)
 class BottleneckNet:
     """Encoder -> sign bottleneck -> decoder, all dense tanh layers.
 
@@ -100,6 +112,12 @@ class BottleneckNet:
     values and a one-hot query.  At inference the bottleneck is exactly
     ``m`` binary values; during training the sign is kept on the forward
     pass while gradients pass straight through to the pre-activations.
+
+    The net copies the arrays it is built from into one flat vector
+    ``params`` laid out by ``_layers``; ``w1`` ... ``c2`` and the layers with
+    their bias as last row (``w1b1`` ... ``v2c2``) are views of it.  Assigning
+    any of them writes into the vector, so no view goes stale; an array of
+    another shape is refused with a ``ValueError``.
     """
 
     n_bits: int
@@ -113,43 +131,63 @@ class BottleneckNet:
     v2: np.ndarray
     c2: np.ndarray
 
-    def _encode(self, x: np.ndarray, binarize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (h1, code) of each database row; the encoder never reads a query.
+    def __post_init__(self):
+        given = {name: vars(self).pop(name) for name in _NAMES}
+        params, layers = _layers(self.n_bits, self.m, given["w1"].shape[1])
+        vars(self).update(params=params, **dict(zip(("w1b1", "w2b2", "v1c1", "v2c2"), layers)),
+                          **_named(layers))
+        for name, value in given.items():
+            setattr(self, name, value)
 
-        ``h1`` is feature-major with a ones row (see ``_tanh_layer``) and
-        ``code`` has one row per database: with ``binarize`` the sign of the
-        bottleneck, sign(z) + (z == 0) mapping -1, 0, 1, NaN to -1, +1, +1,
-        NaN, else its pre-activation z.
+    def __setattr__(self, name: str, value):
+        held = vars(self).get(name)
+        if not isinstance(held, np.ndarray):
+            super().__setattr__(name, value)
+        elif np.shape(value) != held.shape:
+            raise ValueError(f"{name} has shape {held.shape}, not {np.shape(value)}")
+        else:
+            held[...] = value
+
+    def _encode(self, x: np.ndarray, binarize: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (h1, code) of each column of ``x``, laid out by
+        ``_columns(db, m)``, and writes the code into its last m rows; the
+        encoder never reads a query.
+
+        ``h1`` is feature-major with a ones row (see ``_tanh_layer``).  With
+        ``binarize`` the code is the sign of the bottleneck, sign(z) + (z == 0)
+        mapping -1, 0, 1, NaN to -1, +1, +1, NaN, else its pre-activation z.
         """
-        x1 = np.empty((self.n_bits + 1, len(x)))
-        x1[:-1] = x.T
-        x1[-1] = 1.0
-        h1 = _tanh_layer(_stack(self.w1, self.b1), x1)
-        z = _stack(self.w2, self.b2).T @ h1
+        h1 = _tanh_layer(self.w1b1, x[:self.n_bits + 1])
+        code = x[self.n_bits + 1:]
+        np.matmul(self.w2b2.T, h1, out=code)
         if binarize:
-            z = np.sign(z) + (z == 0.0)
-        return h1, z.T
+            zero = code == 0.0
+            np.sign(code, out=code)
+            code += zero
+        return h1, code
 
     def _decode(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (h2, logit) of each column of ``inputs``: a code, a one-hot
         query and a one; ``h2`` has a ones row, as in ``_tanh_layer``."""
-        h2 = _tanh_layer(_stack(self.v1, self.c1), inputs)
-        return h2, _stack(self.v2, self.c2)[:, 0] @ h2
+        h2 = _tanh_layer(self.v1c1, inputs)
+        return h2, self.v2c2[:, 0] @ h2
 
     def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        m, rows = self.m, len(queries)
-        inputs = np.zeros((m + self.n_bits + 1, rows))
-        inputs[:m] = self._encode(x)[1].T
-        inputs[m + queries, np.arange(rows)] = 1.0
-        inputs[-1] = 1.0
+        m = self.m
+        inputs = np.empty((m + self.n_bits + 1, len(queries)))
+        inputs[:m] = self._encode(_columns(x, m))[1]
+        inputs[m:] = _query_rows(self.n_bits)[:, queries, 0]
         return (self._decode(inputs)[1] > 0.0).astype(np.uint8)
 
-    def loss_and_grads(self, db: np.ndarray, binarize: bool = True, out: np.ndarray | None = None
+    def loss_and_grads(self, db: np.ndarray, binarize: bool = True,
+                       out: BottleneckNet | None = None, x: np.ndarray | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean sigmoid cross-entropy over every (database, query) pair of a
-        block of databases, and its gradients, written into ``out`` (a flat
-        vector laid out by ``_layers``) or a fresh one and returned as its
-        views by parameter name.
+        block of databases, and its gradients by parameter name: views of
+        ``out``, a net shaped like this one whose parameters the gradient
+        overwrites, or of a fresh one.  ``x`` is ``_columns(db, m)``, built
+        here when omitted; the step writes the codes into it, so training
+        passes the same ``x`` every step.
 
         Each database is encoded once, the databases are grouped by code
         (sorted by an integer key of one bit per code bit), and the decoder
@@ -164,24 +202,24 @@ class BottleneckNet:
         code.  Without it the net is smooth and every database is its own
         group, which is what the finite-difference check exercises.
         """
-        n_db, n_bits, m = len(db), self.n_bits, self.m
+        n_bits, m = self.n_bits, self.m
+        if x is None:
+            x = _columns(db, m)
+        if out is None:
+            out = _zeros(n_bits, m, self.w1.shape[1])
+        n_db = x.shape[1]
         rows = n_db * n_bits
-        g1, g2, g3, g4 = _layers(n_bits, m, self.w1.shape[1], out)[1]
-        h1, code = self._encode(db, binarize)
-        # each database's column: its bits, a one (its count) and its code
-        x = np.empty((n_bits + 1 + m, n_db))
-        x[:n_bits] = db.T
-        x[n_bits] = 1.0
-        x[n_bits + 1:] = code.T
+        h1, code = self._encode(x, binarize)
         if binarize:
-            key = (code > 0.0) @ _KEY_BITS[:m]
+            key = _KEY_BITS[:m] @ (code > 0.0)
             order = np.argsort(key)
-            key = key[order]
-            new = np.ones(n_db, dtype=bool)  # where a group starts in key order
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            tally = np.add.reduceat(x.take(order, axis=1), np.flatnonzero(new), axis=1)
-            inv = np.empty_like(order)
-            inv[order] = np.cumsum(new) - 1
+            sorted_key = key[order]
+            new = np.empty(n_db, dtype=bool)  # where a group starts in key order
+            new[0] = True
+            np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            tally = np.add.reduceat(x.take(order, axis=1), starts, axis=1)
+            inv = np.searchsorted(sorted_key[starts], key)
         else:
             tally, inv = x, np.arange(n_db)
         n_codes = tally.shape[1]
@@ -189,8 +227,7 @@ class BottleneckNet:
         # the decoder's input at each (query, code): the group's code, the one-hot query and a one
         inputs = np.empty((m + n_bits + 1, n_bits, n_codes))
         np.divide(tally[n_bits + 1:, None], count, out=inputs[:m])
-        inputs[m:-1] = np.eye(n_bits)[:, :, None]
-        inputs[-1] = 1.0
+        inputs[m:] = _query_rows(n_bits)
         inputs = inputs.reshape(m + n_bits + 1, n_bits * n_codes)
         h2, logit = self._decode(inputs)
         logit = logit.reshape(n_bits, n_codes)
@@ -203,7 +240,8 @@ class BottleneckNet:
         sig = np.where(logit >= 0.0, 1.0, e) / (1.0 + e)
         dlogit = (count * sig - ones) / rows
         # tanh' = 1 - h^2
-        dh2 = 1.0 - h2[:-1] * h2[:-1]
+        dh2 = np.square(h2[:-1])
+        np.subtract(1.0, dh2, out=dh2)
         dh2 *= self.v2
         dpre2 = dh2 * dlogit.reshape(-1)
         # straight through the binarizer: each database takes its own code's
@@ -213,12 +251,19 @@ class BottleneckNet:
         dz = dcode.sum(axis=1)
         dz /= rows
         dpre1 = np.dot(self.w2, dz)  # matmul is about 3 times slower at m = 1
-        dpre1 *= 1.0 - h1[:-1] * h1[:-1]
-        np.matmul(x[:n_bits + 1], dpre1.T, out=g1)
-        np.matmul(h1, dz.T, out=g2)
-        np.matmul(inputs, dpre2.T, out=g3)
-        np.matmul(h2, dlogit.reshape(-1, 1), out=g4)
-        return loss, _named([g1, g2, g3, g4])
+        tanh_grad = np.square(h1[:-1])
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        dpre1 *= tanh_grad
+        np.matmul(x[:n_bits + 1], dpre1.T, out=out.w1b1)
+        np.matmul(h1, dz.T, out=out.w2b2)
+        np.matmul(inputs, dpre2.T, out=out.v1c1)
+        np.matmul(h2, dlogit.reshape(-1, 1), out=out.v2c2)
+        return loss, {name: getattr(out, name) for name in _NAMES}
+
+
+def _zeros(n_bits: int, m: int, hidden: int) -> BottleneckNet:
+    """A net whose parameters are all zero, as room for a gradient."""
+    return BottleneckNet(n_bits, m, **_named(_layers(n_bits, m, hidden)[1]))
 
 
 class TrainingDiverged(RuntimeError):
@@ -245,35 +290,38 @@ def train_strict(n_bits: int, m: int, seed: int,
     loss and gradient enter the step weighted by its share of the
     databases.  So nothing is sampled, the initial weights are the only
     random draw, and a step encodes each database once and decodes each
-    (query, distinct code) once per block, in one block's memory.  The
-    curve holds the loss every 200 steps and at the last.  The net's
-    weights are views of one flat vector, and the first block writes the
-    step's gradient into another in place, so the update is one ufunc call
-    per block and one more.  A code of more than ``MAX_CODE_BITS`` bits is
-    refused.
+    (query, distinct code) once per block, in one block's memory.  With one
+    block its input (``_columns``) is built once, not once per step.  The
+    curve holds the loss every 200 steps and at the last.  The first block
+    writes the step's gradient into a net-shaped vector in place, so the
+    update is one ufunc call per block and one more.  A code of more than
+    ``MAX_CODE_BITS`` bits is refused.
     """
     if steps < 1:
         raise ValueError(f"steps={steps!r} must be at least 1")
     check_code_bits(m)
     rng = substream(seed, _TRAIN_STREAM)
-    params, weights = _initial_params(n_bits, m, _HIDDEN, rng)
-    net = BottleneckNet(n_bits=n_bits, m=m, **weights)
-    grad, block = np.empty_like(params), np.empty_like(params)
-    curve = []
+    net = BottleneckNet(n_bits, m, **_initial_params(n_bits, m, _HIDDEN, rng)[1])
+    grad, block = _zeros(n_bits, m, _HIDDEN), _zeros(n_bits, m, _HIDDEN)
+    params, step_grad, block_grad = net.params, grad.params, block.params
+    kept, curve = None, []
     for step in range(steps):
         loss = 0.0
-        for k, (_, db) in enumerate(database_blocks(n_bits)):
+        for k, (db, x) in enumerate(kept or ((db, _columns(db, m))
+                                             for _, db in database_blocks(n_bits))):
             share = len(db) / (1 << n_bits)
             # the first block writes the step's gradient in place, the others add to it
-            block_loss, _ = net.loss_and_grads(db, out=block if k else grad)
+            block_loss, _ = net.loss_and_grads(db, out=block if k else grad, x=x)
             loss += share * block_loss
             if k:
-                grad += share * _LR * block
+                step_grad += share * _LR * block_grad
             else:
-                grad *= share * _LR
+                step_grad *= share * _LR
+        if k == 0:  # one block: keep its input for every step
+            kept = ((db, x),)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
-        params -= grad
+        params -= step_grad
         if step % 200 == 0 or step == steps - 1:
             curve.append(loss)
     return net, curve
@@ -311,7 +359,7 @@ def eval_score(net: BottleneckNet) -> AblationReport:
     per_query = exact_scores(net.n_bits, net.answer)[0]
     code_counts: dict[tuple, int] = {}
     for _, db in database_blocks(net.n_bits):
-        code = net._encode(db)[1]
+        code = net._encode(_columns(db, net.m))[1].T
         for row, count in zip(*np.unique(code, axis=0, return_counts=True)):
             key = tuple(row.tolist())
             code_counts[key] = code_counts.get(key, 0) + int(count)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import re
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ import racbox.scores as scores
 from racbox.ablation import (BottleneckNet, TrainingDiverged,
                              episode_weights_control, eval_score, precision_packing_control,
                              query_leaky_control, train_strict)
+from racbox.cli import main as run_cli
 from racbox.estimation import plugin_mi
 from racbox.experiments import ExperimentConfig, build_ablations, judge_ablations, resolve
 from racbox.rng import substream
@@ -199,7 +201,7 @@ def test_a_step_encodes_each_database_once_and_decodes_each_code_once(monkeypatc
     encode, decode = BottleneckNet._encode, BottleneckNet._decode
 
     def record_encode(net, x, *args, **kwargs):
-        encoded.append(len(x))
+        encoded.append(x.shape[1])
         return encode(net, x, *args, **kwargs)
 
     def record_decode(net, inputs):
@@ -223,7 +225,7 @@ def test_a_63_bit_code_matches_the_tiled_oracle():
     net.w2[:, :55] = 0.0
     net.b2[:55] = 1.0
     (_, every), = scores.database_blocks(8)
-    assert len(np.unique(net._encode(every)[1], axis=0)) > 1
+    assert len(np.unique(net._encode(ablation._columns(every, m))[1], axis=1)) > 1
     loss, grads = net.loss_and_grads(every)
     tiled_loss, tiled = tiled_loss_and_grads(net, every)
     assert loss == pytest.approx(tiled_loss, rel=0, abs=1e-12)
@@ -245,6 +247,50 @@ def test_a_code_of_64_bits_or_more_is_refused(monkeypatch, m):
     config = ExperimentConfig("ablations", params={"ms": [1, m]}, workers=1)
     with pytest.raises(ValueError, match=re.escape(error)):
         build_ablations(resolve(config))
+
+
+@pytest.mark.parametrize("n_bits, calls", [(8, 1), (10, 3)])
+def test_a_single_block_is_laid_out_once_per_training(monkeypatch, n_bits, calls):
+    # at N = 8 one block holds every database, so three steps walk the
+    # scorer's blocks once; at N = 10 each step walks its two blocks again
+    walks = []
+    blocks = ablation.database_blocks
+
+    def counted(n):
+        walks.append(n)
+        return blocks(n)
+
+    monkeypatch.setattr(ablation, "database_blocks", counted)
+    train_strict(n_bits, 1, seed=7, steps=3)
+    assert walks == [n_bits] * calls
+
+
+def test_assigning_a_weight_by_name_writes_into_the_net():
+    # the net owns one parameter vector: a weight assigned by name changes
+    # what answer, eval_score and loss_and_grads read, exactly as a net built
+    # afresh from the same arrays
+    net, _ = train_strict(8, 3, seed=21, steps=FAST)
+    (_, every), = scores.database_blocks(8)
+    db, queries = np.tile(every, (8, 1)), np.repeat(np.arange(8), 256)
+    rng = substream(87)
+    for name in ablation._NAMES:
+        before = net.loss_and_grads(every)[1]
+        setattr(net, name, getattr(net, name) + rng.standard_normal(getattr(net, name).shape))
+        rebuilt = BottleneckNet(8, 3, **{n: getattr(net, n).copy() for n in ablation._NAMES})
+        loss, grads = net.loss_and_grads(every)
+        rebuilt_loss, rebuilt_grads = rebuilt.loss_and_grads(every)
+        assert not all(np.array_equal(grads[n], g) for n, g in before.items()), name
+        assert loss == rebuilt_loss, name
+        for n, g in rebuilt_grads.items():
+            assert np.array_equal(grads[n], g), (name, n)
+        assert np.array_equal(net.answer(db, queries), rebuilt.answer(db, queries)), name
+        assert eval_score(net) == eval_score(rebuilt), name
+
+    kept = net.params.copy()
+    for name, shape in [("w1", (32, 8)), ("c2", ()), ("v1c1", (11, 32)), ("params", (3,))]:
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape ")):
+            setattr(net, name, np.zeros(shape))
+    assert np.array_equal(net.params, kept)
 
 
 def test_gradients_returned_outside_training_do_not_alias():
@@ -624,6 +670,18 @@ def test_unbinarized_bottleneck_fails_the_capacity_verdict(monkeypatch):
     row, passed = strict_verdicts(monkeypatch, 3, leak_precision)
     assert row["code_entropy"] > 3.0
     assert passed["capacity"] == [False]
+
+
+# sha256 of the benchmark's training run, recorded before the strict net
+# owned its parameter vector and kept its block's input across steps
+def test_ablations_keep_their_bytes(tmp_path):
+    argv = ["run", "ablations", "--grid", "seeds=1", "--grid", "ms=1,3", "--workers", "1"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "ablations" / name).read_bytes()).hexdigest()
+               for name in ("ablations.csv", "training_curves.csv")}
+    assert digests == {
+        "ablations.csv": "ad9785e4b9c3711309ef1aa11b56e3ae3cf5ad8f9f3726d422074e41d3142cf8",
+        "training_curves.csv": "000fcd75c6d18b69679ddff2cb571a4948b285854efec19daaa8e10b97582f5d"}
 
 
 def test_oversized_database_fails_before_training(monkeypatch):
