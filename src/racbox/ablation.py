@@ -212,14 +212,14 @@ class BottleneckNet:
         h1, code = self._encode(x, binarize)
         if binarize:
             key = _KEY_BITS[:m] @ (code > 0.0)
-            order = np.argsort(key)
+            order = key.argsort()
             sorted_key = key[order]
             new = np.empty(n_db, dtype=bool)  # where a group starts in key order
             new[0] = True
             np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
-            starts = np.flatnonzero(new)
+            starts = new.nonzero()[0]
             tally = np.add.reduceat(x.take(order, axis=1), starts, axis=1)
-            inv = np.searchsorted(sorted_key[starts], key)
+            inv = sorted_key[starts].searchsorted(key)
         else:
             tally, inv = x, np.arange(n_db)
         n_codes = tally.shape[1]
