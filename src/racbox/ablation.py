@@ -42,43 +42,37 @@ _PARAMS = (("w1", "b1"), ("w2", "b2"), ("v1", "c1"), ("v2", "c2"))
 _NAMES = tuple(name for pair in _PARAMS for name in pair)
 
 
-def _layers(n_bits: int, m: int, hidden: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat vector of zeros for every parameter of a net, and its view per
-    layer: the weight rows, then the bias row.
+def _layers(n_bits: int, m: int, hidden: int
+            ) -> tuple[np.ndarray, list[np.ndarray], dict[str, np.ndarray]]:
+    """A flat vector of zeros for every parameter of a net, its view per
+    layer (the weight rows, then the bias row), and those rows by parameter
+    name.
 
     The weights and their gradients share this layout, so an SGD step
     updates the whole vector at once.
     """
     shapes = ((n_bits + 1, hidden), (hidden + 1, m), (m + n_bits + 1, hidden), (hidden + 1, 1))
     flat = np.zeros(sum(math.prod(shape) for shape in shapes))
-    layers, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        layers.append(flat[start:start + size].reshape(shape))
-        start += size
-    return flat, layers
-
-
-def _named(layers: list[np.ndarray]) -> dict[str, np.ndarray]:
-    """Each layer's weight rows and bias row, by parameter name."""
-    views = {}
-    for (weight, bias), layer in zip(_PARAMS, layers):
+    layers, views, start = [], {}, 0
+    for (weight, bias), shape in zip(_PARAMS, shapes):
+        layer = flat[start:start + math.prod(shape)].reshape(shape)
+        layers.append(layer)
         views[weight], views[bias] = layer[:-1], layer[-1]
-    return views
+        start += layer.size
+    return flat, layers, views
 
 
 def _initial_params(n_bits: int, m: int, hidden: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gaussian weights over sqrt(fan-in) and zero biases, laid out by ``_layers``."""
-    flat, layers = _layers(n_bits, m, hidden)
-    views = _named(layers)
+    flat, _, views = _layers(n_bits, m, hidden)
     for w in views.values():
         if w.ndim == 2:
             w[...] = rng.standard_normal(w.shape) * (1.0 / math.sqrt(w.shape[0]))
     return flat, views
 
 
-def _columns(db: np.ndarray, m: int = 0) -> np.ndarray:
+def _columns(db: np.ndarray, m: int) -> np.ndarray:
     """Each database of ``db`` as a column: its bits, a one, then ``m`` rows for its code."""
     n_bits = db.shape[1]
     x = np.empty((n_bits + 1 + m, len(db)))
@@ -133,9 +127,9 @@ class BottleneckNet:
 
     def __post_init__(self):
         given = {name: vars(self).pop(name) for name in _NAMES}
-        params, layers = _layers(self.n_bits, self.m, given["w1"].shape[1])
+        params, layers, views = _layers(self.n_bits, self.m, given["w1"].shape[1])
         vars(self).update(params=params, **dict(zip(("w1b1", "w2b2", "v1c1", "v2c2"), layers)),
-                          **_named(layers))
+                          **views)
         for name, value in given.items():
             setattr(self, name, value)
 
@@ -240,8 +234,7 @@ class BottleneckNet:
         sig = np.where(logit >= 0.0, 1.0, e) / (1.0 + e)
         dlogit = (count * sig - ones) / rows
         # tanh' = 1 - h^2
-        dh2 = np.square(h2[:-1])
-        np.subtract(1.0, dh2, out=dh2)
+        dh2 = 1.0 - np.square(h2[:-1])
         dh2 *= self.v2
         dpre2 = dh2 * dlogit.reshape(-1)
         # straight through the binarizer: each database takes its own code's
@@ -251,9 +244,7 @@ class BottleneckNet:
         dz = dcode.sum(axis=1)
         dz /= rows
         dpre1 = np.dot(self.w2, dz)  # matmul is about 3 times slower at m = 1
-        tanh_grad = np.square(h1[:-1])
-        np.subtract(1.0, tanh_grad, out=tanh_grad)
-        dpre1 *= tanh_grad
+        dpre1 *= 1.0 - np.square(h1[:-1])
         np.matmul(x[:n_bits + 1], dpre1.T, out=out.w1b1)
         np.matmul(h1, dz.T, out=out.w2b2)
         np.matmul(inputs, dpre2.T, out=out.v1c1)
@@ -263,7 +254,7 @@ class BottleneckNet:
 
 def _zeros(n_bits: int, m: int, hidden: int) -> BottleneckNet:
     """A net whose parameters are all zero, as room for a gradient."""
-    return BottleneckNet(n_bits, m, **_named(_layers(n_bits, m, hidden)[1]))
+    return BottleneckNet(n_bits, m, **_layers(n_bits, m, hidden)[2])
 
 
 class TrainingDiverged(RuntimeError):
