@@ -672,8 +672,9 @@ def test_unbinarized_bottleneck_fails_the_capacity_verdict(monkeypatch):
     assert passed["capacity"] == [False]
 
 
-# sha256 of the benchmark's training run, recorded before the strict net
-# owned its parameter vector and kept its block's input across steps
+# sha256 of `racbox run ablations` at one seed and m = 1, 3 (perfbench's
+# ablation-train workload), recorded before the strict net owned its
+# parameter vector and kept its block's input across steps
 def test_ablations_keep_their_bytes(tmp_path):
     argv = ["run", "ablations", "--grid", "seeds=1", "--grid", "ms=1,3", "--workers", "1"]
     assert run_cli([*argv, "--out", str(tmp_path)]) == 0
