@@ -14,6 +14,7 @@ same enumerator, which is what makes the diagnosis unambiguous.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -62,14 +63,13 @@ def _layers(n_bits: int, m: int, hidden: int
     return flat, layers, views
 
 
-def _initial_params(n_bits: int, m: int, hidden: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gaussian weights over sqrt(fan-in) and zero biases, laid out by ``_layers``."""
-    flat, _, views = _layers(n_bits, m, hidden)
-    for w in views.values():
-        if w.ndim == 2:
-            w[...] = rng.standard_normal(w.shape) * (1.0 / math.sqrt(w.shape[0]))
-    return flat, views
+def _initial_net(n_bits: int, m: int, hidden: int, rng: np.random.Generator) -> BottleneckNet:
+    """An untrained net: Gaussian weights over sqrt(fan-in) and zero biases."""
+    net = BottleneckNet(n_bits, m, **_layers(n_bits, m, hidden)[2])
+    for weight, _ in _PARAMS:
+        w = getattr(net, weight)
+        w[...] = rng.standard_normal(w.shape) * (1.0 / math.sqrt(w.shape[0]))
+    return net
 
 
 def _columns(db: np.ndarray, m: int) -> np.ndarray:
@@ -98,7 +98,7 @@ def _tanh_layer(layer: np.ndarray, a: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(eq=False)
+@dataclass
 class BottleneckNet:
     """Encoder -> sign bottleneck -> decoder, all dense tanh layers.
 
@@ -111,7 +111,8 @@ class BottleneckNet:
     ``params`` laid out by ``_layers``; ``w1`` ... ``c2`` and the layers with
     their bias as last row (``w1b1`` ... ``v2c2``) are views of it.  Assigning
     any of them writes into the vector, so no view goes stale; an array of
-    another shape is refused with a ``ValueError``.
+    another shape is refused with a ``ValueError``.  A copy or a pickle is
+    built afresh from the eight arrays, so it owns a vector of its own.
     """
 
     n_bits: int
@@ -141,6 +142,9 @@ class BottleneckNet:
             raise ValueError(f"{name} has shape {held.shape}, not {np.shape(value)}")
         else:
             held[...] = value
+
+    def __reduce__(self):
+        return BottleneckNet, (self.n_bits, self.m, *(getattr(self, name) for name in _NAMES))
 
     def _encode(self, x: np.ndarray, binarize: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Returns (h1, code) of each column of ``x``, laid out by
@@ -173,15 +177,16 @@ class BottleneckNet:
         inputs[m:] = _query_rows(self.n_bits)[:, queries, 0]
         return (self._decode(inputs)[1] > 0.0).astype(np.uint8)
 
-    def loss_and_grads(self, db: np.ndarray, binarize: bool = True,
+    def loss_and_grads(self, db: np.ndarray | None = None, binarize: bool = True,
                        out: BottleneckNet | None = None, x: np.ndarray | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean sigmoid cross-entropy over every (database, query) pair of a
         block of databases, and its gradients by parameter name: views of
         ``out``, a net shaped like this one whose parameters the gradient
-        overwrites, or of a fresh one.  ``x`` is ``_columns(db, m)``, built
-        here when omitted; the step writes the codes into it, so training
-        passes the same ``x`` every step.
+        overwrites, or of a fresh copy of this net.  The block is given as
+        rows ``db`` or as columns ``x`` laid out by ``_columns``, which
+        training keeps from step to step; the step writes the codes into
+        ``x``'s last m rows.
 
         Each database is encoded once, the databases are grouped by code
         (sorted by an integer key of one bit per code bit), and the decoder
@@ -197,10 +202,8 @@ class BottleneckNet:
         group, which is what the finite-difference check exercises.
         """
         n_bits, m = self.n_bits, self.m
-        if x is None:
-            x = _columns(db, m)
-        if out is None:
-            out = _zeros(n_bits, m, self.w1.shape[1])
+        x = _columns(db, m) if x is None else x
+        out = copy.copy(self) if out is None else out
         n_db = x.shape[1]
         rows = n_db * n_bits
         h1, code = self._encode(x, binarize)
@@ -252,11 +255,6 @@ class BottleneckNet:
         return loss, {name: getattr(out, name) for name in _NAMES}
 
 
-def _zeros(n_bits: int, m: int, hidden: int) -> BottleneckNet:
-    """A net whose parameters are all zero, as room for a gradient."""
-    return BottleneckNet(n_bits, m, **_layers(n_bits, m, hidden)[2])
-
-
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -291,25 +289,23 @@ def train_strict(n_bits: int, m: int, seed: int,
     if steps < 1:
         raise ValueError(f"steps={steps!r} must be at least 1")
     check_code_bits(m)
-    rng = substream(seed, _TRAIN_STREAM)
-    net = BottleneckNet(n_bits, m, **_initial_params(n_bits, m, _HIDDEN, rng)[1])
-    grad, block = _zeros(n_bits, m, _HIDDEN), _zeros(n_bits, m, _HIDDEN)
+    net = _initial_net(n_bits, m, _HIDDEN, substream(seed, _TRAIN_STREAM))
+    grad, block = copy.copy(net), copy.copy(net)  # room for the step's and a block's gradient
     params, step_grad, block_grad = net.params, grad.params, block.params
     kept, curve = None, []
     for step in range(steps):
         loss = 0.0
-        for k, (db, x) in enumerate(kept or ((db, _columns(db, m))
-                                             for _, db in database_blocks(n_bits))):
-            share = len(db) / (1 << n_bits)
+        for k, x in enumerate(kept or (_columns(db, m) for _, db in database_blocks(n_bits))):
+            share = x.shape[1] / (1 << n_bits)
             # the first block writes the step's gradient in place, the others add to it
-            block_loss, _ = net.loss_and_grads(db, out=block if k else grad, x=x)
+            block_loss, _ = net.loss_and_grads(x=x, out=block if k else grad)
             loss += share * block_loss
             if k:
                 step_grad += share * _LR * block_grad
             else:
                 step_grad *= share * _LR
         if k == 0:  # one block: keep its input for every step
-            kept = ((db, x),)
+            kept = (x,)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at step {step}")
         params -= step_grad

@@ -1,5 +1,7 @@
+import copy
 import functools
 import hashlib
+import pickle
 import re
 import time
 import tracemalloc
@@ -24,8 +26,7 @@ FAST = 200  # training steps
 
 def fresh_net(n_bits, m, hidden, rng):
     """An untrained net as train_strict builds one, its weights views of one flat vector."""
-    return BottleneckNet(n_bits=n_bits, m=m,
-                         **ablation._initial_params(n_bits, m, hidden, rng)[1])
+    return ablation._initial_net(n_bits, m, hidden, rng)
 
 
 # Reference oracle: the plain out-of-place form of the shipped step, its
@@ -225,7 +226,7 @@ def test_a_63_bit_code_matches_the_tiled_oracle():
     net.w2[:, :55] = 0.0
     net.b2[:55] = 1.0
     (_, every), = scores.database_blocks(8)
-    assert len(np.unique(net._encode(ablation._columns(every, m))[1], axis=1)) > 1
+    assert np.unique(net._encode(ablation._columns(every, m))[1], axis=1).shape[1] > 1
     loss, grads = net.loss_and_grads(every)
     tiled_loss, tiled = tiled_loss_and_grads(net, every)
     assert loss == pytest.approx(tiled_loss, rel=0, abs=1e-12)
@@ -291,6 +292,19 @@ def test_assigning_a_weight_by_name_writes_into_the_net():
         with pytest.raises(ValueError, match=re.escape(f"{name} has shape ")):
             setattr(net, name, np.zeros(shape))
     assert np.array_equal(net.params, kept)
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
+def test_a_copied_net_owns_its_parameters(duplicate):
+    # a copy is built afresh, so assigning its weights by name reaches what
+    # it answers and leaves the original as it was
+    net, _ = train_strict(8, 1, seed=22, steps=FAST)
+    kept, twin = net.params.copy(), duplicate(net)
+    twin.w1 = np.zeros_like(twin.w1)
+    twin.b1 = np.zeros_like(twin.b1)
+    assert np.array_equal(net.params, kept)
+    assert np.shares_memory(twin.w1b1, twin.params)
+    assert eval_score(twin).observed_score == 0.0
 
 
 def test_gradients_returned_outside_training_do_not_alias():
@@ -400,14 +414,14 @@ def test_divergence_detector(monkeypatch):
 def test_a_nan_in_the_encoder_stops_training_at_step_0(monkeypatch, name, index):
     # the step's grouping key reads a NaN code as a 0 bit, so a NaN
     # pre-activation must still make the loss NaN rather than train on
-    initial = ablation._initial_params
+    initial = ablation._initial_net
 
     def with_a_nan(*args):
-        flat, views = initial(*args)
-        views[name][index] = np.nan
-        return flat, views
+        net = initial(*args)
+        getattr(net, name)[index] = np.nan
+        return net
 
-    monkeypatch.setattr(ablation, "_initial_params", with_a_nan)
+    monkeypatch.setattr(ablation, "_initial_net", with_a_nan)
     with pytest.raises(TrainingDiverged, match="loss became nan at step 0"):
         train_strict(8, 3, seed=1, steps=10)
 
