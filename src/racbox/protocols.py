@@ -19,9 +19,12 @@ it draws each Alice bit by comparing one uniform with the node's two
 thresholds, for s = 0 and s = 1, and selecting bitwise by s.  Bob's bit is
 read from one flat (node, t, s, a) table, whose node and t together are the
 query prefix decoded so far, so each level makes one gather.  Episodes run
-in fixed chunks, so the working memory is fixed; only the returned batch
-grows, at O(episodes * (depth + 11)) bytes.  Also here: the
-optimal classical one-bit majority code.  The copy baseline is
+in fixed chunks sized so that either source holds about 2.5 MiB of
+temporaries; only the returned batch grows.  It keeps each query and each
+episode's path error bits in one word, the smallest unsigned integer that
+holds 2^n - 1 (1, 2 or 4 bytes), and three bits in a byte each, so an
+episode takes 2 * word + 3 bytes: 5 at depth 5, 11 at depth 20.  Also
+here: the optimal classical one-bit majority code.  The copy baseline is
 :func:`racbox.capacity.run_hard_copy_probe`.
 """
 
@@ -46,10 +49,10 @@ _QUERY_STREAM = 1
 _ALICE_STREAM = 2
 _BOB_STREAM = 3
 
-# Cell draws per chunk of episodes (2^n per episode at depth n); the sampler's
-# working memory is proportional to it.
-_CHUNK_CELL_DRAWS = 1 << 20
-# Largest batch the sampler returns, at depth + 11 bytes per episode.
+# Chunk budget, counted at 4 per tree cell and 16 per path episode, the ratio
+# of their temporaries; the sampler's working memory is proportional to it.
+_CHUNK_BUDGET = 1 << 20
+# Largest batch the sampler returns, at 2 * word + 3 bytes per episode.
 _MAX_BATCH_BYTES = 2 << 30
 
 
@@ -83,13 +86,17 @@ class PyramidProtocol:
 
 @dataclass(frozen=True)
 class PyramidBatch:
-    """Vectorized record of many independent pyramid episodes."""
+    """Vectorized record of many independent pyramid episodes.
+
+    ``queries`` and ``path_errors`` take the smallest unsigned dtype that
+    holds 2^depth - 1; the other fields are uint8 bits.
+    """
 
     queries: np.ndarray
     targets: np.ndarray
     outputs: np.ndarray
     messages: np.ndarray
-    path_errors: np.ndarray  # (episodes, depth)
+    path_errors: np.ndarray  # one word per episode; bit r is level r's error bit
 
     @property
     def successes(self) -> np.ndarray:
@@ -101,16 +108,21 @@ class PyramidBatch:
 
     def parity_identity_holds(self) -> bool:
         """output == target ^ parity(path errors) on every episode."""
-        parity = self.targets ^ self.path_errors[:, 0]
-        for column in self.path_errors.T[1:]:
-            parity ^= column
+        parity = self.path_errors.copy()
+        shift = 8 * parity.itemsize
+        while shift > 1:  # xor-fold the word's halves into bit 0
+            shift //= 2
+            parity ^= parity >> shift
+        parity &= 1
+        parity ^= self.targets
         return bool(np.array_equal(self.outputs, parity))
 
     def per_query_counts(self, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
         """(success count, trial count) per query index."""
-        totals = np.bincount(self.queries, minlength=n_queries)
-        wins = np.bincount(self.queries, weights=self.successes, minlength=n_queries)
-        return wins.astype(int), totals
+        tallies = np.bincount(2 * self.queries.astype(np.intp) + self.successes,
+                              minlength=2 * n_queries)
+        wins = tallies[1::2]
+        return wins, wins + tallies[::2]
 
 
 def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
@@ -120,8 +132,11 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     Queries are uniform unless ``query`` pins them.  Randomness is read from
     named substreams of ``seed`` so episode i is reproducible regardless of
     the batch size.  Episodes run in fixed chunks, so the working memory does
-    not grow with ``episodes``; the returned batch takes O(episodes *
-    (depth + 11)) bytes, and a batch above 2 GiB is refused up front.
+    not grow with ``episodes``.  The returned batch holds each query and
+    each episode's path error bits in one word, the smallest unsigned integer
+    that holds 2^depth - 1, so it takes episodes * (2 * word + 3) bytes: 5
+    per episode up to depth 8, 7 up to 16 and 11 up to 32.  A batch above
+    2 GiB is refused up front.
 
     Both level sources give the same law of the recorded bits.  If every
     node's Alice marginal is exactly 1/2 (isotropic, asymmetric and
@@ -139,7 +154,7 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
         raise ValueError(f"query={query!r} is not an integer")
     n = protocol.depth
     t_count = int(episodes)
-    batch_bytes = t_count * (n + 11)
+    batch_bytes = t_count * (2 * np.min_scalar_type((1 << n) - 1).itemsize + 3)
     if batch_bytes > _MAX_BATCH_BYTES:
         raise ValueError(f"batch of {t_count} episodes at depth {n} needs "
                          f"{batch_bytes / 2**30:.2f} GiB, above the "
@@ -155,8 +170,8 @@ def pyramid_monte_carlo(protocol: PyramidProtocol, episodes: int, seed: int,
     if not uniform and t_count * protocol.n_inputs > 1 << 31:
         raise ValueError("batch needs more than 2^31 cell draws, too many to run "
                          "in reasonable time; reduce the episode count or the depth")
-    pa1, pb1 = _node_tables(protocol, tables)
-    return _sample(pa1, pb1, t_count, seed, query, _path_levels if uniform else _tree_levels)
+    pa1, bob = _node_tables(protocol, tables)
+    return _sample(pa1, bob, t_count, seed, query, _path_levels if uniform else _tree_levels)
 
 
 def _cell_tables(protocol: PyramidProtocol) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -171,11 +186,13 @@ def _cell_tables(protocol: PyramidProtocol) -> dict[int, tuple[np.ndarray, np.nd
 
 def _node_tables(protocol: PyramidProtocol, tables: dict) -> tuple[np.ndarray, np.ndarray]:
     """Per-node conditional tables, stacked by heap index from the distinct
-    cells' ``tables``."""
+    cells' ``tables``: Alice's (node, 2s + t) table, and Bob's laid out flat
+    in (node, t, s, a) order, the one copy the sampler reads."""
     row = {key: k for k, key in enumerate(tables)}
     nodes = np.fromiter((row[id(cell)] for cell in protocol.cells), np.intp, len(protocol.cells))
     pa1s, pb1s = zip(*tables.values())
-    return np.stack(pa1s)[nodes], np.stack(pb1s)[nodes]
+    bob = np.stack(pb1s).reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1, 8)
+    return np.stack(pa1s)[nodes], bob[nodes].ravel()
 
 
 # Chunks read each stream in order, so the rows match one unchunked draw only
@@ -187,7 +204,7 @@ def _node_tables(protocol: PyramidProtocol, tables: dict) -> tuple[np.ndarray, n
 # spare value, which no later call would have read.
 
 
-def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
+def _sample(pa1: np.ndarray, bob: np.ndarray, episodes: int, seed: int,
             query: int | None, levels: Callable) -> PyramidBatch:
     """The sampler core: decode the query path top-down, chunk by chunk.
 
@@ -197,29 +214,32 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
     first.  Unless pinned, the queries are the top n bits of the query
     stream's uint32 halves, as ``integers(0, 2^n)`` draws them (``top_bits``).
     At every node Bob's bit b is drawn from his table at (s, t, a);
-    the error bit is a ^ b ^ (s & t) and the output is the message XOR every b.
-    Bob's tables are laid out once per call, flat in (node, t, s, a) order:
-    level r's nodes start at entry 8 (2^r - 1), and the query's first r + 1
-    bits, read as a number p, pick the entry 4 p + 2 s + a from there.
+    the error bit is a ^ b ^ (s & t), ORed into bit r of the episode's error
+    word, and the output is the message XOR every b.  ``bob`` holds Bob's
+    tables flat in (node, t, s, a) order: level r's nodes start at entry
+    8 (2^r - 1), and the query's first r + 1 bits, read as a number p, pick
+    the entry 4 p + 2 s + a from there.
     """
-    n = len(pb1).bit_length()
+    n = len(pa1).bit_length()
+    word = np.min_scalar_type((1 << n) - 1)
     batch = PyramidBatch(
-        queries=(np.empty(episodes, dtype=np.int64) if query is None
-                 else np.full(episodes, int(query))),
+        queries=(np.empty(episodes, dtype=word) if query is None
+                 else np.full(episodes, query, dtype=word)),
         targets=np.empty(episodes, dtype=np.uint8),
         outputs=np.empty(episodes, dtype=np.uint8),
         messages=np.empty(episodes, dtype=np.uint8),
-        path_errors=np.empty((episodes, n), dtype=np.uint8))
+        path_errors=np.zeros(episodes, dtype=word))
     query_rng = substream(seed, _QUERY_STREAM) if query is None else None
     db_rng = substream(seed, _DB_STREAM)
     alice_rngs = [substream(seed, _ALICE_STREAM, r) for r in range(n)]
     bob_rngs = [substream(seed, _BOB_STREAM, r) for r in range(n)]
-    # The tree holds its whole encoded database; the path draws one level at
-    # a time, about 36 bytes of temporaries per episode at any depth (the
-    # table index, Bob's probabilities and his uniforms, 8 bytes each).
-    width = 1 << n if levels is _tree_levels else 16
-    chunk = max(8, _CHUNK_CELL_DRAWS // width // 8 * 8)
-    bob = pb1.reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+    # The path draws one level at a time, about 36 bytes of temporaries per
+    # episode at any depth (the table index, Bob's probabilities and his
+    # uniforms, 8 bytes each).  The tree holds its whole encoded database,
+    # about 9 bytes per cell (Alice's uniforms at the widest level, the
+    # database and each level's s and a bits), so a cell counts 4 units.
+    width = 4 << n if levels is _tree_levels else 16
+    chunk = max(8, _CHUNK_BUDGET // width // 8 * 8)
     for lo in range(0, episodes, chunk):
         hi = min(lo + chunk, episodes)
         q = batch.queries[lo:hi]
@@ -227,17 +247,22 @@ def _sample(pa1: np.ndarray, pb1: np.ndarray, episodes: int, seed: int,
             q[:] = top_bits(query_rng, hi - lo, n, 2)
         message, target, path = levels(pa1, q, db_rng, alice_rngs)
         implied, output = message.copy(), message.copy()
+        errors = batch.path_errors[lo:hi]
         for r, (s_vals, a_vals) in enumerate(path):
-            at = q >> (n - 1 - r)  # the query prefix read so far, then its table entry
+            # the query prefix read so far, widened before it makes room for (s, a)
+            at = (q >> (n - 1 - r)).astype(np.intp)
             t_bits = at.astype(np.uint8) & 1
             at <<= 2
             at += 2 * s_vals + a_vals
             p_bob = bob[8 * ((1 << r) - 1):].take(at)  # from level r's first node
             b_vals = np.less(bob_rngs[r].random(hi - lo), p_bob).view(np.uint8)
             pad = a_vals ^ (s_vals & t_bits)
-            np.bitwise_xor(pad, b_vals, out=batch.path_errors[lo:hi, r])
             implied ^= pad
             output ^= b_vals
+            pad ^= b_vals  # the error bit, then its place in the word
+            bit = pad.astype(word, copy=False)
+            bit <<= r
+            errors |= bit
         batch.messages[lo:hi] = message
         batch.targets[lo:hi] = implied if target is None else target
         batch.outputs[lo:hi] = output

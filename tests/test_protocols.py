@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ def per_query_rates(batch, n_queries):
     return wins / totals, totals
 
 
+def error_bits(batch, depth):
+    """The (episodes, depth) error bits packed in each episode's word, level r in column r."""
+    return ((batch.path_errors[:, None].astype(np.int64) >> np.arange(depth)) & 1).astype(np.uint8)
+
+
 @pytest.mark.parametrize("level, offset", [(0, 0), (1, 1), (2, 1)])
 def test_nonuniform_protocol_routes_msb_first(level, offset):
     # One coin-flip node in a tree of perfect cells: only queries whose path
@@ -50,6 +56,24 @@ def test_nonuniform_protocol_routes_msb_first(level, offset):
             assert abs(p - 0.5) <= binom_3sigma(0.5, episodes)
         else:
             assert batch.successes.all()
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_a_deep_node_reads_its_own_table(depth):
+    # The last level's table index 4 p + 2 s + a takes depth + 2 bits, more
+    # than the batch's query word holds, so a wrapped index would read
+    # another node of that level; a uniform tree cannot show it.
+    level = depth - 1
+    perfect, coin = IsotropicCell(1.0), IsotropicCell(0.0)
+    noisy = (2 << level) - 2  # the last node of the last level
+    proto = PyramidProtocol(depth, tuple(coin if k == noisy else perfect
+                                         for k in range((1 << depth) - 1)))
+    through = pyramid_monte_carlo(proto, 4_000, seed=31, query=(1 << depth) - 1)
+    assert not np.any(through.path_errors & ((1 << level) - 1))
+    odd = float((through.path_errors >> level).mean())
+    assert abs(odd - 0.5) <= binom_3sigma(0.5, 4_000)
+    beside = pyramid_monte_carlo(proto, 4_000, seed=32, query=(1 << depth) - 3)
+    assert not beside.path_errors.any()
 
 
 # Box tables are indexed [2s + t, 2A + B]: the identity gives A = s, B = t
@@ -136,13 +160,13 @@ def test_seed_chsh_identity_beyond_isotropy():
 
 def test_batch_size_guard():
     # the tree draws 2^n cells per episode: 600_000 episodes at depth 12 are
-    # above 2^31 draws, though their batch takes only 14 MB
+    # above 2^31 draws, though their batch takes only 4.2 MB
     with pytest.raises(ValueError, match="2\\^31 cell draws"):
         pyramid_monte_carlo(PyramidProtocol.uniform(12, BIASED), 600_000, seed=1)
     # the path draws n cells per episode, so the same count of draws does not
     # bound it: 2^15 * 300_000 is above 2^31
     batch = pyramid_monte_carlo(PyramidProtocol.uniform(15, IsotropicCell(0.9)), 300_000, seed=1)
-    assert batch.path_errors.shape == (300_000, 15)
+    assert batch.path_errors.shape == (300_000,) and batch.path_errors.dtype == np.uint16
     assert batch.parity_identity_holds()
 
 
@@ -166,16 +190,33 @@ def test_an_infeasible_tree_fails_before_stacking_node_tables():
 
 
 def test_oversized_batch_fails_before_allocating():
-    # 2^28 depth-1 episodes need 3 GiB of batch
+    # 2^29 depth-1 episodes need 2.5 GiB of batch, at 5 bytes each
     proto = PyramidProtocol.uniform(1, IsotropicCell(0.5))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="GiB"):
-            pyramid_monte_carlo(proto, 1 << 28, seed=1)
+        with pytest.raises(ValueError, match="2.50 GiB"):
+            pyramid_monte_carlo(proto, 1 << 29, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("depth", [1, 8, 9, 16, 17])
+def test_batch_limit_charges_the_batch_layout(monkeypatch, depth):
+    # the 2 GiB check charges exactly the bytes the batch holds, so the two
+    # cannot drift apart as the layout changes; depths 8/9 and 16/17 cross
+    # from one word size to the next
+    proto = PyramidProtocol.uniform(depth, IsotropicCell(0.7))
+    episodes = 40
+    batch = pyramid_monte_carlo(proto, episodes, seed=4)
+    held = sum(field.nbytes for field in dataclasses.astuple(batch))
+    assert held == episodes * {1: 5, 8: 5, 9: 7, 16: 7, 17: 11}[depth]
+    monkeypatch.setattr(protocols, "_MAX_BATCH_BYTES", held)
+    assert np.array_equal(pyramid_monte_carlo(proto, episodes, seed=4).outputs, batch.outputs)
+    monkeypatch.setattr(protocols, "_MAX_BATCH_BYTES", held - 1)
+    with pytest.raises(ValueError, match="GiB"):
+        pyramid_monte_carlo(proto, episodes, seed=4)
 
 
 def test_working_memory_is_bounded():
@@ -188,6 +229,19 @@ def test_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_tree_temporaries_match_the_paths():
+    # the tree's chunk is sized so that its temporaries, like the path's,
+    # take about 2.5 MiB; before, a depth-5 chunk held about 10 MiB
+    proto = PyramidProtocol.uniform(5, BIASED)
+    tracemalloc.start()
+    try:
+        batch = pyramid_monte_carlo(proto, 200_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(field.nbytes for field in dataclasses.astuple(batch)) < 4 << 20
 
 
 def test_tree_working_memory_is_bounded():
@@ -219,7 +273,7 @@ def test_pyramid_parity_identity_every_episode():
     proto = PyramidProtocol.uniform(3, IsotropicCell(0.4))
     for q in range(8):
         batch = pyramid_monte_carlo(proto, 250, seed=6 + q, query=q)
-        parity = batch.path_errors.sum(axis=1) % 2
+        parity = error_bits(batch, 3).sum(axis=1) % 2
         assert np.array_equal(batch.outputs, batch.targets ^ parity)
 
 
@@ -228,9 +282,10 @@ def test_parity_gate_fails_on_one_flipped_bit(depth):
     proto = PyramidProtocol.uniform(depth, IsotropicCell(0.6))
     batch = pyramid_monte_carlo(proto, 1_000, seed=8)
     assert batch.parity_identity_holds()
-    for name, at in (("path_errors", (500, depth - 1)), ("outputs", 500), ("targets", 500)):
+    # the top level's bit of episode 500's error word, a uint16 at depth 12
+    for name, bit in (("path_errors", 1 << (depth - 1)), ("outputs", 1), ("targets", 1)):
         flipped = getattr(batch, name).copy()
-        flipped[at] ^= 1
+        flipped[500] ^= bit
         assert not dataclasses.replace(batch, **{name: flipped}).parity_identity_holds(), name
 
 
@@ -359,7 +414,7 @@ def test_monte_carlo_batch_is_reproducible_and_size_stable(monkeypatch):
     reference = [pyramid_monte_carlo(proto, 1_003, seed=78, query=query)
                  for proto, query in cases]
     for budget in (1, 64, 1000, 4096):
-        monkeypatch.setattr(protocols, "_CHUNK_CELL_DRAWS", budget)
+        monkeypatch.setattr(protocols, "_CHUNK_BUDGET", budget)
         for (proto, query), ref in zip(cases, reference):
             for episodes in (1_003, 501):
                 _assert_same_rows(pyramid_monte_carlo(proto, episodes, seed=78, query=query),
@@ -375,11 +430,23 @@ def test_monte_carlo_query_symmetry():
         assert abs(wins[k] / totals[k] - target) <= binom_3sigma(target, totals[k])
 
 
+@pytest.mark.parametrize("depth, query", [(1, None), (3, None), (3, 6), (9, None), (9, 300)])
+def test_per_query_counts_equal_a_direct_count(depth, query):
+    proto = PyramidProtocol.uniform(depth, IsotropicCell(0.6))
+    batch = pyramid_monte_carlo(proto, 20_000, seed=14, query=query)
+    wins, totals = batch.per_query_counts(proto.n_inputs)
+    asked = Counter(batch.queries.tolist())
+    won = Counter(q for q, w in zip(batch.queries.tolist(), batch.successes.tolist()) if w)
+    assert totals.tolist() == [asked[k] for k in range(proto.n_inputs)]
+    assert wins.tolist() == [won[k] for k in range(proto.n_inputs)]
+    assert totals.sum() == 20_000 and 0 < wins.sum() < 20_000
+
+
 def test_monte_carlo_parity_law_distribution():
     # parity of recorded error bits is Bernoulli((1 - E^n)/2)
     proto = PyramidProtocol.uniform(4, IsotropicCell(0.6))
     batch = pyramid_monte_carlo(proto, 300_000, seed=12)
-    odd = float((batch.path_errors.sum(axis=1) % 2).mean())
+    odd = float((error_bits(batch, 4).sum(axis=1) % 2).mean())
     target = (1.0 - 0.6 ** 4) / 2.0
     assert abs(odd - target) <= binom_3sigma(target, 300_000)
 
@@ -399,7 +466,7 @@ def test_error_bits_independent_of_inputs():
     proto = PyramidProtocol.uniform(1, IsotropicCell(0.5))
     batch = pyramid_monte_carlo(proto, 80_000, seed=17)
     table = np.zeros((2, 2))
-    np.add.at(table, (batch.queries, batch.path_errors[:, 0]), 1)
+    np.add.at(table, (batch.queries, batch.path_errors), 1)
     total = table.sum()
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
@@ -432,10 +499,16 @@ def test_explicit_cell_pyramid_runs():
 # ---------------------------------------------------------------------------
 
 
-def _batch_digest(batch):
+def _batch_digest(batch, depth):
+    """sha256 of the batch in the layout its digests were recorded in: int64
+    queries and one uint8 column per level of error bits."""
     h = hashlib.sha256()
     for name in ("queries", "targets", "outputs", "messages", "path_errors"):
         arr = getattr(batch, name)
+        if name == "queries":
+            arr = arr.astype("<i8")
+        elif name == "path_errors":
+            arr = error_bits(batch, depth)
         h.update(arr.dtype.str.encode())
         h.update(arr.tobytes())
     return h.hexdigest()
@@ -443,9 +516,9 @@ def _batch_digest(batch):
 
 def _joint_counts(batch, depth):
     """Counts over (query, target, output, message, path error bits)."""
-    errors = batch.path_errors.astype(np.int64) @ (1 << np.arange(depth))
-    key = ((batch.queries * 2 + batch.targets) * 2 + batch.outputs) * 2 + batch.messages
-    return np.bincount((key << depth) + errors, minlength=8 << (2 * depth))
+    key = ((batch.queries.astype(np.int64) * 2 + batch.targets) * 2 + batch.outputs) * 2
+    key += batch.messages
+    return np.bincount((key << depth) + batch.path_errors, minlength=8 << (2 * depth))
 
 
 def _node_tables(proto):
@@ -455,11 +528,11 @@ def _node_tables(proto):
 def _path_against_tree(proto, seed, episodes=100_000):
     """Two-sample chi-square (statistic, degrees of freedom) between the path
     and the tree loop, run on separate seeds."""
-    pa1, pb1 = _node_tables(proto)
+    pa1, bob = _node_tables(proto)
     depth = proto.depth
-    path = _joint_counts(protocols._sample(pa1, pb1, episodes, seed, None,
+    path = _joint_counts(protocols._sample(pa1, bob, episodes, seed, None,
                                            protocols._path_levels), depth)
-    tree = _joint_counts(protocols._sample(pa1, pb1, episodes, seed + 10, None,
+    tree = _joint_counts(protocols._sample(pa1, bob, episodes, seed + 10, None,
                                            protocols._tree_levels), depth)
     seen = (path + tree) > 0
     chi2 = float(((path - tree)[seen] ** 2 / (path + tree)[seen]).sum())
@@ -496,15 +569,23 @@ def test_node_tables_are_built_once_per_distinct_cell(monkeypatch):
 
     monkeypatch.setattr(IsotropicCell, "conditional_tables", counted)
     cell = IsotropicCell(0.7)
-    pa1, pb1 = _node_tables(PyramidProtocol.uniform(12, cell))
+    pa1, bob = _node_tables(PyramidProtocol.uniform(12, cell))
     assert calls == [cell]
-    assert np.all(pa1 == build(cell)[0]) and np.all(pb1 == build(cell)[1])
+    assert np.all(pa1 == build(cell)[0])
+    assert np.all(bob.reshape(-1, 8) == _flat_bob(build(cell)[1]))
     calls.clear()
     mixed = _mixed_biases(3)
-    pa1, pb1 = _node_tables(mixed)
+    pa1, bob = _node_tables(mixed)
     assert len(calls) == 7
+    assert bob.shape == (7 * 8,)
     for k, node in enumerate(mixed.cells):
-        assert np.array_equal(pa1[k], build(node)[0]) and np.array_equal(pb1[k], build(node)[1])
+        assert np.array_equal(pa1[k], build(node)[0])
+        assert np.array_equal(bob[8 * k:8 * k + 8], _flat_bob(build(node)[1]))
+
+
+def _flat_bob(pb1):
+    """Bob's table pb1[2s + t, a] as its 8 entries in (t, s, a) order."""
+    return np.array([pb1[2 * s + t, a] for t in (0, 1) for s in (0, 1) for a in (0, 1)])
 
 
 @pytest.mark.parametrize("depth", [2, 3])
@@ -551,7 +632,7 @@ def test_biased_batches_keep_their_bytes():
     for (depth, query), digest in want.items():
         batch = pyramid_monte_carlo(PyramidProtocol.uniform(depth, BIASED), 2_000,
                                     seed=90, query=query)
-        assert _batch_digest(batch) == digest
+        assert _batch_digest(batch, depth) == digest
 
 
 def test_input_dependent_marginals_keep_their_bytes():
@@ -570,7 +651,7 @@ def test_input_dependent_marginals_keep_their_bytes():
     for (depth, episodes, query), digest in want.items():
         batch = pyramid_monte_carlo(mixed(depth), episodes, seed=90, query=query)
         assert batch.parity_identity_holds()
-        assert _batch_digest(batch) == digest
+        assert _batch_digest(batch, depth) == digest
 
 
 def test_uniform_batches_keep_their_bytes():
@@ -588,13 +669,15 @@ def test_uniform_batches_keep_their_bytes():
              "2abb4a5439db760dfa1f7450c08b9b33c07c29956b3eca71fd7604a737515a7d")]
     for proto, episodes, query, digest in want:
         batch = pyramid_monte_carlo(proto, episodes, seed=90, query=query)
-        assert _batch_digest(batch) == digest
+        assert _batch_digest(batch, proto.depth) == digest
 
 
 def test_batches_across_a_chunk_boundary_keep_their_bytes():
-    # sha256 of batches one default chunk and 1_003 episodes long, recorded
-    # before the database, query and Alice bits were read from whole words:
-    # the path source's chunk is 65_536 episodes at depth 5, the tree's 32_768
+    # sha256 of batches 1_003 episodes longer than a default chunk, recorded
+    # before the database, query and Alice bits were read from whole words,
+    # when the tree's chunk was 32_768 episodes at depth 5; the digests hold
+    # for any chunk size, and the path's chunk is 65_536 episodes, the
+    # tree's 8_192, so these batches cross one and four chunk boundaries
     want = [(PyramidProtocol.uniform(5, IsotropicCell(0.7)), 65_536 + 1_003,
              "446a7b5fa4bd1907be36dff144d517c704a876cf337b9d4160ec07921ac7a57b"),
             (PyramidProtocol.uniform(5, BIASED), 32_768 + 1_003,
@@ -602,7 +685,7 @@ def test_batches_across_a_chunk_boundary_keep_their_bytes():
     for proto, episodes, digest in want:
         batch = pyramid_monte_carlo(proto, episodes, seed=90)
         assert batch.parity_identity_holds()
-        assert _batch_digest(batch) == digest
+        assert _batch_digest(batch, proto.depth) == digest
 
 
 # ---------------------------------------------------------------------------
