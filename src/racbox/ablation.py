@@ -170,12 +170,15 @@ class BottleneckNet:
         h2 = _tanh_layer(self.v1c1, inputs)
         return h2, self.v2c2[:, 0] @ h2
 
-    def answer(self, x: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        m = self.m
-        inputs = np.empty((m + self.n_bits + 1, len(queries)))
-        inputs[:m] = self._encode(_columns(x, m))[1]
-        inputs[m:] = _query_rows(self.n_bits)[:, queries, 0]
-        return (self._decode(inputs)[1] > 0.0).astype(np.uint8)
+    def answer(self, db: np.ndarray) -> np.ndarray:
+        """The 0/1 answers of the databases ``db`` (rows) to every query, a
+        table of ``db``'s shape: each is encoded once and decoded per query."""
+        n_bits, m, n_db = self.n_bits, self.m, len(db)
+        inputs = np.empty((m + n_bits + 1, n_bits, n_db))
+        inputs[:m] = self._encode(_columns(db, m))[1][:, None]
+        inputs[m:] = _query_rows(n_bits)
+        logit = self._decode(inputs.reshape(m + n_bits + 1, n_bits * n_db))[1]
+        return (logit.reshape(n_bits, n_db).T > 0.0).astype(np.uint8)
 
     def loss_and_grads(self, db: np.ndarray | None = None, binarize: bool = True,
                        out: BottleneckNet | None = None, x: np.ndarray | None = None
@@ -357,10 +360,6 @@ def eval_score(net: BottleneckNet) -> AblationReport:
                           per_query=per_query, code_entropy=float(p @ np.log2(1.0 / p)))
 
 
-def _queried_bit(db: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    return db[np.arange(len(queries)), queries]
-
-
 def _control(n_bits: int, answer, counted: Bits | None, corrected: Bits | None,
              diagnosis: str) -> AblationReport:
     """A leaky control's exact score over all databases, with its budgets."""
@@ -377,7 +376,7 @@ def query_leaky_control(n_bits: int) -> AblationReport:
     just echoes it.  Run exactly over all databases: every query is answered
     perfectly and the score is N through a nominal one-bit interface.
     """
-    return _control(n_bits, _queried_bit, 1.0, None,
+    return _control(n_bits, lambda db: db, 1.0, None,
                     "query separation broken: encoder read the query")
 
 
@@ -392,7 +391,7 @@ def precision_packing_control(n_bits: int, q: int | None = None) -> AblationRepo
         q = n_bits
     stored = min(n_bits, q)
     # counted None: one real coordinate carries no finite certificate
-    return _control(n_bits, lambda db, k: _queried_bit(db, k) * (k < stored), None, float(q),
+    return _control(n_bits, lambda db: db * (np.arange(n_bits) < stored), None, float(q),
                     f"finite precision must be counted: {q} bits per coordinate")
 
 
@@ -403,4 +402,4 @@ def episode_weights_control(n_bits: int) -> AblationReport:
     answers everything exactly, so the score is N against a counted message
     budget of zero.
     """
-    return _control(n_bits, _queried_bit, 0.0, None, "weights are data-dependent memory")
+    return _control(n_bits, lambda db: db, 0.0, None, "weights are data-dependent memory")

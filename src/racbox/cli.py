@@ -25,7 +25,6 @@ echoed in the manifest but enters the config hash at its default.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 
@@ -47,6 +46,7 @@ def _parse_grid_item(item: str) -> tuple[str, object]:
 
 
 def _load_config_file(path: str, experiment: str) -> dict:
+    import configparser  # imported here: only a run given --config reads an INI file
     # [defaults] is shared by every experiment, so a key there that this
     # experiment does not read is dropped; its own section is taken whole.
     shared = {*RUN_FIELDS, "workers", *REGISTRY[experiment].params}

@@ -28,7 +28,6 @@ import platform
 import resource
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from types import SimpleNamespace
 
@@ -139,6 +138,8 @@ def _parallel_map(fn, items, workers: int, key):
     if workers <= 1 or len(items) <= 1:
         results = [timed(item) for item in items]
     else:
+        # imported here: the pool machinery takes about 2 MB a one-worker run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(timed, items))
     _task_records.extend({"key": key(item), "pid": pid, "seconds": seconds}
@@ -822,9 +823,10 @@ def verify_manifest(manifest_path: str, rebuild: bool = False) -> tuple[bool, li
     judges them: ``PASS`` or ``FAIL`` per verdict, ``FAIL no verdict
     applied``, or ``FAIL <error>`` when the config no longer resolves, the
     judge needs a table the manifest does not list, or a listed table lacks a
-    column the judge reads.  ``rebuild`` then re-runs the config in a
-    temporary folder and compares each CSV's sha256 with the recorded one (``rebuild ok``, ``REBUILD MISMATCH`` or ``REBUILD FAILED
-    <error>``), which catches nondeterminism and library drift that
+    column the judge reads or holds a word among numbers.  ``rebuild`` then
+    re-runs the config in a temporary folder and compares each CSV's sha256
+    with the recorded one (``rebuild ok``, ``REBUILD MISMATCH`` or ``REBUILD
+    FAILED <error>``), which catches nondeterminism and library drift that
     re-hashing cannot.  Returns (ok, messages), ok only when no line reports
     a failure.  Raises ValueError on a file that is not a readable manifest.
     """
@@ -867,6 +869,13 @@ def verify_manifest(manifest_path: str, rebuild: bool = False) -> tuple[bool, li
                          if any(key not in row for row in rows)]
                 if not lines:
                     raise
+        except TypeError:  # a judge computed with a word from a column of numbers
+            cells = [(f, k, v) for f, rows in tables.items() for r in rows for k, v in r.items()]
+            numeric = {(f, k) for f, k, v in cells if isinstance(v, (int, float))}
+            lines = [f"FAIL {f} column {k!r} holds {v!r}, not a number"
+                     for f, k, v in cells if (f, k) in numeric and isinstance(v, str)]
+            if not lines:
+                raise
         messages += lines or ["FAIL no verdict applied"]
     if rebuild:
         try:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
@@ -317,13 +316,10 @@ MAJORITY_MAX_BITS = 1_000_000  # largest N the majority closed form evaluates
 
 
 def classical_avg_success_closed_form(n_bits: int) -> float:
-    """Optimal classical one-bit average success 1/2 + 2^-N C(N-1, floor((N-1)/2)).
-
-    Evaluated in exact rational arithmetic before conversion to float.
-    """
+    """Optimal classical one-bit average success 1/2 + 2^-N C(N-1, floor((N-1)/2)),
+    one quotient of exact integers, which Python rounds correctly to a float."""
     if n_bits < 1:
         raise ValueError("need at least one database bit")
     if n_bits > MAJORITY_MAX_BITS:
         raise OverflowError("binomial evaluation beyond the big-integer budget")
-    frac = Fraction(1, 2) + Fraction(math.comb(n_bits - 1, (n_bits - 1) // 2), 2 ** n_bits)
-    return float(frac)
+    return (2 ** (n_bits - 1) + math.comb(n_bits - 1, (n_bits - 1) // 2)) / 2 ** n_bits

@@ -109,9 +109,7 @@ def critical_bias(depth: int, capacity: Bits = 1.0) -> CriticalityResult:
 
 # Scores tally 2^N databases, or 2^N - 1 contexts (query K's 2^K prefixes a_<K).
 MAX_ENUMERATED_BITS = 16
-# The databases are enumerated in blocks whose tiled query matrix holds at
-# most this many bits (rows x N), so working memory does not grow with N.
-_ENUM_BLOCK_BITS = 1 << 16
+_ENUM_BLOCK_BITS = 1 << 16  # sizes the blocks of database_blocks
 
 
 def check_enumerable(n_bits: int):
@@ -120,24 +118,18 @@ def check_enumerable(n_bits: int):
                          f"limited to N <= {MAX_ENUMERATED_BITS}, got N = {n_bits}")
 
 
-def database_blocks(n_bits: int, bits: int | None = None):
+def database_blocks(n_bits: int):
     """All 2^N databases in fixed blocks of (words, rows); row w holds the bits of w.
 
-    A block's N-fold query-major tiling holds at most ``bits`` bits,
-    ``_ENUM_BLOCK_BITS`` (read at each call) when omitted.
+    A block holds floor(``_ENUM_BLOCK_BITS`` / N^2) databases (read at each
+    call; all 256 at N = 8, 655 at N = 10), so their N answers each, decoded
+    from N query inputs apiece, keep working memory from growing with N.
     """
     check_enumerable(n_bits)
-    bits = _ENUM_BLOCK_BITS if bits is None else bits
-    size = max(1, bits // max(1, n_bits) ** 2)
+    size = max(1, _ENUM_BLOCK_BITS // max(1, n_bits) ** 2)
     for start in range(0, 1 << n_bits, size):
         words = np.arange(start, min(start + size, 1 << n_bits))
         yield words, (words[:, None] >> np.arange(n_bits)) & 1
-
-
-def _query_major(db: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block's databases times all N queries, query-major: (databases, queries, targets)."""
-    n_bits = db.shape[1]
-    return np.tile(db, (n_bits, 1)), np.repeat(np.arange(n_bits), len(db)), db.T.reshape(-1)
 
 
 def _tally(masses, words, targets, queries, p_one, weight=1.0):
@@ -174,12 +166,12 @@ def exact_scores(n_bits: int, answer,
                  weights=None) -> tuple[tuple[Bits, ...], tuple[Bits, ...]]:
     """Exact I(a_K : beta_K) and I(a_K : beta_K | a_<K) for every query K.
 
-    ``answer(db, queries)`` returns Pr[beta = 1] for each row of ``db`` and
-    the query beside it; a deterministic code returns 0 or 1.  It is called
-    once per block of databases, on each database of the block times all N
-    queries.  ``weights`` is the database law over the 2^N words (bit i of
-    word w is a_i), uniform by default; it need not sum to 1.  Everything is
-    summed exactly over the law, so the values are not estimates.
+    ``answer(db)`` takes each block of ``database_blocks``, rows of 0/1 bits,
+    and returns a table of its shape (else ValueError) whose entry (b, K) is
+    Pr[beta = 1] for database b at query K, 0 or 1 for a deterministic code.
+    ``weights`` is the database law over the 2^N words (bit i of word w is
+    a_i), uniform by default; it need not sum to 1.  Everything is summed
+    exactly over the law, so the values are not estimates.
     """
     check_enumerable(n_bits)
     weights = None if weights is None else np.asarray(weights, dtype=float)
@@ -188,10 +180,13 @@ def exact_scores(n_bits: int, answer,
         raise ValueError(f"weights must be {1 << n_bits} nonnegative numbers, not all 0")
     masses = np.zeros(((1 << n_bits) - 1, 2, 2))
     for words, db in database_blocks(n_bits):
-        rows, queries, targets = _query_major(db)
-        p_one = np.asarray(answer(rows, queries), dtype=float)
+        p_one = np.asarray(answer(db), dtype=float)
+        if p_one.shape != db.shape:
+            raise ValueError(f"answer(db) gave shape {p_one.shape}, not {db.shape}")
+        # tallied query-major: every database at query 0, then at query 1, ...
         weight = 1.0 if weights is None else np.tile(weights[words], n_bits)
-        _tally(masses, np.tile(words, n_bits), targets, queries, p_one, weight)
+        _tally(masses, np.tile(words, n_bits), db.T.reshape(-1),
+               np.repeat(np.arange(n_bits), len(db)), p_one.T.reshape(-1), weight)
     return _information(masses, n_bits)
 
 

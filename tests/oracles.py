@@ -137,6 +137,20 @@ def table_from_pairs(targets, outputs) -> np.ndarray:
     return counts
 
 
+def binomial_pmf(trials: int, p: Probability, floor: float = 1e-15
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The counts k in [0, trials] whose Binom(k; trials, p) exceeds ``floor``,
+    and that pmf, for 0 < p < 1; at trials = 1000 and the default floor the
+    counts left out carry less than 5e-13 of the mass."""
+    k = np.arange(trials + 1)
+    log_choose = [math.lgamma(trials + 1) - math.lgamma(i + 1) - math.lgamma(trials - i + 1)
+                  for i in range(trials + 1)]
+    log_pmf = np.array(log_choose) + k * math.log(p) + (trials - k) * math.log1p(-p)
+    pmf = np.exp(log_pmf)
+    keep = pmf > floor
+    return k[keep], pmf[keep]
+
+
 def majority_encode(db) -> int:
     """Majority bit of the database; ties on even N break to 0."""
     bits = [int(v) & 1 for v in db]

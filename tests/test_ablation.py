@@ -272,7 +272,6 @@ def test_assigning_a_weight_by_name_writes_into_the_net():
     # afresh from the same arrays
     net, _ = train_strict(8, 3, seed=21, steps=FAST)
     (_, every), = scores.database_blocks(8)
-    db, queries = np.tile(every, (8, 1)), np.repeat(np.arange(8), 256)
     rng = substream(87)
     for name in ablation._NAMES:
         before = net.loss_and_grads(every)[1]
@@ -284,7 +283,7 @@ def test_assigning_a_weight_by_name_writes_into_the_net():
         assert loss == rebuilt_loss, name
         for n, g in rebuilt_grads.items():
             assert np.array_equal(grads[n], g), (name, n)
-        assert np.array_equal(net.answer(db, queries), rebuilt.answer(db, queries)), name
+        assert np.array_equal(net.answer(every), rebuilt.answer(every)), name
         assert eval_score(net) == eval_score(rebuilt), name
 
     kept = net.params.copy()
@@ -397,10 +396,10 @@ def test_encoder_is_query_blind():
     _, code_ids = np.unique(codes, axis=0, return_inverse=True)
     code_ids = code_ids.reshape(-1)
     assert np.bincount(code_ids).max() > 1  # some databases do share a code
-    for q in range(8):
-        answers = net.answer(db, np.full(512, q))
-        for c in np.unique(code_ids):
-            assert len(set(answers[code_ids == c].tolist())) == 1
+    answers = net.answer(db)
+    assert answers.shape == (512, 8)
+    for c in np.unique(code_ids):
+        assert len(np.unique(answers[code_ids == c], axis=0)) == 1
 
 
 def test_divergence_detector(monkeypatch):
@@ -510,7 +509,7 @@ def test_episode_weights_control():
     assert episode_weights_control(2).observed_score == 2.0
     # the same decoder with weights frozen across episodes answers a constant
     # per query and carries nothing
-    assert sum(exact_scores(8, lambda db, k: np.zeros(len(k), np.uint8))[0]) == 0.0
+    assert sum(exact_scores(8, lambda db: np.zeros(db.shape, np.uint8))[0]) == 0.0
 
 
 def reference_exact_score(n_bits, answer_one):
@@ -529,7 +528,7 @@ def test_enumerator_matches_the_loop_oracle():
     net, _ = train_strict(8, 3, seed=21, steps=300)
 
     def net_one(db, k):
-        return net.answer(np.array([db], dtype=float), np.array([k]))[0]
+        return net.answer(np.array([db], dtype=float))[0, k]
 
     expected = reference_exact_score(8, net_one)
     assert exact_scores(8, net.answer)[0] == expected == eval_score(net).per_query
@@ -538,25 +537,25 @@ def test_enumerator_matches_the_loop_oracle():
 
 
 def test_enumerator_answers_every_pair_in_one_call():
-    # one batched call sees each of the 2^N databases with each of the N
-    # queries exactly once
+    # one call sees each of the 2^N databases once and answers all N
+    # queries; entry (b, K) of its table is the answer scored for (b, K)
     calls = []
 
-    def answer(db, queries):
-        calls.append((db.copy(), queries.copy()))
-        return db[np.arange(len(queries)), queries] ^ (queries == 2)
+    def answer(db):
+        calls.append(db.copy())
+        # query 2's answer is the bit flipped, query 3's a constant
+        return (db ^ (np.arange(5) == 2)) * (np.arange(5) != 3)
 
     per_query = exact_scores(5, answer)[0]
-    assert per_query == (1.0,) * 5  # a flipped answer carries as much as the bit
-    (db, queries), = calls
-    assert db.shape == (32 * 5, 5) and queries.shape == (32 * 5,)
-    words = db @ (1 << np.arange(5))
-    pairs = set(zip(words.tolist(), queries.tolist()))
-    assert pairs == {(w, k) for w in range(32) for k in range(5)}
+    # a flipped answer carries as much as the bit, a constant nothing
+    assert per_query == (1.0, 1.0, 1.0, 0.0, 1.0)
+    db, = calls
+    assert db.shape == (32, 5)
+    assert sorted((db @ (1 << np.arange(5))).tolist()) == list(range(32))
 
 
 def test_eval_score_memory_is_bounded():
-    # exact scoring answers 2^8 x 8 = 2,048 rows in one call; its traced
+    # exact scoring answers 2^8 x 8 = 2,048 pairs in one call; its traced
     # peak is about 1.3 MB and does not depend on any episode count
     net = fresh_net(8, 3, 32, substream(84))
     tracemalloc.start()
@@ -668,7 +667,7 @@ def test_decoder_fed_the_queried_bit_fails_the_embedding_verdict(monkeypatch):
     # the decoder reads the queried bit besides the code, so its answers are
     # no longer a function of the code (compare test_encoder_is_query_blind)
     def feed_queried_bit(net):
-        net.answer = lambda x, q: x[np.arange(len(q)), q].astype(np.uint8)
+        net.answer = lambda db: db
 
     row, passed = strict_verdicts(monkeypatch, 1, feed_queried_bit)
     assert row["observed"] == 8.0 and row["code_entropy"] <= 1.0
@@ -709,4 +708,4 @@ def test_oversized_database_fails_before_training(monkeypatch):
         build_ablations(resolve(ExperimentConfig("ablations", params={"n_bits": 17})))
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="N <= 16"):
-        exact_scores(17, lambda db, k: k)
+        exact_scores(17, lambda db: db)

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -516,18 +518,28 @@ def test_verify_fails_cleanly_on_a_bad_manifest(tmp_path, capsys):
 
 
 def test_verify_fails_cleanly_on_a_table_without_a_judged_column(tmp_path, capsys):
-    # a checksummed table without a column the judge reads, as a manifest from
-    # before a column rename would list, used to end in a KeyError traceback
-    assert run_cli("run", "table1", "--out", str(tmp_path)) == 0
-    table, manifest = tmp_path / "table1" / "table1.csv", tmp_path / "table1" / "manifest.json"
-    table.write_text(table.read_text().replace("n,bias,score\n", "n,bias,value\n"))
-    data = json.loads(manifest.read_text())
-    data["outputs"]["table1.csv"] = read_table(str(table))[0]
-    manifest.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run_cli("verify", str(manifest)) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "checksum ok table1.csv", "FAIL table1.csv lacks column 'score'", "VERIFY: FAIL"]
+    # each edited table is checksummed into its manifest, so only the judge sees the edit
+    cases = [
+        # a table without a column the judge reads, as a manifest from before
+        # a column rename would list, used to end in a KeyError traceback
+        ("n,bias,score\n", "n,bias,value\n", "FAIL table1.csv lacks column 'score'"),
+        # a word where the judge computes with a number used to end in a TypeError
+        ("1,0.7,0.780319390567199\n", "1,0.7,abc\n",
+         "FAIL table1.csv column 'score' holds 'abc', not a number"),
+    ]
+    for k, (old, new, failure) in enumerate(cases):
+        out = tmp_path / str(k)
+        assert run_cli("run", "table1", "--out", str(out)) == 0
+        table, manifest = out / "table1" / "table1.csv", out / "table1" / "manifest.json"
+        assert old in table.read_text()
+        table.write_text(table.read_text().replace(old, new))
+        data = json.loads(manifest.read_text())
+        data["outputs"]["table1.csv"] = read_table(str(table))[0]
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli("verify", str(manifest)) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "checksum ok table1.csv", failure, "VERIFY: FAIL"]
 
 
 def test_interval_takes_its_full_name_or_cp(tmp_path):
@@ -645,3 +657,18 @@ def test_every_judge_passes_then_fails_on_a_perturbed_column(name):
     fname, column, factor = JUDGE_PERTURBATIONS[name]
     rows = [dict(row, **{column: row[column] * factor}) for row in tables[fname]]
     assert not all(v.passed for v in exp.judge({**tables, fname: rows}, p))
+
+
+def test_importing_the_cli_loads_only_what_a_run_uses():
+    # exact rationals, the process pool and the INI parser load only in a run
+    # that needs them; each costs peak RSS in every process, about 2 MB in all
+    script = ("import json, sys, numpy; before = set(sys.modules); import racbox.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "racbox.cli" in loaded
+    assert not loaded & {"fractions", "decimal", "concurrent.futures", "configparser"}

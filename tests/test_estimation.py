@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import binary_channel_information, table_from_pairs
+from oracles import binary_channel_information, binomial_pmf, table_from_pairs
 from racbox import estimation
 from racbox.estimation import (ConfidenceInterval, ScoreReport, bisect_root,
                                binomial_interval, clopper_pearson_interval,
@@ -221,16 +221,20 @@ def test_binomial_interval_dispatch():
         binomial_interval(10, 20, method="exactly")
 
 
+def exact_coverage(interval, trials, p):
+    """Pr[p lies in interval(k, trials, 0.95)], summed over the binomial law of
+    the count k; no draw is made, so no seed can decide the outcome."""
+    counts, pmf = binomial_pmf(trials, p)
+    assert abs(pmf.sum() - 1.0) < 1e-12  # a whole law: the counts left out weigh nothing
+    return sum(mass for k, mass in zip(counts.tolist(), pmf.tolist())
+               if (ci := interval(k, trials, 0.95)).lo <= p <= ci.hi)
+
+
 def test_wilson_coverage():
-    # >= 93% empirical coverage at the nominal 95% level
-    rng = substream(42)
+    # >= 93% coverage at the nominal 95% level: 0.9475, 0.9471 and 0.9504;
+    # intervals 10% narrower read about 0.92
     for p in (0.55, 0.75, 0.95):
-        hits = 0
-        draws = rng.binomial(1000, p, size=1000)
-        for s in draws:
-            ci = wilson_interval(int(s), 1000, 0.95)
-            hits += ci.lo <= p <= ci.hi
-        assert hits / 1000 >= 0.93
+        assert exact_coverage(wilson_interval, 1000, p) >= 0.93
 
 
 def reference_clopper_pearson(successes, trials, level):
@@ -351,15 +355,10 @@ def test_warm_bracket_is_kept_only_when_both_ends_certify():
 
 
 def test_clopper_pearson_coverage():
-    # the exact construction is conservative: >= 95% coverage
-    rng = substream(43)
+    # the exact construction is conservative: >= 95% coverage, 0.9548, 0.9555
+    # and 0.9581; at level 0.94, or 2% narrower, it falls below 0.95
     for p in (0.55, 0.75, 0.95):
-        hits = 0
-        draws = rng.binomial(1000, p, size=1000)
-        for s in draws:
-            ci = clopper_pearson_interval(int(s), 1000, 0.95)
-            hits += ci.lo <= p <= ci.hi
-        assert hits / 1000 >= 0.95
+        assert exact_coverage(clopper_pearson_interval, 1000, p) >= 0.95
 
 
 # ---------------------------------------------------------------------------

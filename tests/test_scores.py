@@ -205,17 +205,21 @@ def _queried(db, queries):
     return db[np.arange(len(queries)), queries]
 
 
+def _copy(db):
+    """Every query answered with the queried bit."""
+    return db
+
+
 def test_conditional_score_exact_mode():
     n = 4
     identical = np.zeros(1 << n)
     identical[[0, -1]] = 0.5  # all zeros or all ones
-    assert sum(exact_scores(n, _queried, identical)[1]) == pytest.approx(1.0, abs=1e-12)
+    assert sum(exact_scores(n, _copy, identical)[1]) == pytest.approx(1.0, abs=1e-12)
     independent = np.full(1 << n, 2.0 ** -n)
-    assert sum(exact_scores(n, _queried, independent)[1]) == pytest.approx(n, abs=1e-12)
+    assert sum(exact_scores(n, _copy, independent)[1]) == pytest.approx(n, abs=1e-12)
     # a noisy channel on independent bits reduces to the symmetric closed form
     flip = 0.2
-    noisy = exact_scores(n, lambda db, q: np.where(_queried(db, q) == 1, 1 - flip, flip),
-                         independent)[1]
+    noisy = exact_scores(n, lambda db: np.where(db == 1, 1 - flip, flip), independent)[1]
     assert sum(noisy) == pytest.approx(n * (1 - binary_entropy(1 - flip)), abs=1e-12)
 
 
@@ -252,8 +256,8 @@ def test_conditional_score_matches_the_loop_oracle():
     weights = rng.dirichlet(np.ones(1 << n)) * (rng.random(1 << n) < 0.8)
     p_one = rng.random((1 << n, n)) * (rng.random((1 << n, n)) < 0.7)
 
-    def answer(db, queries):
-        return p_one[db @ (1 << np.arange(n)), queries]
+    def answer(db):
+        return p_one[db @ (1 << np.arange(n))]
 
     conditional = exact_scores(n, answer, weights)[1]
     assert conditional == pytest.approx(reference_conditional_score(n, weights, p_one),
@@ -268,8 +272,8 @@ def markov_law(n_bits, r):
     return 0.5 * r ** changes * (1 - r) ** (n_bits - 1 - changes)
 
 
-def _copy_first(db, queries):
-    return db[:, 0]
+def _copy_first(db):
+    return np.repeat(db[:, :1], db.shape[1], axis=1)
 
 
 @pytest.mark.parametrize("r, unconditional", [
@@ -289,8 +293,8 @@ def test_weighted_blocks_equal_one_block(monkeypatch):
     # a stochastic code on the Markov law: blocks of 1 and of 37 databases
     # (the last one short) give the values of one block of all 256; the
     # masses are summed in another order, so only rounding may differ
-    def answer(db, queries):
-        return np.where(_queried(db, queries) == db[:, 0], 0.8, 0.3)
+    def answer(db):
+        return np.where(db == db[:, :1], 0.8, 0.3)
 
     weights = markov_law(8, 0.1)
     whole = exact_scores(8, answer, weights)
@@ -320,8 +324,8 @@ def test_records_estimate_lands_near_the_exact_conditional():
     outputs = _queried(databases, queries) ^ (rng.random(episodes) < flip)
     rep = conditional_score_from_records(databases, queries, outputs)
 
-    def answer(db, q):
-        return np.where(_queried(db, q) == 1, 1 - flip, flip)
+    def answer(db):
+        return np.where(db == 1, 1 - flip, flip)
 
     exact = exact_scores(n, answer, markov_law(n, r))[1]
     assert exact == pytest.approx([1 - binary_entropy(flip)]
@@ -367,11 +371,11 @@ def test_conditional_score_size_guard():
     with pytest.raises(ValueError, match="N <= 16"):
         conditional_score_from_records(np.zeros((1, 17), dtype=int), [0], [0])
     with pytest.raises(ValueError, match="N <= 16"):
-        exact_scores(17, lambda db, q: np.full(len(q), 0.5))
+        exact_scores(17, lambda db: np.full(db.shape, 0.5))
 
 
 def test_sixteen_bits_are_scored_on_both_paths():
-    per_query, conditional = exact_scores(16, _queried)
+    per_query, conditional = exact_scores(16, _copy)
     assert per_query == conditional == (1.0,) * 16
     rng = substream(36)
     databases = rng.integers(0, 2, (1000, 16))
@@ -382,10 +386,13 @@ def test_sixteen_bits_are_scored_on_both_paths():
 
 def test_invalid_answers_weights_and_records_are_rejected():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        exact_scores(3, lambda db, q: _queried(db, q) * 2)
+        exact_scores(3, lambda db: db * 2)
+    for table in (lambda db: db[:, 0], lambda db: db.T, lambda db: db[:-1]):
+        with pytest.raises(ValueError, match=r"not \(8, 3\)"):
+            exact_scores(3, table)
     for weights in (np.ones(7), np.zeros(8), -np.ones(8)):
         with pytest.raises(ValueError, match="weights"):
-            exact_scores(3, _queried, weights)
+            exact_scores(3, _copy, weights)
     with pytest.raises(ValueError, match="records"):
         conditional_score_from_records([[0, 2]], [0], [0])
     with pytest.raises(ValueError, match="records"):
